@@ -2,6 +2,7 @@
 and a covering-ellipsoid compression simulator."""
 
 from .errors import (
+    CrossCheckFailed,
     DegenerateShrinkage,
     DomainError,
     GaussExtremalError,
@@ -12,6 +13,9 @@ from .gauss_model import (
     GaussianAuxChannel,
     GaussianPairModel,
     InfoVector,
+    cholesky_pd,
+    conditional_cov_noise,
+    information_batch,
     log_det,
     matrix_from_json,
     matrix_to_json,
@@ -32,9 +36,11 @@ from .extremal import (
     scalar_dual_oracle,
     scalar_dual_oracle_argmin,
     scalar_extremal_gap,
+    scalar_gap,
     vector_dual_lower,
     vector_extremal_forms,
     vector_extremal_gap,
+    vector_gap_forms,
 )
 from .rate_region import (
     RegionQuery,

@@ -19,22 +19,15 @@ import sys
 
 import numpy as np
 
-from .errors import GaussExtremalError
-from .extremal import (
-    alpha_family_channel,
-    oohama_gap,
-    scalar_dual_closed,
-    scalar_dual_oracle,
-    scalar_extremal_gap,
-    vector_extremal_gap,
-)
-from .gauss_model import GaussianAuxChannel, GaussianPairModel, matrix_from_json
+from .errors import DomainError, GaussExtremalError
+from .extremal import scalar_dual_closed, scalar_dual_oracle
+from .gauss_model import matrix_from_json
 from .ellipsoid_codec import CodecConfig, report_to_dict, run_simulation, trials_csv_rows
 from .rate_region import RegionQuery, region_verdict
-from .rng import random_pd, stream
-
-VERIFY_MODES = ("thm1-scalar", "thm1-vector", "thm3", "oohama", "vec-epi")
-GAP_TOL = 1e-9
+# run_verify_sweep and stream stay importable from this module: the
+# acceptance tests and the benchmark's tracer tests name them here.
+from .rng import check_seed, stream  # noqa: F401
+from .sweep import VERIFY_MODES, run_verify_sweep
 
 
 def _fmt(value: float, precision: int) -> str:
@@ -52,113 +45,30 @@ def _round_floats(obj, precision: int):
 
 
 def _emit_json(payload: dict, precision: int) -> None:
-    print(json.dumps(_round_floats(payload, precision), sort_keys=True))
-
-
-def _default_seed() -> int:
-    raw = os.environ.get("GAUSS_EXTREMAL_SEED", "0")
+    # NaN and Infinity are not JSON: refuse them rather than print output
+    # that a strict parser rejects.
     try:
-        return int(raw)
+        text = json.dumps(_round_floats(payload, precision), sort_keys=True, allow_nan=False)
     except ValueError:
-        raise GaussExtremalError(f"GAUSS_EXTREMAL_SEED is not an integer: {raw!r}") from None
+        raise GaussExtremalError("a result is not finite and cannot be written as JSON") from None
+    print(text)
 
 
-def _sample_scalar_channels(gen: np.random.Generator):
-    # Small chance of a degenerate description keeps the zero paths exercised.
-    def one(side: str) -> GaussianAuxChannel:
-        if gen.uniform() < 0.02:
-            return GaussianAuxChannel.degenerate_on(side)
-        return GaussianAuxChannel.scalar_corr(gen.uniform(0.0, 0.999), side)
-
-    return one("x"), one("y")
-
-
-def _sample_vector_channel(gen: np.random.Generator, n: int, side: str) -> GaussianAuxChannel:
-    if gen.uniform() < 0.02:
-        return GaussianAuxChannel.degenerate_on(side)
-    gain = gen.standard_normal((n, n))
-    return GaussianAuxChannel.linear(gain, random_pd(gen, n), side)
-
-
-def run_verify_sweep(mode: str, trials: int, dim: int, seed: int) -> dict:
-    """Seeded falsification sweep; returns the summary used by `verify`.
-
-    Gap conventions per mode: thm3 and thm1-scalar use two descriptions on
-    a unit-variance pair, thm1-vector uses random covariances and channels,
-    oohama drops the second description, and vec-epi mixes random channels
-    with injected equality-family channels whose conditional covariance is
-    proportional to the noise covariance (those certify that zero gap is
-    attained).
-    """
-    if mode not in VERIFY_MODES:
-        raise GaussExtremalError(f"unknown mode {mode!r}")
-    if trials < 1:
-        raise GaussExtremalError("trials must be at least 1")
-    if not 1 <= dim <= 64:
-        raise GaussExtremalError("dim must lie in [1, 64]")
-
-    gaps = np.empty(trials)
-    argmin_params: dict = {}
-    running_min = math.inf
-    for t in range(trials):
-        gen = stream(seed, t, 0)
-        if mode == "thm3":
-            rho = gen.uniform(-0.99, 0.99)
-            u, v = _sample_scalar_channels(gen)
-            gap = scalar_extremal_gap(rho, u, v)
-            params = {"sample": t, "rho": rho}
-        elif mode == "thm1-scalar":
-            sign = -1.0 if gen.uniform() < 0.5 else 1.0
-            rho = sign * gen.uniform(0.05, 0.99)
-            u, v = _sample_scalar_channels(gen)
-            model = GaussianPairModel.scalar(rho)
-            gap = vector_extremal_gap(model, u, v)
-            params = {"sample": t, "rho": rho}
-        elif mode == "thm1-vector":
-            model = GaussianPairModel.vector(random_pd(gen, dim), random_pd(gen, dim))
-            u = _sample_vector_channel(gen, dim, "x")
-            v = _sample_vector_channel(gen, dim, "y")
-            gap = vector_extremal_gap(model, u, v)
-            params = {"sample": t, "n": dim}
-        elif mode == "oohama":
-            rho = gen.uniform(-0.99, 0.99)
-            model = GaussianPairModel.scalar(rho)
-            u = GaussianAuxChannel.scalar_corr(gen.uniform(0.0, 0.999), "x")
-            gap = oohama_gap(model, u)
-            params = {"sample": t, "rho": rho}
-        else:  # vec-epi
-            model = GaussianPairModel.vector(random_pd(gen, dim), random_pd(gen, dim))
-            inject = t % 2 == 0
-            if inject:
-                # Equality family: conditional covariance proportional to the
-                # noise covariance, scaled to stay below the source covariance.
-                white = np.linalg.inv(np.linalg.cholesky(model.sigma_x))
-                m = float(np.linalg.eigvalsh(white @ model.sigma_z @ white.T).max())
-                lam = 1.0 + 1.0 / (gen.uniform(0.05, 0.95) / m)
-                u, alpha = alpha_family_channel(model, lam)
-                params = {"sample": t, "n": dim, "alpha": alpha, "injected": True}
-            else:
-                u = _sample_vector_channel(gen, dim, "x")
-                params = {"sample": t, "n": dim, "injected": False}
-            gap = oohama_gap(model, u)
-        gaps[t] = gap
-        if gap < running_min:
-            running_min = gap
-            argmin_params = params
-
-    negative = int(np.count_nonzero(gaps < -GAP_TOL))
-    return {
-        "mode": mode,
-        "trials": trials,
-        "dim": dim if mode in ("thm1-vector", "vec-epi") else 1,
-        "seed": seed,
-        "min_gap": float(gaps.min()),
-        "mean_gap": float(gaps.mean()),
-        "max_gap": float(gaps.max()),
-        "negative_count": negative,
-        "argmin": argmin_params,
-        "gaps": gaps,
-    }
+def _check_args(args) -> None:
+    """Input checks shared by every subcommand; fills in the default seed."""
+    for key, value in vars(args).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise DomainError(f"--{key.replace('_', '-')} must be finite, got {value}")
+    if args.precision < 1:
+        raise DomainError(f"--precision must be at least 1, got {args.precision}")
+    source = "--seed"
+    if args.seed is None:
+        source, raw = "GAUSS_EXTREMAL_SEED", os.environ.get("GAUSS_EXTREMAL_SEED", "0")
+        try:
+            args.seed = int(raw)
+        except ValueError:
+            raise DomainError(f"GAUSS_EXTREMAL_SEED is not an integer: {raw!r}") from None
+    check_seed(args.seed, source)
 
 
 def _cmd_region(args) -> int:
@@ -186,9 +96,14 @@ def _cmd_region(args) -> int:
 
 
 def _cmd_dual(args) -> int:
-    lambdas = [float(s) for s in args.lambdas.split(",") if s.strip()]
+    try:
+        lambdas = [float(s) for s in args.lambdas.split(",") if s.strip()]
+    except ValueError:
+        raise DomainError(f"--lambdas must list numbers, got {args.lambdas!r}") from None
     if not lambdas:
         raise GaussExtremalError("--lambdas must list at least one value")
+    if not all(math.isfinite(lam) for lam in lambdas):
+        raise DomainError(f"--lambdas must be finite, got {args.lambdas!r}")
     rows = []
     for lam in lambdas:
         closed = scalar_dual_closed(lam, args.rho).value_bits
@@ -305,15 +220,9 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "seed", None) is None:
-        try:
-            args.seed = _default_seed()
-        except GaussExtremalError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+    args = _build_parser().parse_args(argv)
     try:
+        _check_args(args)
         return _COMMANDS[args.command](args)
     except (GaussExtremalError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

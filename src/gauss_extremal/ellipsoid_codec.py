@@ -38,7 +38,7 @@ import numpy as np
 from .errors import DegenerateShrinkage, DomainError, Infeasible
 from .gauss_model import cholesky_pd, log_det
 from .rate_region import RegionQuery, RegionVerdict, region_verdict
-from .rng import STREAM_NOISE_X, STREAM_NOISE_Y, STREAM_SOURCE, stream
+from .rng import STREAM_NOISE_X, STREAM_NOISE_Y, STREAM_SOURCE, check_seed, stream
 
 # Implied rates sit on the dominant face of the achievable region; this
 # slack nudges them strictly inside so boundary round-off cannot flip the
@@ -132,8 +132,7 @@ class CodecConfig:
             raise DomainError("delta must stay below both distortion targets")
         if self.trials < 1:
             raise DomainError("trials must be at least 1")
-        if not 0 <= self.seed < (1 << 64):
-            raise DomainError("seed must fit in 64 bits")
+        check_seed(self.seed)
 
     @property
     def tau(self) -> float:
@@ -544,8 +543,13 @@ def run_simulation(config: CodecConfig) -> SimulationReport:
 
 
 def report_to_dict(report: SimulationReport) -> dict:
-    """JSON-ready aggregate report (config echo plus the summary fields)."""
+    """JSON-ready aggregate report (config echo plus the summary fields).
+
+    An infinite noise level (nu = 1: that description is not sent) is
+    reported as None, JSON null, since JSON has no infinity.
+    """
     cfg = report.config
+    finite_or_none = lambda q: q if math.isfinite(q) else None
     return {
         "config": {
             "n": cfg.n,
@@ -571,7 +575,7 @@ def report_to_dict(report: SimulationReport) -> dict:
         "mean_norm_vol_x_corrected": report.mean_norm_vol_x_corrected,
         "mean_norm_vol_y_corrected": report.mean_norm_vol_y_corrected,
         "implied_rates": {"r_x": report.r_x, "r_y": report.r_y},
-        "noise_levels": {"q_x": report.q_x, "q_y": report.q_y},
+        "noise_levels": {"q_x": finite_or_none(report.q_x), "q_y": finite_or_none(report.q_y)},
         "region_inside": report.region_inside,
         "residual_max": report.residual_max,
         "whitening_frobenius_error": report.whitening_frobenius_error,

@@ -13,6 +13,10 @@ class NotPositiveDefinite(GaussExtremalError):
     """A matrix required to be positive definite failed its pivot test."""
 
 
+class CrossCheckFailed(GaussExtremalError):
+    """Two equivalent computations of one quantity disagreed beyond roundoff."""
+
+
 class Infeasible(GaussExtremalError):
     """No test channel attains the requested distortion targets."""
 

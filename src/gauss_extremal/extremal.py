@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import CrossCheckFailed, DomainError
 from .gauss_model import (
     GaussianAuxChannel,
     GaussianPairModel,
@@ -69,20 +69,15 @@ def dual_functional(info: InfoVector, lam: float) -> float:
     return info.i_xu - lam * info.i_yu + info.i_yv_given_u - lam * info.i_xv_given_u
 
 
-def vector_extremal_forms(
-    model: GaussianPairModel, u: GaussianAuxChannel, v: GaussianAuxChannel
-) -> tuple[float, float, InfoVector]:
-    """Both exponent forms of the vector inequality gap.
+def vector_gap_forms(info: InfoVector, n: int, ratio):
+    """(gap_conditional, gap_unconditional) of the vector inequality.
 
-    Returns (gap_conditional, gap_unconditional, info). The two forms
-    differ by the common factor 2^(-(2/n) I(U;V)); the Markov identity
-    I(X;V) - I(X;V|U) = I(U;V) makes them equivalent, which is asserted
-    here to 1e-10.
+    Elementwise over info's fields, which may be floats or (T,) arrays
+    (with ratio of the same kind). The two forms differ by the common
+    factor 2^(-(2/n) I(U;V)); the Markov identity
+    I(X;V) - I(X;V|U) = I(U;V) makes them equivalent, and a disagreement
+    beyond _FORM_TOL raises CrossCheckFailed.
     """
-    info = mutual_information(model, u, v)
-    n = model.n
-    ratio = model.det_ratio_x_over_y()
-
     gap_cond = (
         2.0 ** (-(2.0 / n) * (info.i_yu + info.i_xv_given_u))
         - ratio * 2.0 ** (-(2.0 / n) * (info.i_xu + info.i_yv_given_u))
@@ -94,7 +89,40 @@ def vector_extremal_forms(
         - 2.0 ** (-(2.0 / n) * (info.i_xy + info.i_uv))
     )
     scale = 2.0 ** (-(2.0 / n) * info.i_uv)
-    assert abs(gap_uncond - gap_cond * scale) <= _FORM_TOL, "exponent forms diverged"
+    off = np.abs(gap_uncond - gap_cond * scale)
+    if np.any(off > _FORM_TOL):
+        i = np.argmax(off) if np.ndim(off) else ()
+        raise CrossCheckFailed(
+            f"exponent forms diverged by {off[i]:.3e} (tolerance {_FORM_TOL:g})"
+            + (f" at sample {i}" if np.ndim(off) else "")
+        )
+    return gap_cond, gap_uncond
+
+
+def scalar_gap(info: InfoVector, r2):
+    """LHS - RHS of the unit-variance scalar inequality from its informations,
+    elementwise over floats or (T,) arrays (r2 = rho^2 of the same kind).
+
+    2^(-2 I(Y;U)) 2^(-2 I(X;V|U)) - (1 - rho^2)
+        - rho^2 2^(-2 I(X;U)) 2^(-2 I(Y;V|U)).
+    """
+    return (
+        2.0 ** (-2.0 * (info.i_yu + info.i_xv_given_u))
+        - (1.0 - r2)
+        - r2 * 2.0 ** (-2.0 * (info.i_xu + info.i_yv_given_u))
+    )
+
+
+def vector_extremal_forms(
+    model: GaussianPairModel, u: GaussianAuxChannel, v: GaussianAuxChannel
+) -> tuple[float, float, InfoVector]:
+    """Both exponent forms of the vector inequality gap.
+
+    Returns (gap_conditional, gap_unconditional, info); see
+    vector_gap_forms for the cross-check between them.
+    """
+    info = mutual_information(model, u, v)
+    gap_cond, gap_uncond = vector_gap_forms(info, model.n, model.det_ratio_x_over_y())
     return gap_cond, gap_uncond, info
 
 
@@ -107,40 +135,23 @@ def vector_extremal_gap(
 
 
 def scalar_extremal_gap(rho: float, u: GaussianAuxChannel, v: GaussianAuxChannel) -> float:
-    """LHS - RHS of the unit-variance scalar inequality.
-
-    2^(-2 I(Y;U)) 2^(-2 I(X;V|U)) - (1 - rho^2)
-        - rho^2 2^(-2 I(X;U)) 2^(-2 I(Y;V|U)).
-    """
+    """LHS - RHS of the unit-variance scalar inequality (see scalar_gap)."""
     model = GaussianPairModel.scalar(rho)
-    info = mutual_information(model, u, v)
-    r2 = rho * rho
-    return (
-        2.0 ** (-2.0 * (info.i_yu + info.i_xv_given_u))
-        - (1.0 - r2)
-        - r2 * 2.0 ** (-2.0 * (info.i_xu + info.i_yv_given_u))
-    )
+    return scalar_gap(mutual_information(model, u, v), rho * rho)
 
 
 def oohama_gap(model: GaussianPairModel, u: GaussianAuxChannel) -> float:
-    """Gap of the single-description bound (V degenerate).
+    """Gap of the single-description bound: the two-description gap with
+    V degenerate, whose informations all vanish.
 
     Scalar: 2^(-2 I(Y;U)) - (1 - rho^2) - rho^2 2^(-2 I(X;U)).
     Vector: per-dimension form with determinant ratios. Zero iff the
     conditional covariance of X given U is proportional to sigma_z.
     """
     v = GaussianAuxChannel.degenerate_on("y")
-    info = mutual_information(model, u, v)
     if model.kind == "scalar":
-        r2 = model.rho * model.rho
-        return 2.0 ** (-2.0 * info.i_yu) - (1.0 - r2) - r2 * 2.0 ** (-2.0 * info.i_xu)
-    n = model.n
-    ratio = model.det_ratio_x_over_y()
-    return (
-        2.0 ** (-2.0 * info.i_yu / n)
-        - ratio * 2.0 ** (-2.0 * info.i_xu / n)
-        - 2.0 ** (-2.0 * info.i_xy / n)
-    )
+        return scalar_extremal_gap(model.rho, u, v)
+    return vector_extremal_gap(model, u, v)
 
 
 def scalar_dual_closed(lam: float, rho: float) -> DualValue:

@@ -14,11 +14,19 @@ source, so U - X - Y - V always holds by construction. The constant
 (zero-information) channel is represented by an explicit flag rather than
 by a singular gain/noise pair.
 
-All informations are in bits. Every mutual information is computed as
-(1/2) log2(|S_A| |S_B| / |S_AB|) from Cholesky log-determinants of blocks
-of the joint covariance; conditional quantities go through Schur
-complements. Means are fixed to zero throughout: mutual information is
-translation invariant.
+All informations are in bits and come from one kernel,
+information_batch. It takes a stack of T joint covariances of
+(X, Y, U, V), factorizes each index subset it needs once for the whole
+stack with a batched Cholesky, and combines the block log-determinants
+
+    I(A;B)   = [ld(A) + ld(B) - ld(AB)] / (2 ln 2),
+    I(A;B|C) = [ld(AC) + ld(BC) - ld(C) - ld(ABC)] / (2 ln 2).
+
+Inside the kernel a degenerate channel is an independent unit-noise block
+with zero gain: its log-determinant is 0 and its informations vanish, so
+a batch mixing degenerate and active channels keeps one shape.
+mutual_information is the single-triple (T = 1) call. Means are fixed to
+zero throughout: mutual information is translation invariant.
 
 All values are immutable after construction and every operation is a pure
 function of its inputs, so concurrent use needs no synchronization.
@@ -43,42 +51,75 @@ PIVOT_TOL = 1e-10
 SYMMETRY_TOL = 1e-12
 
 
-def _as_square(mat, name: str = "matrix") -> np.ndarray:
+def _as_square(mat, name: str = "matrix", stack: bool = False) -> np.ndarray:
     a = np.asarray(mat, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DomainError(f"{name}: expected a square matrix, got shape {a.shape}")
+    ndim = 3 if stack and a.ndim == 3 else 2
+    if a.ndim != ndim or a.shape[-1] != a.shape[-2]:
+        kind = "a square matrix or a stack of them" if stack else "a square matrix"
+        raise DomainError(f"{name}: expected {kind}, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise DomainError(f"{name}: entries must be finite")
     return a
 
 
+def _reject(bad, name: str, what: str) -> None:
+    """Raise NotPositiveDefinite if any entry of bad (one flag per matrix,
+    a scalar for a single matrix) is set, naming the first failing sample."""
+    if np.any(bad):
+        where = f" (sample {int(np.argmax(bad))})" if np.size(bad) > 1 else ""
+        raise NotPositiveDefinite(f"{name}{where}: {what}")
+
+
 def _check_symmetric(a: np.ndarray, name: str) -> None:
-    scale = max(1.0, float(np.abs(a).max()))
-    if float(np.abs(a - a.T).max()) > SYMMETRY_TOL * scale:
-        raise NotPositiveDefinite(f"{name}: not symmetric within {SYMMETRY_TOL:g} relative")
+    # Max-norms without absolute-value copies: a - a^T is exactly
+    # antisymmetric, so its largest entry is its largest magnitude.
+    axes = (-2, -1)
+    scale = np.maximum(1.0, np.maximum(a.max(axis=axes), -a.min(axis=axes)))
+    asym = (a - np.swapaxes(a, -2, -1)).max(axis=axes)
+    _reject(asym > SYMMETRY_TOL * scale, name, f"not symmetric within {SYMMETRY_TOL:g} relative")
 
 
-def _pivot_floor(a: np.ndarray) -> float:
-    return PIVOT_TOL * float(np.trace(a)) / a.shape[0]
+def _pivot_floor(a: np.ndarray):
+    return PIVOT_TOL * np.trace(a, axis1=-2, axis2=-1) / a.shape[-1]
 
 
-def cholesky_pd(mat, name: str = "matrix") -> np.ndarray:
-    """Lower Cholesky factor, with the package-wide pivot acceptance test."""
-    a = _as_square(mat, name)
-    _check_symmetric(a, name)
+def _factor(a: np.ndarray, name: str) -> np.ndarray:
+    """Lower Cholesky factor of a finite symmetric matrix or stack, with
+    the pivot acceptance test applied to every matrix of the stack."""
     floor = _pivot_floor(a)
-    if floor <= 0.0:
-        raise NotPositiveDefinite(f"{name}: nonpositive trace")
+    _reject(floor <= 0.0, name, "nonpositive trace")
     try:
         lower = np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
-        raise NotPositiveDefinite(f"{name}: Cholesky factorization failed") from None
-    pivots = np.diagonal(lower) ** 2
-    if float(pivots.min()) <= floor:
-        raise NotPositiveDefinite(
-            f"{name}: pivot {pivots.min():.3e} below tolerance {floor:.3e}"
-        )
+        where = _first_failure(a) if a.ndim == 3 and len(a) > 1 else ""
+        raise NotPositiveDefinite(f"{name}{where}: Cholesky factorization failed") from None
+    low = (np.diagonal(lower, axis1=-2, axis2=-1) ** 2).min(axis=-1)
+    bad = low <= floor
+    if np.any(bad):
+        i = np.argmax(bad) if np.ndim(bad) else ()
+        _reject(bad, name, f"pivot {low[i]:.3e} below tolerance {floor[i]:.3e}")
     return lower
+
+
+def _first_failure(stack: np.ndarray) -> str:
+    """' (sample t)' for the first matrix of a stack that Cholesky rejects."""
+    for t, m in enumerate(stack):
+        try:
+            np.linalg.cholesky(m)
+        except np.linalg.LinAlgError:
+            return f" (sample {t})"
+    return ""
+
+
+def cholesky_pd(mat, name: str = "matrix") -> np.ndarray:
+    """Lower Cholesky factor, with the package-wide pivot acceptance test.
+
+    Also takes a (T, n, n) stack and then checks and factorizes every
+    matrix of it in one batched call.
+    """
+    a = _as_square(mat, name, stack=True)
+    _check_symmetric(a, name)
+    return _factor(a, name)
 
 
 def log_det(mat, name: str = "matrix") -> float:
@@ -256,26 +297,39 @@ class GaussianAuxChannel:
         if model.kind == "scalar":
             model = model.to_vector()
         source = model.sigma_x if side == "x" else model.sigma_y
-        t = _as_square(target_cov, "target_cov")
-        cholesky_pd(t, "target_cov")
-        gap = np.linalg.inv(t) - np.linalg.inv(source)
-        gap = 0.5 * (gap + gap.T)
-        cholesky_pd(gap, "target_cov (must be strictly below the source covariance)")
-        noise = np.linalg.inv(gap)
-        return cls.linear(np.eye(model.n), 0.5 * (noise + noise.T), side)
+        return cls.linear(np.eye(model.n), conditional_cov_noise(source, target_cov), side)
 
     @staticmethod
     def _check_side(side: str) -> None:
         if side not in ("x", "y"):
             raise DomainError(f'side must be "x" or "y", got {side!r}')
 
-    def output_dim(self) -> int:
-        return 0 if self.degenerate else self.gain.shape[0]
+
+def conditional_cov_noise(source_cov, target_cov) -> np.ndarray:
+    """Noise covariance N of the identity-gain channel U = X + W, W ~ N(0, N),
+    whose conditional covariance Cov(X | U) equals target_cov.
+
+    The conditional covariance is (S^{-1} + N^{-1})^{-1}, so
+    N = (T^{-1} - S^{-1})^{-1}; this requires T strictly below the source
+    covariance S in the definite order. Takes single matrices or (T, n, n)
+    stacks and returns the same shape, symmetrized.
+    """
+    t = _as_square(target_cov, "target_cov", stack=True)
+    cholesky_pd(t, "target_cov")
+    gap = np.linalg.inv(t) - np.linalg.inv(source_cov)
+    gap = 0.5 * (gap + np.swapaxes(gap, -2, -1))
+    cholesky_pd(gap, "target_cov (must be strictly below the source covariance)")
+    noise = np.linalg.inv(gap)
+    return 0.5 * (noise + np.swapaxes(noise, -2, -1))
 
 
 @dataclass(frozen=True)
 class InfoVector:
-    """The mutual informations of one (model, U, V) triple, in bits."""
+    """The mutual informations of one (model, U, V) triple, in bits.
+
+    information_batch returns the same record with a (T,) array in every
+    field, one entry per triple of its stack.
+    """
 
     i_xu: float
     i_yu: float
@@ -290,88 +344,102 @@ class InfoVector:
     i_xy_uv: float
 
 
-class _Joint:
-    """Joint covariance with named blocks and cached log-determinants."""
-
-    def __init__(self, cov: np.ndarray, blocks: dict[str, np.ndarray]):
-        self.cov = cov
-        self.blocks = blocks
-        self._ld: dict[tuple[str, ...], float] = {}
-
-    def _idx(self, names: tuple[str, ...]) -> np.ndarray:
-        return np.concatenate([self.blocks[n] for n in names])
-
-    def ld(self, *names: str) -> float:
-        key = tuple(names)
-        if key not in self._ld:
-            idx = self._idx(key)
-            self._ld[key] = log_det(self.cov[np.ix_(idx, idx)], "joint covariance block")
-        return self._ld[key]
-
-    def mi(self, a: tuple[str, ...], b: tuple[str, ...]) -> float:
-        return (self.ld(*a) + self.ld(*b) - self.ld(*(a + b))) / (2.0 * LN2)
-
-    def cmi(self, a: tuple[str, ...], b: tuple[str, ...], c: tuple[str, ...]) -> float:
-        ia, ib, ic = self._idx(a), self._idx(b), self._idx(c)
-        cond = schur_conditional_cov(self.cov, np.concatenate([ia, ib]), ic)
-        na = len(ia)
-        ld = lambda m: log_det(m, "conditional covariance block")
-        return (ld(cond[:na, :na]) + ld(cond[na:, na:]) - ld(cond)) / (2.0 * LN2)
+# Index subsets of (X, Y, U, V), in that order, whose log-determinants
+# the informations combine.
+_SUBSETS = ("x", "y", "u", "v", "xy", "xu", "yu", "xv", "yv", "uv", "xuv", "yuv", "xyuv")
 
 
-def _build_joint(model: GaussianPairModel, u: GaussianAuxChannel, v: GaussianAuxChannel) -> _Joint:
-    n = model.n
-    cov_xy = model.joint_xy_cov()
-    sxx, sxy, syy = cov_xy[:n, :n], cov_xy[:n, n:], cov_xy[n:, n:]
+def information_batch(source_cov, gain_u, noise_u, gain_v, noise_v) -> tuple[InfoVector, dict]:
+    """Informations of a stack of T (model, U, V) triples, in bits.
 
-    pieces = {"x": (None, None), "y": (None, None)}
-    order = ["x", "y"]
-    dims = {"x": n, "y": n}
-    if not u.degenerate:
-        if u.gain.shape[1] != n:
-            raise DomainError("U-channel gain column count must equal the model dimension")
-        order.append("u")
-        dims["u"] = u.output_dim()
-    if not v.degenerate:
-        if v.gain.shape[1] != n:
-            raise DomainError("V-channel gain column count must equal the model dimension")
-        order.append("v")
-        dims["v"] = v.output_dim()
+    source_cov is the (T, 2n, 2n) covariance of (X, Y); U = C_u X + W_u
+    and V = C_v Y + W_v with gains of shape (T, m, n) and noise
+    covariances of shape (T, m, m). A zero gain with unit noise is a
+    degenerate channel. Returns the InfoVector of (T,) arrays and the
+    natural-log determinants of the index subsets of the joint covariance,
+    keyed by subset name ("x", "xu", "xyuv", ...).
 
-    offsets, pos = {}, 0
-    for name in order:
-        offsets[name] = np.arange(pos, pos + dims[name])
-        pos += dims[name]
-    total = pos
-    cov = np.zeros((total, total))
+    The joint covariance must be finite and symmetric within SYMMETRY_TOL
+    relative, and every subset must pass the pivot test of cholesky_pd,
+    per triple; otherwise NotPositiveDefinite (DomainError for bad shapes
+    or non-finite entries) names the first failing triple.
+    """
+    s = np.asarray(source_cov, dtype=float)
+    gains = [np.asarray(g, dtype=float) for g in (gain_u, gain_v)]
+    noises = [np.asarray(w, dtype=float) for w in (noise_u, noise_v)]
+    if s.ndim != 3 or s.shape[1] != s.shape[2] or s.shape[1] % 2:
+        raise DomainError(f"source_cov: expected shape (T, 2n, 2n), got {s.shape}")
+    t, n = s.shape[0], s.shape[1] // 2
+    for name, g, w in zip("UV", gains, noises):
+        if g.ndim != 3 or g.shape[0] != t or g.shape[2] != n:
+            raise DomainError(f"{name}-channel gain column count must equal the model dimension")
+        if w.shape != (t, g.shape[1], g.shape[1]):
+            raise DomainError(f"{name}-channel noise covariance must match the gain's row count")
+    m_u, m_v = gains[0].shape[1], gains[1].shape[1]
+    joint = _as_square(_joint_covariance(s, gains, noises), "joint covariance", stack=True)
+    _check_symmetric(joint, "joint covariance")
 
-    def put(a: str, b: str, block: np.ndarray) -> None:
-        cov[np.ix_(offsets[a], offsets[b])] = block
-        if a != b:
-            cov[np.ix_(offsets[b], offsets[a])] = block.T
+    stops = np.cumsum([0, n, n, m_u, m_v])
+    blocks = {name: np.arange(stops[i], stops[i + 1]) for i, name in enumerate("xyuv")}
 
-    put("x", "x", sxx)
-    put("y", "y", syy)
-    put("x", "y", sxy)
-    if "u" in offsets:
-        cu = u.gain
-        put("u", "u", cu @ sxx @ cu.T + u.noise_cov)
-        put("u", "x", cu @ sxx)
-        put("u", "y", cu @ sxy)
-    if "v" in offsets:
-        cv = v.gain
-        put("v", "v", cv @ syy @ cv.T + v.noise_cov)
-        put("v", "x", cv @ sxy.T)
-        put("v", "y", cv @ syy)
-    if "u" in offsets and "v" in offsets:
-        put("u", "v", u.gain @ sxy @ v.gain.T)
-    return _Joint(cov, offsets)
+    def block_log_det(key: str) -> np.ndarray:
+        idx = np.concatenate([blocks[c] for c in key])
+        sub = joint if idx.size == joint.shape[1] else joint[:, idx[:, None], idx]
+        lower = _factor(sub, f"joint covariance block {key.upper()}")
+        return 2.0 * np.log(np.diagonal(lower, axis1=1, axis2=2)).sum(axis=1)
+
+    ld = {key: block_log_det(key) for key in _SUBSETS}
+
+    def mi(a: str, b: str) -> np.ndarray:
+        return (ld[a] + ld[b] - ld[a + b]) / (2.0 * LN2)
+
+    def cmi(a: str, b: str, c: str) -> np.ndarray:
+        # Grouped as two differences, each of which vanishes when b is a
+        # degenerate (unit, uncorrelated) block: ld(ac) = ld(acb), ld(cb) = ld(c).
+        return ((ld[a + c] - ld[a + c + b]) + (ld[c + b] - ld[c])) / (2.0 * LN2)
+
+    info = InfoVector(
+        i_xu=mi("x", "u"),
+        i_yu=mi("y", "u"),
+        i_xv=mi("x", "v"),
+        i_yv=mi("y", "v"),
+        i_xv_given_u=cmi("x", "v", "u"),
+        i_yv_given_u=cmi("y", "v", "u"),
+        i_uv=mi("u", "v"),
+        i_xy=mi("x", "y"),
+        i_x_uv=mi("x", "uv"),
+        i_y_uv=mi("y", "uv"),
+        i_xy_uv=mi("xy", "uv"),
+    )
+    return info, ld
+
+
+def _joint_covariance(source: np.ndarray, gains: list, noises: list) -> np.ndarray:
+    """(X, Y, U, V) = lift @ (X, Y) + (0, 0, W_u, W_v), stacked. Non-finite
+    inputs are left to the caller's finiteness check, not numpy warnings."""
+    t, two_n = source.shape[:2]
+    n, m_u = two_n // 2, gains[0].shape[1]
+    lift = np.zeros((t, two_n + m_u + gains[1].shape[1], two_n))
+    lift[:, :two_n] = np.eye(two_n)
+    lift[:, two_n : two_n + m_u, :n] = gains[0]
+    lift[:, two_n + m_u :, n:] = gains[1]
+    with np.errstate(invalid="ignore", over="ignore"):
+        joint = lift @ source @ lift.transpose(0, 2, 1)
+        joint[:, two_n : two_n + m_u, two_n : two_n + m_u] += noises[0]
+        joint[:, two_n + m_u :, two_n + m_u :] += noises[1]
+    return joint
+
+
+def _channel_arrays(ch: GaussianAuxChannel, n: int) -> tuple[np.ndarray, np.ndarray]:
+    if ch.degenerate:
+        return np.zeros((1, n)), np.ones((1, 1))
+    return ch.gain, ch.noise_cov
 
 
 def mutual_information(model: GaussianPairModel, u: GaussianAuxChannel, v: GaussianAuxChannel) -> InfoVector:
     """All pairwise and chain informations of (X, Y, U, V), in bits.
 
-    Degenerate channels contribute exact zeros. A singular joint covariance
+    Degenerate channels contribute zeros. A singular joint covariance
     (for example a noiseless channel that copies its source) raises
     NotPositiveDefinite: it signals a degenerate channel that was not
     flagged as such.
@@ -380,44 +448,6 @@ def mutual_information(model: GaussianPairModel, u: GaussianAuxChannel, v: Gauss
         raise DomainError('the U channel must have side "x"')
     if v.side != "y":
         raise DomainError('the V channel must have side "y"')
-
-    joint = _build_joint(model, u, v)
-    x, y = ("x",), ("y",)
-    i_xy = joint.mi(x, y)
-
-    if u.degenerate and v.degenerate:
-        z = 0.0
-        return InfoVector(z, z, z, z, z, z, z, i_xy, z, z, z)
-
-    if u.degenerate:
-        i_xv = joint.mi(x, ("v",))
-        i_yv = joint.mi(y, ("v",))
-        return InfoVector(
-            i_xu=0.0, i_yu=0.0, i_xv=i_xv, i_yv=i_yv,
-            i_xv_given_u=i_xv, i_yv_given_u=i_yv, i_uv=0.0, i_xy=i_xy,
-            i_x_uv=i_xv, i_y_uv=i_yv, i_xy_uv=joint.mi(("x", "y"), ("v",)),
-        )
-
-    if v.degenerate:
-        i_xu = joint.mi(x, ("u",))
-        i_yu = joint.mi(y, ("u",))
-        return InfoVector(
-            i_xu=i_xu, i_yu=i_yu, i_xv=0.0, i_yv=0.0,
-            i_xv_given_u=0.0, i_yv_given_u=0.0, i_uv=0.0, i_xy=i_xy,
-            i_x_uv=i_xu, i_y_uv=i_yu, i_xy_uv=joint.mi(("x", "y"), ("u",)),
-        )
-
-    uu, vv = ("u",), ("v",)
-    return InfoVector(
-        i_xu=joint.mi(x, uu),
-        i_yu=joint.mi(y, uu),
-        i_xv=joint.mi(x, vv),
-        i_yv=joint.mi(y, vv),
-        i_xv_given_u=joint.cmi(x, vv, uu),
-        i_yv_given_u=joint.cmi(y, vv, uu),
-        i_uv=joint.mi(uu, vv),
-        i_xy=i_xy,
-        i_x_uv=joint.mi(x, ("u", "v")),
-        i_y_uv=joint.mi(y, ("u", "v")),
-        i_xy_uv=joint.mi(("x", "y"), ("u", "v")),
-    )
+    (gu, wu), (gv, wv) = _channel_arrays(u, model.n), _channel_arrays(v, model.n)
+    info, _ = information_batch(model.joint_xy_cov()[None], gu[None], wu[None], gv[None], wv[None])
+    return InfoVector(**{name: float(value[0]) for name, value in vars(info).items()})

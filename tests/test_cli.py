@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -249,3 +250,85 @@ class TestCliPlumbing:
         _, out3, _ = run_cli(capsys, args + ["--precision", "3"])
         row = out3.strip().splitlines()[1].split(",")
         assert row[1] == "-0.123"
+
+
+REGION = ["region", "--rho", "0.5", "--rx", "1", "--ry", "1", "--nux", "0.3", "--nuy", "0.3"]
+DUAL = ["dual", "--rho", "0.5", "--lambdas", "3", "--grid", "150"]
+VERIFY = ["verify", "--mode", "thm3", "--trials", "5"]
+ELLIPSOID = ["ellipsoid", "--n", "4", "--k", "2", "--rho", "0.6", "--nux", "0.5", "--nuy", "0.5",
+             "--trials", "2"]
+
+
+class TestBadInputExitsTwo:
+    @pytest.mark.parametrize("command", [REGION, DUAL, VERIFY, ELLIPSOID])
+    @pytest.mark.parametrize("precision", ["0", "-1"])
+    def test_precision_below_one(self, capsys, command, precision):
+        code, out, err = run_cli(capsys, command + ["--precision", precision])
+        assert code == 2 and out == ""
+        assert "--precision" in err
+
+    @pytest.mark.parametrize("lambdas", ["nan", "inf", "2,-inf", "nan,inf", "2,x"])
+    def test_non_finite_or_malformed_lambdas(self, capsys, lambdas):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, ["dual", "--rho", "0.5", "--lambdas", lambdas, "--grid", "150"])
+        assert code == 2 and out == ""
+        assert "--lambdas" in err
+
+    @pytest.mark.parametrize("command,flag", [
+        (REGION, "--rho"), (REGION, "--rx"), (DUAL, "--rho"), (ELLIPSOID, "--rho"), (ELLIPSOID, "--delta"),
+    ])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_numbers(self, capsys, command, flag, value):
+        code, out, err = run_cli(capsys, command + [f"{flag}={value}"])
+        assert code == 2 and out == ""
+        assert flag in err and "finite" in err
+
+    @pytest.mark.parametrize("seed", ["-3", str(2**64)])
+    @pytest.mark.parametrize("command", [VERIFY, ELLIPSOID, REGION])
+    def test_seed_outside_domain(self, capsys, command, seed):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, command + ["--seed", seed])
+        assert code == 2 and out == ""
+        assert "--seed must lie in [0, 2^64)" in err
+
+    @pytest.mark.parametrize("raw", ["-1", str(2**64), "seven"])
+    def test_env_seed_outside_domain(self, capsys, monkeypatch, raw):
+        monkeypatch.setenv("GAUSS_EXTREMAL_SEED", raw)
+        code, out, err = run_cli(capsys, VERIFY)
+        assert code == 2 and out == ""
+        assert "GAUSS_EXTREMAL_SEED" in err
+
+    def test_largest_seed_is_accepted(self, capsys):
+        code, out, _ = run_cli(capsys, REGION + ["--seed", str(2**64 - 1)])
+        assert code == 0 and json.loads(out)["inside"] in (True, False)
+
+
+class TestStrictJson:
+    @staticmethod
+    def strict(text):
+        def refuse(name):
+            raise ValueError(f"non-JSON constant {name}")
+        return json.loads(text, parse_constant=refuse)
+
+    def test_unsent_descriptions_print_null_noise_levels(self, capsys):
+        code, out, _ = run_cli(capsys, [
+            "ellipsoid", "--n", "4", "--k", "2", "--rho", "0.6", "--nux", "1", "--nuy", "1",
+        ])
+        assert code == 0
+        payload = self.strict(out)
+        assert payload["noise_levels"] == {"q_x": None, "q_y": None}
+
+    def test_finite_noise_levels_are_numbers(self, capsys):
+        code, out, _ = run_cli(capsys, ELLIPSOID)
+        assert code == 0
+        levels = self.strict(out)["noise_levels"]
+        assert all(isinstance(q, float) and q > 0.0 for q in levels.values())
+
+    def test_overflowing_result_is_an_error_not_infinity(self, capsys):
+        code, out, err = run_cli(capsys, [
+            "region", "--rho", "0.5", "--rx", "1e308", "--ry", "1e308", "--nux", "0.3", "--nuy", "0.3",
+        ])
+        assert code == 2 and out == ""
+        assert "not finite" in err

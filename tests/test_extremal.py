@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from gauss_extremal.errors import DomainError
+from gauss_extremal import extremal
+from gauss_extremal.errors import CrossCheckFailed, DomainError
 from gauss_extremal.extremal import (
     alpha_family_channel,
     dual_functional,
@@ -19,6 +21,7 @@ from gauss_extremal.extremal import (
     vector_dual_lower,
     vector_extremal_forms,
     vector_extremal_gap,
+    vector_gap_forms,
 )
 from gauss_extremal.gauss_model import (
     GaussianAuxChannel,
@@ -329,6 +332,30 @@ class TestGapFunctionals:
             gap_cond, gap_uncond, info = vector_extremal_forms(model, u, v)
             scale = 2.0 ** (-2.0 * info.i_uv / model.n)
             assert abs(gap_uncond - gap_cond * scale) <= 1e-10
+
+    def test_diverging_exponent_forms_raise(self, monkeypatch):
+        # A Markov-identity violation (I(U;V) off by 0.1 bit) must raise, not
+        # pass silently as an assert would under python -O.
+        real = extremal.mutual_information
+
+        def broken(model, u, v):
+            info = real(model, u, v)
+            return dataclasses.replace(info, i_uv=info.i_uv + 0.1)
+
+        monkeypatch.setattr(extremal, "mutual_information", broken)
+        model, u, v = make_vector_triple(np.random.default_rng(26), n=3, allow_degenerate=False)
+        with pytest.raises(CrossCheckFailed, match="exponent forms diverged"):
+            vector_extremal_forms(model, u, v)
+
+    def test_diverging_exponent_forms_name_the_sample(self):
+        gen = np.random.default_rng(27)
+        infos = [mutual_information(*make_vector_triple(gen, n=2, allow_degenerate=False)) for _ in range(4)]
+        batch = {name: np.array([getattr(i, name) for i in infos]) for name in infos[0].__dataclass_fields__}
+        ratio = np.full(4, 0.5)
+        vector_gap_forms(type(infos[0])(**batch), 2, ratio)
+        batch["i_uv"][2] += 0.1
+        with pytest.raises(CrossCheckFailed, match="at sample 2"):
+            vector_gap_forms(type(infos[0])(**batch), 2, ratio)
 
     def test_scalar_and_vector_paths_agree(self):
         gen = np.random.default_rng(22)

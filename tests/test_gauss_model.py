@@ -8,13 +8,16 @@ from gauss_extremal.errors import DomainError, NotPositiveDefinite
 from gauss_extremal.gauss_model import (
     GaussianAuxChannel,
     GaussianPairModel,
+    InfoVector,
+    cholesky_pd,
+    information_batch,
     log_det,
     matrix_from_json,
     matrix_to_json,
     mutual_information,
     schur_conditional_cov,
 )
-from gauss_extremal.rng import random_pd
+from gauss_extremal.rng import random_pd, stream
 
 from conftest import make_scalar_triple, make_vector_triple
 
@@ -246,3 +249,149 @@ class TestModelValidation:
         model = GaussianPairModel.vector(np.eye(2), np.eye(2))
         with pytest.raises(ValueError):
             model.sigma_x[0, 0] = 2.0
+
+
+INFO_FIELDS = tuple(InfoVector.__dataclass_fields__)
+
+
+def random_batch(seed, trials, n):
+    """A seeded stack of vector triples, one rng stream per sample, with
+    about one channel in ten degenerate (zero gain, unit noise). Returns the
+    kernel's arrays and the equivalent single-triple objects."""
+    arrays = {k: np.empty((trials, n, n)) for k in ("sx", "sz", "gu", "wu", "gv", "wv")}
+    singles = []
+    for t in range(trials):
+        gen = stream(seed, t, 0)
+        arrays["sx"][t], arrays["sz"][t] = random_pd(gen, n), random_pd(gen, n)
+        channels = []
+        for side, g, w in (("x", "gu", "wu"), ("y", "gv", "wv")):
+            if gen.uniform() < 0.1:
+                arrays[g][t], arrays[w][t] = np.zeros((n, n)), np.eye(n)
+                channels.append(GaussianAuxChannel.degenerate_on(side))
+            else:
+                arrays[g][t], arrays[w][t] = gen.standard_normal((n, n)), random_pd(gen, n)
+                channels.append(GaussianAuxChannel.linear(arrays[g][t], arrays[w][t], side))
+        singles.append((GaussianPairModel.vector(arrays["sx"][t], arrays["sz"][t]), *channels))
+    sx, sz = arrays["sx"], arrays["sz"]
+    source = np.block([[sx, sx], [sx, sx + sz]])
+    return (source, arrays["gu"], arrays["wu"], arrays["gv"], arrays["wv"]), singles
+
+
+def scalar_batch(rho, corr_u, corr_v):
+    source = np.empty((len(rho), 2, 2))
+    source[:, 0, 0] = source[:, 1, 1] = 1.0
+    source[:, 0, 1] = source[:, 1, 0] = rho
+    gu, gv = np.reshape(corr_u, (-1, 1, 1)), np.reshape(corr_v, (-1, 1, 1))
+    return source, gu, 1.0 - gu * gu, gv, 1.0 - gv * gv
+
+
+def reference_joint(model, u, v):
+    """Joint covariance of (X, Y, U, V) from its blocks, for non-degenerate
+    channels; independent of the kernel's own assembly."""
+    sx = model.sigma_x
+    sy = model.sigma_y
+    cu, cv = u.gain, v.gain
+    return np.block([
+        [sx, sx, sx @ cu.T, sx @ cv.T],
+        [sx, sy, sx @ cu.T, sy @ cv.T],
+        [cu @ sx, cu @ sx, cu @ sx @ cu.T + u.noise_cov, cu @ sx @ cv.T],
+        [cv @ sx, cv @ sy, cv @ sx @ cu.T, cv @ sy @ cv.T + v.noise_cov],
+    ])
+
+
+class TestInformationBatch:
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_chain_rule_and_markov_identity(self, n):
+        info, _ = information_batch(*random_batch(31, 200, n)[0])
+        assert np.all(np.abs(info.i_x_uv - (info.i_xu + info.i_xv_given_u)) < 1e-10)
+        assert np.all(np.abs(info.i_y_uv - (info.i_yu + info.i_yv_given_u)) < 1e-10)
+        assert np.all(np.abs(info.i_xv - info.i_xv_given_u - info.i_uv) < 1e-10)
+        for name in INFO_FIELDS:
+            assert np.all(getattr(info, name) >= -1e-10), name
+
+    def test_batch_matches_single_calls(self):
+        batch, singles = random_batch(32, 60, 3)
+        info, _ = information_batch(*batch)
+        for t, triple in enumerate(singles):
+            single = mutual_information(*triple)
+            for name in INFO_FIELDS:
+                assert abs(getattr(info, name)[t] - getattr(single, name)) < 1e-12, (t, name)
+
+    def test_sign_of_rho_changes_nothing(self):
+        gen = stream(33, 0, 0)
+        rho = gen.uniform(-0.99, 0.99, 300)
+        cu, cv = gen.uniform(0.0, 0.999, 300), gen.uniform(0.0, 0.999, 300)
+        plus, _ = information_batch(*scalar_batch(rho, cu, cv))
+        minus, _ = information_batch(*scalar_batch(-rho, cu, cv))
+        for name in INFO_FIELDS:
+            assert np.all(np.abs(getattr(plus, name) - getattr(minus, name)) < 1e-12), name
+
+    def test_scalar_model_matches_vector_embedding(self):
+        gen = stream(34, 0, 0)
+        rho = gen.uniform(0.05, 0.95, 200) * np.where(gen.uniform(size=200) < 0.5, -1.0, 1.0)
+        cu, cv = gen.uniform(0.0, 0.99, 200), gen.uniform(0.0, 0.99, 200)
+        scalar, _ = information_batch(*scalar_batch(rho, cu, cv))
+        # sigma_x = rho^2, sigma_z = 1 - rho^2; X is rescaled by rho, so the
+        # X-side gain is cu / rho.
+        r2 = (rho * rho).reshape(-1, 1, 1)
+        source = np.block([[r2, r2], [r2, np.ones_like(r2)]])
+        _, wu, gv, wv = scalar_batch(rho, cu, cv)[1:]
+        vector, _ = information_batch(source, (cu / rho).reshape(-1, 1, 1), wu, gv, wv)
+        for name in INFO_FIELDS:
+            assert np.all(np.abs(getattr(scalar, name) - getattr(vector, name)) < 1e-12), name
+
+    def test_conditional_informations_match_schur_route(self):
+        _, singles = random_batch(35, 40, 3)
+        for model, u, v in singles:
+            if u.degenerate or v.degenerate:
+                continue
+            info = mutual_information(model, u, v)
+            joint = reference_joint(model, u, v)
+            x, y, uu, vv = np.arange(3), np.arange(3, 6), np.arange(6, 9), np.arange(9, 12)
+            for target, expect in ((x, info.i_xv_given_u), (y, info.i_yv_given_u)):
+                cond = schur_conditional_cov(joint, np.concatenate([target, vv]), uu)
+                ld = lambda m: log_det(m, "conditional block")
+                cmi = (ld(cond[:3, :3]) + ld(cond[3:, 3:]) - ld(cond)) / (2.0 * math.log(2.0))
+                assert abs(cmi - expect) < 1e-10
+
+    def test_degenerate_second_description_carries_no_information(self):
+        batch, _ = random_batch(36, 50, 3)
+        source, gu, wu = batch[:3]
+        gv, wv = np.zeros((50, 1, 3)), np.ones((50, 1, 1))
+        info, _ = information_batch(source, gu, wu, gv, wv)
+        for name in ("i_xv", "i_yv", "i_uv", "i_xv_given_u", "i_yv_given_u"):
+            assert np.all(np.abs(getattr(info, name)) < 1e-14), name
+        assert np.all(np.abs(info.i_x_uv - info.i_xu) < 1e-14)
+
+    def test_failing_sample_is_named(self):
+        batch, _ = random_batch(37, 5, 2)
+        source, gu, wu, gv, wv = (a.copy() for a in batch)
+        gu[3], wu[3] = np.eye(2), np.zeros((2, 2))  # noiseless copy of X
+        with pytest.raises(NotPositiveDefinite, match=r"\(sample 3\)"):
+            information_batch(source, gu, wu, gv, wv)
+
+    def test_rejects_asymmetric_noise(self):
+        source, gu, wu, gv, wv = (a.copy() for a in random_batch(38, 4, 2)[0])
+        wu[1, 0, 1] += 1e-6
+        with pytest.raises(NotPositiveDefinite, match="symmetric"):
+            information_batch(source, gu, wu, gv, wv)
+
+    def test_rejects_non_finite_and_bad_shapes(self):
+        source, gu, wu, gv, wv = (a.copy() for a in random_batch(39, 4, 2)[0])
+        with pytest.raises(DomainError):
+            information_batch(source, gu[:, :, :1], wu, gv, wv)
+        with pytest.raises(DomainError):
+            information_batch(source, gu, wu[:, :1], gv, wv)
+        gv[2, 0, 0] = np.inf
+        with pytest.raises(DomainError, match="finite"):
+            information_batch(source, gu, wu, gv, wv)
+
+
+def test_cholesky_pd_checks_every_matrix_of_a_stack():
+    gen = stream(40, 0, 0)
+    stack = np.stack([random_pd(gen, 3) for _ in range(4)])
+    lower = cholesky_pd(stack)
+    assert np.allclose(lower @ lower.transpose(0, 2, 1), stack, atol=1e-12)
+    stack[2] = np.diag([1e10, 1.0, 1e-10])
+    with pytest.raises(NotPositiveDefinite, match=r"\(sample 2\)"):
+        cholesky_pd(stack)
