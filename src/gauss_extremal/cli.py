@@ -12,6 +12,7 @@ condition failed, 2 bad input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -157,6 +158,7 @@ def _cmd_ellipsoid(args) -> int:
     return 0 if report.region_inside and report.residual_max <= 1e-9 else 1
 
 
+@functools.cache  # one build per process, not one per command
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gauss-extremal",

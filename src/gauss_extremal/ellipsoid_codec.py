@@ -16,12 +16,18 @@ simulation honest at desk scale without implementing a quantizer.
 
 The covering matrix deflates the whitening map along the span of the k
 description centers: with tau = 1 - 2 sqrt(delta), gamma = (1 - delta) tau
-and an orthonormal basis u_1..u_k' of the center span,
+and an orthonormal basis u_1..u_k' of the center span (the leading right
+singular vectors of the k x n center matrix),
 
     B = (tau I - gamma sum_j u_j u_j^T) A,
 
-whose determinant satisfies |B| = |A| tau^(n-k') (tau - gamma)^k' exactly;
-every trial recomputes that identity and reports the residual.
+whose determinant satisfies |B| = |A| tau^(n-k') (tau - gamma)^k' exactly.
+Each trial factorizes B once per source (one LU, through slogdet); that
+log|B| gives the normalized volume and is checked against the identity.
+A = s Lambda^(-1/2) U^T is fixed for the run, so log|A| = n log s -
+(1/2) log|sigma| comes once per run from the whitening eigenvalues, and the
+check compares an independent LU of B with a value the identity did not
+produce. Every trial reports its residual.
 
 Trials are independent; each draws from counter-based streams keyed by
 (seed, trial, stream), so the aggregate is bit-reproducible regardless of
@@ -210,11 +216,13 @@ def solve_noise_levels(rho: float, nu_x: float, nu_y: float) -> tuple[float, flo
     return q_x, q_y
 
 
-def _cond_weights(q_x: float, q_y: float, r2: float) -> tuple[float, float, float, float]:
-    """Coefficients of (U, V) in the conditional means of X and Y."""
-    rho = math.sqrt(r2)
-    if math.isinf(q_x) and math.isinf(q_y):
-        return 0.0, 0.0, 0.0, 0.0
+def _cond_weights(q_x: float, q_y: float, rho: float) -> tuple[float, float, float, float]:
+    """Coefficients of (U, V) in the conditional means of X and Y.
+
+    The cross weights carry the sign of rho. The weights of a description
+    with an infinite noise level (one that is not sent) are never used.
+    """
+    r2 = rho * rho
     if math.isinf(q_x):
         return 0.0, rho / (1.0 + q_y), 0.0, 1.0 / (1.0 + q_y)
     if math.isinf(q_y):
@@ -260,41 +268,43 @@ def implied_rates(rho: float, nu_x: float, nu_y: float, q_x: float, q_y: float) 
 @dataclass(frozen=True)
 class ShrunkMatrix:
     b_matrix: np.ndarray
+    logdet_b: float  # log |det B|, from the one LU of B
     logdet_residual: float
     rank: int
     basis: np.ndarray  # rank x n orthonormal rows spanning the centers
 
 
-def _orthonormal_span(vectors: np.ndarray, tol: float) -> np.ndarray:
-    """Pivoted Gram-Schmidt basis of the row span, rank-truncated at tol."""
-    work = np.array(vectors, dtype=float)
-    basis: list[np.ndarray] = []
-    for _ in range(len(work)):
-        norms = np.linalg.norm(work, axis=1)
-        j = int(np.argmax(norms))
-        if norms[j] <= tol:
-            break
-        u = work[j]
-        for prev in basis:  # second pass keeps the basis orthonormal to roundoff
-            u = u - (prev @ u) * prev
-        norm_u = float(np.linalg.norm(u))
-        if norm_u <= tol:
-            work[j] = 0.0
-            continue
-        u = u / norm_u
-        basis.append(u)
-        work = work - np.outer(work @ u, u)
-    if not basis:
-        return np.zeros((0, vectors.shape[1]))
-    return np.array(basis)
+def _deflate(a: np.ndarray, centers: np.ndarray, delta: float, logdet_a: float) -> ShrunkMatrix:
+    """Deflate a along the span of the centers; logdet_a is log |det a|.
+
+    The span basis is the right singular vectors of the centers whose
+    singular values exceed 1e-10 times the largest center norm. B is
+    factorized once; its log-determinant is returned and compared with the
+    identity's value.
+    """
+    tau = 1.0 - 2.0 * math.sqrt(delta)
+    gamma = (1.0 - delta) * tau
+    _, singular, vt = np.linalg.svd(centers, full_matrices=False)
+    cutoff = 1e-10 * np.max(np.linalg.norm(centers, axis=1), initial=0.0)
+    basis = vt[: int(np.count_nonzero(singular > cutoff))]
+    rank = basis.shape[0]
+
+    b = tau * a - gamma * basis.T @ (basis @ a)
+    _, ld_b = np.linalg.slogdet(b)
+    n = a.shape[0]
+    expected = logdet_a + (n - rank) * math.log(tau) + rank * math.log(tau - gamma)
+    return ShrunkMatrix(
+        b_matrix=b, logdet_b=float(ld_b), logdet_residual=abs(ld_b - expected), rank=rank, basis=basis
+    )
 
 
 def build_shrunk_matrix(a_x: np.ndarray, centers, delta: float) -> ShrunkMatrix:
     """Deflate a_x along the span of the description centers.
 
-    Returns the shrunk matrix, the residual of the determinant identity
-    |B| = |A| tau^(n-k') (tau - gamma)^k', and the span rank k'. Centers may
-    be rank deficient; the identity uses the actual rank.
+    Returns the shrunk matrix, its log-determinant, the residual of the
+    determinant identity |B| = |A| tau^(n-k') (tau - gamma)^k', and the span
+    rank k'. Centers may be rank deficient; the identity uses the actual
+    rank.
     """
     a = np.asarray(a_x, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -307,18 +317,8 @@ def build_shrunk_matrix(a_x: np.ndarray, centers, delta: float) -> ShrunkMatrix:
     tau = 1.0 - 2.0 * math.sqrt(delta)
     if tau <= 0.0:
         raise DegenerateShrinkage(f"tau = {tau:g} <= 0 at delta = {delta:g}")
-    gamma = (1.0 - delta) * tau
-
-    max_norm = float(np.linalg.norm(c, axis=1).max()) if c.size else 0.0
-    basis = _orthonormal_span(c, 1e-10 * max_norm) if max_norm > 0.0 else np.zeros((0, a.shape[0]))
-    rank = basis.shape[0]
-
-    b = tau * a - gamma * basis.T @ (basis @ a) if rank else tau * a
-    n = a.shape[0]
     _, ld_a = np.linalg.slogdet(a)
-    _, ld_b = np.linalg.slogdet(b)
-    expected = ld_a + (n - rank) * math.log(tau) + rank * math.log(tau - gamma)
-    return ShrunkMatrix(b_matrix=b, logdet_residual=abs(ld_b - expected), rank=rank, basis=basis)
+    return _deflate(a, c, delta, float(ld_a))
 
 
 @dataclass(frozen=True)
@@ -374,54 +374,48 @@ class SimulationReport:
     center_norm_exceed_frac_y: float
 
 
-class _Whitening:
-    def __init__(self, sigma: np.ndarray):
-        eigvals, eigvecs = np.linalg.eigh(0.5 * (sigma + sigma.T))
-        self.eigvals = eigvals
-        self.eigvecs = eigvecs
+class _Setup:
+    """What every trial of a run shares: the whitening of sigma and the
+    solved description channel."""
+
+    def __init__(self, config: CodecConfig):
+        self.config = config
+        eigvals, eigvecs = np.linalg.eigh(0.5 * (config.sigma + config.sigma.T))
         self.white = (eigvecs / np.sqrt(eigvals)).T  # Lambda^{-1/2} U^T
         self.unwhite = eigvecs * np.sqrt(eigvals)  # U Lambda^{1/2}
         self.log_det_sigma = float(np.sum(np.log(eigvals)))
+        rho, nu_x, nu_y = config.rho, config.nu_x, config.nu_y
+        self.q_x, self.q_y = solve_noise_levels(rho, nu_x, nu_y)
+        self.r_x, self.r_y = implied_rates(rho, nu_x, nu_y, self.q_x, self.q_y)
+        self.verdict = region_verdict(
+            RegionQuery(rho=rho, r_x=self.r_x, r_y=self.r_y, nu_x=nu_x, nu_y=nu_y)
+        )
+        self.weights = _cond_weights(self.q_x, self.q_y, rho)
 
-
-def _channel_solution(config: CodecConfig):
-    q_x, q_y = solve_noise_levels(config.rho, config.nu_x, config.nu_y)
-    r_x, r_y = implied_rates(config.rho, config.nu_x, config.nu_y, q_x, q_y)
-    verdict = region_verdict(
-        RegionQuery(rho=config.rho, r_x=r_x, r_y=r_y, nu_x=config.nu_x, nu_y=config.nu_y)
-    )
-    return q_x, q_y, r_x, r_y, verdict
-
-
-def _draw_trial(config: CodecConfig, trial: int, q_x: float, q_y: float, wh: _Whitening):
-    k, n, rho = config.k, config.n, config.rho
-    src = stream(config.seed, trial, STREAM_SOURCE)
-    g1 = src.standard_normal((k, n))
-    g2 = src.standard_normal((k, n))
-    xw = g1
-    yw = rho * g1 + math.sqrt(1.0 - rho * rho) * g2
-    w_xu, w_xv, w_yu, w_yv = _cond_weights(q_x, q_y, rho * rho)
-    if math.isinf(q_x):
-        uw = None
-    else:
-        uw = xw + math.sqrt(q_x) * stream(config.seed, trial, STREAM_NOISE_X).standard_normal((k, n))
-    if math.isinf(q_y):
-        vw = None
-    else:
-        vw = yw + math.sqrt(q_y) * stream(config.seed, trial, STREAM_NOISE_Y).standard_normal((k, n))
-    xhat_w = np.zeros((k, n))
-    yhat_w = np.zeros((k, n))
-    if uw is not None:
-        xhat_w += w_xu * uw
-        yhat_w += w_yu * uw
-    if vw is not None:
-        xhat_w += w_xv * vw
-        yhat_w += w_yv * vw
-    x = xw @ wh.unwhite.T
-    y = yw @ wh.unwhite.T
-    x_hat = xhat_w @ wh.unwhite.T
-    y_hat = yhat_w @ wh.unwhite.T
-    return xw, yw, x, y, x_hat, y_hat
+    def draw(self, trial: int):
+        """One trial: the whitened X samples, the (x, y) samples and their
+        conditional-mean estimates (x_hat, y_hat) in original coordinates."""
+        cfg = self.config
+        k, n, rho = cfg.k, cfg.n, cfg.rho
+        src = stream(cfg.seed, trial, STREAM_SOURCE)
+        g1 = src.standard_normal((k, n))
+        g2 = src.standard_normal((k, n))
+        xw = g1
+        yw = rho * g1 + math.sqrt(1.0 - rho * rho) * g2
+        w_xu, w_xv, w_yu, w_yv = self.weights
+        xhat_w = np.zeros((k, n))
+        yhat_w = np.zeros((k, n))
+        for sample, q, stream_id, w_x, w_y in (
+            (xw, self.q_x, STREAM_NOISE_X, w_xu, w_yu),
+            (yw, self.q_y, STREAM_NOISE_Y, w_xv, w_yv),
+        ):
+            if math.isfinite(q):  # an infinite noise level: the description is not sent
+                noise = stream(cfg.seed, trial, stream_id).standard_normal((k, n))
+                desc = sample + math.sqrt(q) * noise
+                xhat_w += w_x * desc
+                yhat_w += w_y * desc
+        unwhite_t = self.unwhite.T
+        return xw, (xw @ unwhite_t, yw @ unwhite_t), (xhat_w @ unwhite_t, yhat_w @ unwhite_t)
 
 
 def simulate_descriptions(config: CodecConfig, trial: int = 0) -> DescriptionSet:
@@ -431,10 +425,12 @@ def simulate_descriptions(config: CodecConfig, trial: int = 0) -> DescriptionSet
     against the closed-form region and the verdict is attached to the
     result (the construction should always land inside).
     """
-    wh = _Whitening(config.sigma)
-    q_x, q_y, r_x, r_y, verdict = _channel_solution(config)
-    _, _, _, _, x_hat, y_hat = _draw_trial(config, trial, q_x, q_y, wh)
-    return DescriptionSet(x_hat=x_hat, y_hat=y_hat, r_x=r_x, r_y=r_y, q_x=q_x, q_y=q_y, region=verdict)
+    setup = _Setup(config)
+    _, _, (x_hat, y_hat) = setup.draw(trial)
+    return DescriptionSet(
+        x_hat=x_hat, y_hat=y_hat, r_x=setup.r_x, r_y=setup.r_y, q_x=setup.q_x, q_y=setup.q_y,
+        region=setup.verdict,
+    )
 
 
 def run_simulation(config: CodecConfig) -> SimulationReport:
@@ -449,96 +445,77 @@ def run_simulation(config: CodecConfig) -> SimulationReport:
     the determinant-identity residual. Raises on any error; partial
     aggregates are never returned.
     """
-    wh = _Whitening(config.sigma)
-    q_x, q_y, r_x, r_y, verdict = _channel_solution(config)
-    n, k = config.n, config.k
-    tau = config.tau
+    setup = _Setup(config)
+    n, k, trials, delta, tau = config.n, config.k, config.trials, config.delta, config.tau
     log_cn = log_unit_ball_volume(n)
-    scale_x = 1.0 / math.sqrt(n * config.nu_x)
-    scale_y = 1.0 / math.sqrt(n * config.nu_y)
-    a_x = scale_x * wh.white
-    a_y = scale_y * wh.white
-
-    def norm_vol(ld_b: float, nu: float) -> float:
-        return math.exp(
-            log_cn / n - ld_b / n - 0.5 * (LOG_2PIE + math.log(nu) + wh.log_det_sigma / n)
-        )
+    nus = (config.nu_x, config.nu_y)
+    scales = [1.0 / math.sqrt(n * nu) for nu in nus]
+    a_mats = [s * setup.white for s in scales]
+    # log |det (s Lambda^{-1/2} U^T)| = n log s - (1/2) log |sigma|.
+    logdet_as = [n * math.log(s) - 0.5 * setup.log_det_sigma for s in scales]
+    norm_bound = 1.0 / math.sqrt(delta)
 
     reports: list[TrialReport] = []
-    cov_sum_x = np.zeros(k)
-    cov_sum_y = np.zeros(k)
+    cov_sums = np.zeros((2, k))
+    exceeds = [0, 0]
     white_cov_sum = np.zeros((n, n))
-    exceed_x = 0
-    exceed_y = 0
-    norm_bound = 1.0 / math.sqrt(config.delta)
 
-    for t in range(config.trials):
-        xw, yw, x, y, x_hat, y_hat = _draw_trial(config, t, q_x, q_y, wh)
+    for t in range(trials):
+        xw, points, estimates = setup.draw(t)
         white_cov_sum += xw.T @ xw
-
-        b_x = x_hat @ a_x.T
-        b_y = y_hat @ a_y.T
-        exceed_x += int(np.count_nonzero(np.linalg.norm(b_x, axis=1) >= norm_bound))
-        exceed_y += int(np.count_nonzero(np.linalg.norm(b_y, axis=1) >= norm_bound))
-
-        shrunk_x = build_shrunk_matrix(a_x, b_x, config.delta)
-        shrunk_y = build_shrunk_matrix(a_y, b_y, config.delta)
-        covered_x = np.linalg.norm(x @ shrunk_x.b_matrix.T, axis=1) <= 1.0
-        covered_y = np.linalg.norm(y @ shrunk_y.b_matrix.T, axis=1) <= 1.0
-        cov_sum_x += covered_x
-        cov_sum_y += covered_y
-
-        _, ld_bx = np.linalg.slogdet(shrunk_x.b_matrix)
-        _, ld_by = np.linalg.slogdet(shrunk_y.b_matrix)
-        nv_x = norm_vol(ld_bx, config.nu_x)
-        nv_y = norm_vol(ld_by, config.nu_y)
-        corr_x = nv_x * tau * config.delta ** (shrunk_x.rank / n)
-        corr_y = nv_y * tau * config.delta ** (shrunk_y.rank / n)
-
-        reports.append(
-            TrialReport(
-                trial=t,
-                covered_x=tuple(bool(b) for b in covered_x),
-                covered_y=tuple(bool(b) for b in covered_y),
-                norm_volume_x=nv_x,
-                norm_volume_y=nv_y,
-                norm_volume_x_corrected=corr_x,
-                norm_volume_y_corrected=corr_y,
-                implied_rates=(r_x, r_y),
-                logdet_residual_x=shrunk_x.logdet_residual,
-                logdet_residual_y=shrunk_y.logdet_residual,
-                rank_x=shrunk_x.rank,
-                rank_y=shrunk_y.rank,
+        per_source = []
+        for i in range(2):  # source 0 is X, source 1 is Y
+            centers = estimates[i] @ a_mats[i].T
+            exceeds[i] += int(np.count_nonzero(np.linalg.norm(centers, axis=1) >= norm_bound))
+            shrunk = _deflate(a_mats[i], centers, delta, logdet_as[i])
+            covered = np.linalg.norm(points[i] @ shrunk.b_matrix.T, axis=1) <= 1.0
+            cov_sums[i] += covered
+            norm_vol = math.exp(
+                log_cn / n - shrunk.logdet_b / n
+                - 0.5 * (LOG_2PIE + math.log(nus[i]) + setup.log_det_sigma / n)
             )
-        )
+            per_source.append((
+                tuple(bool(c) for c in covered),
+                norm_vol,
+                norm_vol * tau * delta ** (shrunk.rank / n),
+                shrunk.logdet_residual,
+                shrunk.rank,
+            ))
+        covered, vol, vol_corrected, residual, rank = zip(*per_source)
+        reports.append(TrialReport(
+            trial=t, covered_x=covered[0], covered_y=covered[1],
+            norm_volume_x=vol[0], norm_volume_y=vol[1],
+            norm_volume_x_corrected=vol_corrected[0], norm_volume_y_corrected=vol_corrected[1],
+            implied_rates=(setup.r_x, setup.r_y),
+            logdet_residual_x=residual[0], logdet_residual_y=residual[1],
+            rank_x=rank[0], rank_y=rank[1],
+        ))
 
-    trials = config.trials
-    per_point_cov_x = cov_sum_x / trials
-    per_point_cov_y = cov_sum_y / trials
+    per_point_cov = cov_sums / trials
     white_err = float(np.linalg.norm(white_cov_sum / (trials * k) - np.eye(n))) / n
     residual_max = max(max(r.logdet_residual_x, r.logdet_residual_y) for r in reports)
 
     return SimulationReport(
         config=config,
         trials=tuple(reports),
-        coverage_x=float(np.mean(per_point_cov_x)),
-        coverage_y=float(np.mean(per_point_cov_y)),
-        per_point_failure_max_x=float(1.0 - per_point_cov_x.min()),
-        per_point_failure_max_y=float(1.0 - per_point_cov_y.min()),
+        coverage_x=float(np.mean(per_point_cov[0])),
+        coverage_y=float(np.mean(per_point_cov[1])),
+        per_point_failure_max_x=float(1.0 - per_point_cov[0].min()),
+        per_point_failure_max_y=float(1.0 - per_point_cov[1].min()),
         mean_norm_vol_x=float(np.mean([r.norm_volume_x for r in reports])),
         mean_norm_vol_y=float(np.mean([r.norm_volume_y for r in reports])),
         mean_norm_vol_x_corrected=float(np.mean([r.norm_volume_x_corrected for r in reports])),
         mean_norm_vol_y_corrected=float(np.mean([r.norm_volume_y_corrected for r in reports])),
-        r_x=r_x,
-        r_y=r_y,
-        q_x=q_x,
-        q_y=q_y,
-        region=verdict,
-        region_inside=verdict.inside,
+        r_x=setup.r_x,
+        r_y=setup.r_y,
+        q_x=setup.q_x,
+        q_y=setup.q_y,
+        region=setup.verdict,
+        region_inside=setup.verdict.inside,
         residual_max=residual_max,
         whitening_frobenius_error=white_err,
-        center_norm_exceed_frac_x=exceed_x / (trials * k),
-        center_norm_exceed_frac_y=exceed_y / (trials * k),
+        center_norm_exceed_frac_x=exceeds[0] / (trials * k),
+        center_norm_exceed_frac_y=exceeds[1] / (trials * k),
     )
 
 

@@ -72,12 +72,17 @@ def beta(rho: float, z: float) -> float:
 
 
 def sum_rate_bound_raw(rho: float, d_x: float, d_y: float) -> float:
-    """Unclamped sum-rate bound (1/2) log2[(1-rho^2) beta(dx dy) / (2 dx dy)]."""
+    """Unclamped sum-rate bound (1/2) log2[(1-rho^2) beta(dx dy) / (2 dx dy)].
+
+    Evaluated as a sum of logs, so it stays finite when the product
+    dx dy underflows to zero.
+    """
     if not (0.0 < d_x <= 1.0 and 0.0 < d_y <= 1.0):
         raise DomainError("distortions must lie in (0, 1]")
     r2 = rho * rho
-    d = d_x * d_y
-    return 0.5 * math.log2((1.0 - r2) * beta(rho, d) / (2.0 * d))
+    return 0.5 * (
+        math.log2(1.0 - r2) + math.log2(beta(rho, d_x * d_y)) - 1.0 - math.log2(d_x) - math.log2(d_y)
+    )
 
 
 def sum_rate_bound(rho: float, d_x: float, d_y: float) -> float:

@@ -6,6 +6,7 @@ import warnings
 
 import pytest
 
+from gauss_extremal import cli
 from gauss_extremal.cli import main
 
 
@@ -223,6 +224,9 @@ class TestCliPlumbing:
             main(["region", "--bogus", "1"])
         assert exc.value.code == 2
 
+    def test_parser_is_built_once_per_process(self):
+        assert cli._build_parser() is cli._build_parser()
+
     def test_env_seed_matches_explicit_seed(self, capsys, monkeypatch):
         monkeypatch.setenv("GAUSS_EXTREMAL_SEED", "5")
         _, out_env, _ = run_cli(capsys, ["verify", "--mode", "thm3", "--trials", "30"])
@@ -325,6 +329,15 @@ class TestStrictJson:
         assert code == 0
         levels = self.strict(out)["noise_levels"]
         assert all(isinstance(q, float) and q > 0.0 for q in levels.values())
+
+    def test_underflowing_distortion_product_gives_finite_slacks(self, capsys):
+        code, out, _ = run_cli(capsys, [
+            "region", "--rho", "0.99", "--rx", "0", "--ry", "0", "--nux", "1e-300", "--nuy", "1e-300",
+        ])
+        assert code == 1
+        payload = self.strict(out)
+        assert payload["inside"] is False
+        assert all(math.isfinite(payload[k]) for k in ("slack_rx", "slack_ry", "slack_sum"))
 
     def test_overflowing_result_is_an_error_not_infinity(self, capsys):
         code, out, err = run_cli(capsys, [

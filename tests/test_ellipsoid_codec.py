@@ -175,18 +175,20 @@ class TestSimulateDescriptions:
 
     def test_empirical_mse_matches_target(self):
         nu = 0.25
-        cfg = CodecConfig(n=200, k=2, rho=0.5, sigma=np.eye(200), nu_x=nu, nu_y=nu,
-                          delta=0.01, trials=1, seed=3)
-        sq_err = 0.0
-        count = 0
-        for t in range(100):
-            out = simulate_descriptions(cfg, trial=t)
-            src = stream(cfg.seed, t, STREAM_SOURCE)
-            x = src.standard_normal((cfg.k, cfg.n))  # sigma = I: whitened = raw
-            sq_err += float(np.sum((x - out.x_hat) ** 2))
-            count += x.size
-        mse = sq_err / count
-        assert abs(mse - nu) / nu < 0.02
+        # A negative rho must flip the sign of the cross weights.
+        for rho in (0.5, -0.5):
+            cfg = CodecConfig(n=200, k=2, rho=rho, sigma=np.eye(200), nu_x=nu, nu_y=nu,
+                              delta=0.01, trials=1, seed=3)
+            sq_err = 0.0
+            count = 0
+            for t in range(100):
+                out = simulate_descriptions(cfg, trial=t)
+                src = stream(cfg.seed, t, STREAM_SOURCE)
+                x = src.standard_normal((cfg.k, cfg.n))  # sigma = I: whitened = raw
+                sq_err += float(np.sum((x - out.x_hat) ** 2))
+                count += x.size
+            mse = sq_err / count
+            assert abs(mse - nu) / nu < 0.02, rho
 
 
 class TestBuildShrunkMatrix:
@@ -206,19 +208,26 @@ class TestBuildShrunkMatrix:
         assert out.rank == 1
         ratio = abs(np.linalg.det(out.b_matrix)) / abs(np.linalg.det(a))
         assert abs(ratio - 0.8 * 0.8 * 0.008) < 1e-12
+        assert abs(out.logdet_b - math.log(0.8 * 0.8 * 0.008)) < 1e-12
 
     def test_projector_is_idempotent(self):
         gen = np.random.default_rng(61)
         centers = gen.standard_normal((4, 16))
         out = build_shrunk_matrix(np.eye(16), centers, 0.0025)
+        assert np.max(np.abs(out.basis @ out.basis.T - np.eye(out.rank))) < 1e-12
         proj = out.basis.T @ out.basis
         assert np.max(np.abs(proj @ proj - proj)) < 1e-12
 
     def test_rank_deficient_centers(self):
-        c = np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-        out = build_shrunk_matrix(np.eye(3), c, 0.01)
-        assert out.rank == 2
-        assert out.logdet_residual < 1e-12
+        cases = (
+            (np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 1.0, 0.0]]), 2),
+            # Parallel up to a perturbation far below the 1e-10 relative cutoff.
+            (np.array([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0 + 1e-13]]), 1),
+        )
+        for c, rank in cases:
+            out = build_shrunk_matrix(np.eye(3), c, 0.01)
+            assert out.rank == rank
+            assert out.logdet_residual < 1e-12
 
     def test_residual_small_for_random_inputs(self):
         gen = np.random.default_rng(62)
@@ -288,6 +297,21 @@ class TestRunSimulation:
         tr = rep.trials[0]
         factor = cfg.tau * cfg.delta ** (tr.rank_x / cfg.n)
         assert abs(tr.norm_volume_x_corrected - tr.norm_volume_x * factor) < 1e-12
+
+    def test_one_factorization_per_source_per_trial(self, monkeypatch):
+        cfg = CodecConfig(n=16, k=3, rho=0.5, sigma=random_pd(np.random.default_rng(64), 16),
+                          nu_x=0.3, nu_y=0.4, delta=0.005, trials=7, seed=2)
+        slogdet = np.linalg.slogdet
+        calls = []
+
+        def counted(mat):
+            calls.append(mat.shape)
+            return slogdet(mat)
+
+        monkeypatch.setattr(np.linalg, "slogdet", counted)
+        rep = run_simulation(cfg)
+        assert len(calls) == 2 * cfg.trials
+        assert all(max(tr.logdet_residual_x, tr.logdet_residual_y) <= 1e-9 for tr in rep.trials)
 
     def test_bit_reproducible(self):
         cfg = CodecConfig(n=24, k=2, rho=0.3, sigma=np.eye(24), nu_x=0.4, nu_y=0.4,

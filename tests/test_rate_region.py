@@ -88,6 +88,13 @@ class TestSumRateBound:
         vals = [sum_rate_bound_raw(0.7, d, d) for d in ds]
         assert all(v2 < v1 for v1, v2 in zip(vals, vals[1:]))
 
+    def test_finite_when_distortion_product_underflows(self):
+        # 1e-300 * 1e-300 underflows to 0, where beta = 2.
+        bound = sum_rate_bound_raw(0.99, 1e-300, 1e-300)
+        want = 0.5 * (math.log2(1.0 - 0.99 * 0.99) - 2.0 * math.log2(1e-300))
+        assert math.isfinite(bound)
+        assert abs(bound - want) <= 1e-12 * want
+
     def test_rejects_bad_distortions(self):
         with pytest.raises(DomainError):
             sum_rate_bound(0.5, 0.0, 0.5)
