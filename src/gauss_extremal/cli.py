@@ -55,6 +55,18 @@ def _emit_json(payload: dict, precision: int) -> None:
     print(text)
 
 
+def _emit_csv(header: list[str], rows: list, precision: int) -> None:
+    # As for JSON: a non-finite number is an error, not a printed inf or nan.
+    lines = [",".join(header)]
+    for row in rows:
+        if any(isinstance(v, float) and not math.isfinite(v) for v in row):
+            raise GaussExtremalError("a result is not finite and cannot be written as CSV")
+        lines.append(",".join(
+            _fmt(v, precision) if isinstance(v, float) else str(v).lower() for v in row
+        ))
+    print("\n".join(lines))
+
+
 def _check_args(args) -> None:
     """Input checks shared by every subcommand; fills in the default seed."""
     for key, value in vars(args).items():
@@ -88,11 +100,7 @@ def _cmd_region(args) -> int:
         _emit_json(payload, args.precision)
     else:
         keys = sorted(payload)
-        print(",".join(keys))
-        print(",".join(
-            _fmt(payload[k], args.precision) if isinstance(payload[k], float) else str(payload[k]).lower()
-            for k in keys
-        ))
+        _emit_csv(keys, [[payload[k] for k in keys]], args.precision)
     return 0 if v.inside else 1
 
 
@@ -117,9 +125,7 @@ def _cmd_dual(args) -> int:
             args.precision,
         )
     else:
-        print("lambda,f_closed,f_oracle,gap")
-        for r in rows:
-            print(",".join(_fmt(v, args.precision) for v in r))
+        _emit_csv(["lambda", "f_closed", "f_oracle", "gap"], rows, args.precision)
     return 0
 
 

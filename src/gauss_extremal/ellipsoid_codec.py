@@ -27,7 +27,9 @@ log|B| gives the normalized volume and is checked against the identity.
 A = s Lambda^(-1/2) U^T is fixed for the run, so log|A| = n log s -
 (1/2) log|sigma| comes once per run from the whitening eigenvalues, and the
 check compares an independent LU of B with a value the identity did not
-produce. Every trial reports its residual.
+produce. Every trial reports its residual, and the report prints that same
+log|sigma|, so sigma is factorized once for its validation and once for
+its whitening.
 
 Trials are independent; each draws from counter-based streams keyed by
 (seed, trial, stream), so the aggregate is bit-reproducible regardless of
@@ -369,6 +371,7 @@ class SimulationReport:
     region: RegionVerdict
     region_inside: bool
     residual_max: float
+    log_det_sigma: float  # natural log, from the whitening eigenvalues
     whitening_frobenius_error: float
     center_norm_exceed_frac_x: float
     center_norm_exceed_frac_y: float
@@ -513,6 +516,7 @@ def run_simulation(config: CodecConfig) -> SimulationReport:
         region=setup.verdict,
         region_inside=setup.verdict.inside,
         residual_max=residual_max,
+        log_det_sigma=setup.log_det_sigma,
         whitening_frobenius_error=white_err,
         center_norm_exceed_frac_x=exceeds[0] / (trials * k),
         center_norm_exceed_frac_y=exceeds[1] / (trials * k),
@@ -540,7 +544,7 @@ def report_to_dict(report: SimulationReport) -> dict:
             "sigma": {
                 "n": cfg.n,
                 "trace": float(np.trace(cfg.sigma)),
-                "log_det": log_det(cfg.sigma, "sigma"),
+                "log_det": report.log_det_sigma,
             },
         },
         "coverage_x": report.coverage_x,

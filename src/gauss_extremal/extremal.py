@@ -21,9 +21,11 @@ sigma_x and sigma_z are proportional, and tight above the branch threshold
 for the one-parameter channel family with conditional covariance
 alpha * sigma_z, alpha = 1 / (lam - 1).
 
-Everything here is pure and stateless; the grid oracle scans cells in a
-fixed order with a deterministic tie-break (smallest rho_u^2, then
-smallest rho_v^2), so its result does not depend on evaluation order.
+Everything here is pure and stateless. The grid oracle evaluates only the
+tiles of its grid that a lower bound cannot rule out, best bound first,
+and picks the smallest (value, rho_u^2, rho_v^2) triple lexicographically:
+ties break toward smaller rho_u^2, then smaller rho_v^2, so the result is
+the full scan's and does not depend on the order tiles are visited in.
 """
 
 from __future__ import annotations
@@ -221,40 +223,125 @@ def _oracle_axis(resolution: int) -> np.ndarray:
     return np.clip(axis, 0.0, 1.0 - 1e-12)
 
 
+# Side, in grid cells, of the square tiles the oracle bounds and evaluates.
+_ORACLE_TILE = 64
+# Tiles evaluated together once a first minimum is known; bounds the
+# oracle's temporaries to about 0.5 MB each.
+_ORACLE_BATCH = 16
+# Pruning margin, relative to the largest term of the functional (a cell
+# is the sum of three terms). It absorbs the rounding by which a computed
+# cell can fall below the computed bound of its tile: the cell rounds
+# s_u s_v and rho^2 s_u s_v before log2 while the tangent bound holds for
+# the exact product, the bounds add their rounded pieces in another order,
+# and log2 need not be monotone in its last bit. The argument of log2 is at
+# least 1 - (1 - 1e-4)^2 on this grid, so the first moves the coupling term
+# by at most about 1e-13 of the largest term; the others by a few ulps. The
+# margin is a thousand times that.
+_ORACLE_MARGIN = 1e-10
+
+
 def _oracle_scan(lam: float, rho: float, resolution: int) -> tuple[float, float, float]:
+    """Exact best-first branch and bound over square tiles of the grid.
+
+    The functional at cell (i, j) is gu[i] + gu[j] + t(s_i s_j), with the
+    per-axis term gu and the coupling t(p) = -(lam - 1)/2 log2(1 - rho^2 p),
+    evaluated cell by cell exactly as a full scan would. Tiles are visited
+    in order of a lower bound on their cells and the scan stops at the first
+    tile whose bound exceeds the best value so far by more than the margin,
+    so every tile that could hold the minimum, or tie with it, is
+    evaluated.
+    """
     r2 = rho * rho
     s = _oracle_axis(resolution)
-    # Per-axis pieces of the functional; the only coupled term is
-    # (lam - 1) I(U;V), which depends on the product of the squared
-    # correlations.
-    gu = -0.5 * np.log2(1.0 - s) + (lam / 2.0) * np.log2(1.0 - r2 * s)
-    gv = gu.copy()
-    best = math.inf
-    best_u = best_v = 0.0
-    chunk = 512
-    for lo in range(0, s.size, chunk):
-        su = s[lo : lo + chunk]
-        coupling = 1.0 - r2 * np.outer(su, s)
-        g = gu[lo : lo + chunk, None] + gv[None, :]
-        if lam != 1.0:
-            g = g - ((lam - 1.0) / 2.0) * np.log2(coupling)
-        flat = int(np.argmin(g))
-        val = float(g.reshape(-1)[flat])
-        if val < best:
-            best = val
-            iu, iv = divmod(flat, s.size)
-            best_u = float(su[iu])
-            best_v = float(s[iv])
-    return best, best_u, best_v
+    c = (lam - 1.0) / 2.0
+    # Overflow is checked below, on the terms and on the minimum.
+    with np.errstate(over="ignore", invalid="ignore"):
+        gu = -0.5 * np.log2(1.0 - s) + (lam / 2.0) * np.log2(1.0 - r2 * s)
+        # t is monotone in s_u s_v and vanishes at 0: its largest magnitude
+        # is at the far corner of the grid.
+        t_far = c * math.log2(1.0 - r2 * s[-1] * s[-1])
+        if not (np.all(np.isfinite(gu)) and math.isfinite(t_far)):
+            raise DomainError(f"lam = {lam:g} is too large for the grid oracle: its terms overflow")
+        margin = _ORACLE_MARGIN * max(float(np.max(np.abs(gu))), abs(t_far))
+        value, iu, iv = _oracle_search(gu, s, r2, c, margin)
+    if not math.isfinite(value):
+        raise DomainError(f"lam = {lam:g} is too large for the grid oracle: its minimum overflows")
+    return value, float(s[iu]), float(s[iv])
+
+
+def _oracle_search(gu, s, r2: float, c: float, margin: float) -> tuple[float, int, int]:
+    """(value, iu, iv) of the lexicographically smallest cell, where cell
+    (i, j) holds gu[i] + gu[j] - c log2(1 - r2 s_i s_j)."""
+    size = _ORACLE_TILE
+    starts = np.arange(0, s.size, size)
+    starts[-1] = s.size - size  # the last tile overlaps its neighbour
+    cells = starts[:, None] + np.arange(size)
+    s_t, g_t = s[cells], gu[cells]
+    lo = s_t[:, 0]
+    g_min = g_t.min(axis=1)
+    # t increases with s_u s_v for lam > 1 and decreases for lam < 1: bound
+    # it by its value at the tile corner where it is smallest.
+    corner = lo if c >= 0.0 else s_t[:, -1]
+    bound = (g_min[:, None] + g_min[None, :]) - c * np.log2(1.0 - r2 * np.outer(corner, corner))
+    order = np.argsort(bound, axis=None)
+    sorted_bound = bound.reshape(-1)[order]
+
+    best = (math.inf, 0, 0)  # (value, iu, iv), compared lexicographically
+    done = 0
+    while done < order.size and sorted_bound[done] <= best[0] + margin:
+        stop = done + 1 if best[0] == math.inf else min(
+            done + _ORACLE_BATCH,
+            int(np.searchsorted(sorted_bound, best[0] + margin, side="right")),
+        )
+        a, b = np.divmod(order[done:stop], starts.size)
+        done = stop
+        if c > 0.0:
+            # Tighter bound for the convex, increasing t: its tangent at the
+            # low corner p0 = lo_a lo_b, with
+            # s_u s_v - p0 >= lo_b (s_u - lo_a) + lo_a (s_v - lo_b),
+            # splits into a row term and a column term. A slope that
+            # overflows gives a NaN bound, which prunes nothing.
+            p0 = lo[a] * lo[b]
+            slope = c * (r2 / ((1.0 - r2 * p0) * math.log(2.0)))
+            row = (g_t[a] + (slope * lo[b])[:, None] * (s_t[a] - lo[a][:, None])).min(axis=1)
+            col = (g_t[b] + (slope * lo[a])[:, None] * (s_t[b] - lo[b][:, None])).min(axis=1)
+            keep = ~((row + col) - c * np.log2(1.0 - r2 * p0) > best[0] + margin)
+            a, b = a[keep], b[keep]
+            if a.size == 0:
+                continue
+        g = g_t[a][:, :, None] + g_t[b][:, None, :]
+        if c != 0.0:  # lam == 1: the coupling term is left out, not added as zero
+            g = g - c * np.log2(1.0 - r2 * (s_t[a][:, :, None] * s_t[b][:, None, :]))
+        g = g.reshape(a.size, -1)
+        flat = g.argmin(axis=1)  # first minimum: smallest iu, then smallest iv
+        iu, iv = np.divmod(flat, size)
+        best = min(best, *zip(
+            g[np.arange(a.size), flat].tolist(),
+            (starts[a] + iu).tolist(),
+            (starts[b] + iv).tolist(),
+        ))
+    return best
 
 
 def scalar_dual_oracle(lam: float, rho: float, grid_resolution: int = 500) -> float:
-    """Brute-force grid minimum of the dual functional over Gaussian
-    product channels (U from X only, V from Y only).
+    """Grid minimum of the dual functional over Gaussian product channels
+    (U from X only, V from Y only).
 
     Independent of the closed form: each term is the Gaussian
     -(1/2) log2(1 - corr^2) expression in the channel correlations. Ties
     break toward smaller rho_u^2, then smaller rho_v^2.
+
+    The value is the minimum over every grid cell, computed cell by cell as
+    a full scan would, but only square tiles of the grid that could hold it
+    are evaluated. A tile's lower bound is the smallest per-axis term over
+    its rows plus that over its columns plus the coupling term
+    -(lam-1)/2 log2(1 - rho^2 s_u s_v) at the tile corner where it is
+    smallest; for lam > 1 the tangent of the coupling at that corner
+    tightens it. Tiles are visited in order of bound until one exceeds the
+    best value by more than a margin of 1e-10 times the largest term,
+    which absorbs the bounds' own rounding. Raises DomainError when lam is
+    so large (above about 1e307 for |rho| near 1) that a term or the
+    minimum overflows.
     """
     value, _, _ = scalar_dual_oracle_argmin(lam, rho, grid_resolution)
     return value

@@ -339,6 +339,38 @@ class TestStrictJson:
         assert payload["inside"] is False
         assert all(math.isfinite(payload[k]) for k in ("slack_rx", "slack_ry", "slack_sum"))
 
+    def test_overflowing_csv_result_is_an_error_not_infinity(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, [
+                "region", "--rho", "0.5", "--rx", "1e308", "--ry", "1e308", "--nux", "0.5",
+                "--nuy", "0.5", "--output", "csv",
+            ])
+        assert code == 2 and out == ""
+        assert "not finite" in err
+
+    @pytest.mark.parametrize("output", ["csv", "json"])
+    def test_overflowing_dual_oracle_is_an_error(self, capsys, output):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, [
+                "dual", "--rho", "0.9", "--lambdas", "1e308", "--grid", "100", "--output", output,
+            ])
+        assert code == 2 and out == ""
+        assert "too large" in err
+
+    @pytest.mark.parametrize("output", ["csv", "json"])
+    def test_non_finite_dual_row_is_an_error(self, capsys, output):
+        # The oracle's minimum is finite here, but the closed form's two
+        # logarithmic terms overflow to inf - inf = nan.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, [
+                "dual", "--rho", "0.9999999", "--lambdas", "1e307", "--grid", "100", "--output", output,
+            ])
+        assert code == 2 and out == ""
+        assert "not finite" in err
+
     def test_overflowing_result_is_an_error_not_infinity(self, capsys):
         code, out, err = run_cli(capsys, [
             "region", "--rho", "0.5", "--rx", "1e308", "--ry", "1e308", "--nux", "0.3", "--nuy", "0.3",

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -211,6 +213,102 @@ class TestScalarDualOracle:
     def test_rejects_small_grid(self):
         with pytest.raises(DomainError):
             scalar_dual_oracle(1.0, 0.5, 99)
+
+
+def full_scan_oracle(lam, rho, resolution):
+    """Reference for the grid oracle: every cell, 512 rows at a time, with
+    the oracle's per-cell arithmetic. np.argmin and the strict comparison
+    across chunks keep the first minimum in row-major order, the smallest
+    (rho_u^2, rho_v^2)."""
+    r2 = rho * rho
+    s = extremal._oracle_axis(resolution)
+    gu = -0.5 * np.log2(1.0 - s) + (lam / 2.0) * np.log2(1.0 - r2 * s)
+    best, best_u, best_v = math.inf, 0.0, 0.0
+    for lo in range(0, s.size, 512):
+        g = gu[lo : lo + 512, None] + gu[None, :]
+        if lam != 1.0:
+            g = g - ((lam - 1.0) / 2.0) * np.log2(1.0 - r2 * np.outer(s[lo : lo + 512], s))
+        flat = int(np.argmin(g))
+        if g.flat[flat] < best:
+            iu, iv = divmod(flat, s.size)
+            best, best_u, best_v = float(g.flat[flat]), float(s[lo + iu]), float(s[iv])
+    return best, best_u, best_v
+
+
+def oracle_cases(grid, count, seed):
+    """Seeded (lam, rho) pairs: one of each kind of lam per draw of rho,
+    rho of either sign, and rho = 0."""
+    gen = np.random.default_rng(seed)
+    cases = []
+    for k in range(count):
+        rho = 0.0 if k == 0 else float(gen.uniform(0.05, 0.999) * gen.choice((-1.0, 1.0)))
+        inv = 1.0 / (rho * rho) if rho else 1e3
+        cases += [
+            (0.0, rho),
+            (float(gen.uniform(0.0, 1.0)), rho),
+            (1.0, rho),
+            (float(gen.uniform(1.0, inv)), rho),  # zero branch, lam > 1
+            (float(inv * gen.uniform(1.0, 30.0)), rho),  # active branch
+            (float(10.0 ** gen.uniform(3.0, 200.0)), rho),
+        ]
+    return [(lam, rho, grid) for lam, rho in cases]
+
+
+class TestOracleEqualsFullScan:
+    """The branch and bound evaluates each cell as the full scan does and
+    breaks ties the same way, so value and argmin are equal, not close."""
+
+    @pytest.mark.parametrize(
+        "lam,rho,grid",
+        oracle_cases(100, 4, 61) + oracle_cases(150, 4, 62) + oracle_cases(500, 3, 63)
+        + oracle_cases(2000, 2, 64) + [(1e200, 0.5, 2000), (1e200, -0.99, 500)],
+    )
+    def test_value_and_argmin_equal(self, lam, rho, grid):
+        got = scalar_dual_oracle_argmin(lam, rho, grid)
+        want = full_scan_oracle(lam, rho, grid)
+        assert got == want
+        assert math.copysign(1.0, got[0]) == math.copysign(1.0, want[0])
+
+    @pytest.mark.parametrize("lam,rho", [(3.0, math.sqrt(0.5)), (12.0, -0.6), (1e6, 0.5)])
+    def test_tie_breaks_toward_smallest_cell(self, lam, rho):
+        # The functional is symmetric in (rho_u^2, rho_v^2) and the grid is
+        # one axis, so a minimum off the diagonal ties with its mirror image.
+        s = extremal._oracle_axis(150)
+        r2 = rho * rho
+        gu = -0.5 * np.log2(1.0 - s) + (lam / 2.0) * np.log2(1.0 - r2 * s)
+        g = gu[:, None] + gu[None, :] - ((lam - 1.0) / 2.0) * np.log2(1.0 - r2 * np.outer(s, s))
+        ties = np.argwhere(g == g.min())
+        assert len(ties) >= 2
+        iu, iv = min(map(tuple, ties))
+        assert scalar_dual_oracle_argmin(lam, rho, 150) == (float(g.min()), float(s[iu]), float(s[iv]))
+
+    @pytest.mark.parametrize("lam,rho", [(30.0, 0.7), (1e200, -0.99), (0.5, 0.7)])
+    def test_peak_memory_within_budget(self, lam, rho):
+        # One 512-row chunk of the full grid at resolution 2000 is
+        # 512 x 2500 doubles, 10 MB per temporary; the tiles' temporaries
+        # are 16 x 64 x 64 doubles, 0.5 MB, and the whole call measured
+        # 1.7 MB at most.
+        scalar_dual_oracle(lam, rho, 2000)
+        tracemalloc.start()
+        try:
+            scalar_dual_oracle(lam, rho, 2000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3e6, peak
+
+    @pytest.mark.parametrize("lam,rho", [(1e308, 0.9), (3e307, 0.9999999), (2e307, -0.9999999)])
+    def test_overflow_is_a_domain_error(self, lam, rho):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="too large"):
+                scalar_dual_oracle(lam, rho, 100)
+
+    def test_largest_finite_case_still_evaluates(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = scalar_dual_oracle(1e308, 0.5, 100)
+        assert math.isfinite(value) and value < 0.0
 
 
 class TestNondegenerateMinimizers:
