@@ -241,16 +241,7 @@ _ORACLE_MARGIN = 1e-10
 
 
 def _oracle_scan(lam: float, rho: float, resolution: int) -> tuple[float, float, float]:
-    """Exact best-first branch and bound over square tiles of the grid.
-
-    The functional at cell (i, j) is gu[i] + gu[j] + t(s_i s_j), with the
-    per-axis term gu and the coupling t(p) = -(lam - 1)/2 log2(1 - rho^2 p),
-    evaluated cell by cell exactly as a full scan would. Tiles are visited
-    in order of a lower bound on their cells and the scan stops at the first
-    tile whose bound exceeds the best value so far by more than the margin,
-    so every tile that could hold the minimum, or tie with it, is
-    evaluated.
-    """
+    """(value, rho_u^2, rho_v^2) of the grid minimum; see scalar_dual_oracle."""
     r2 = rho * rho
     s = _oracle_axis(resolution)
     c = (lam - 1.0) / 2.0
@@ -271,7 +262,13 @@ def _oracle_scan(lam: float, rho: float, resolution: int) -> tuple[float, float,
 
 def _oracle_search(gu, s, r2: float, c: float, margin: float) -> tuple[float, int, int]:
     """(value, iu, iv) of the lexicographically smallest cell, where cell
-    (i, j) holds gu[i] + gu[j] - c log2(1 - r2 s_i s_j)."""
+    (i, j) holds gu[i] + gu[j] - c log2(1 - r2 s_i s_j).
+
+    Exact best-first branch and bound: tiles are evaluated in order of a
+    lower bound on their cells until a bound exceeds the best value by more
+    than the margin, so every tile that could hold the minimum, or tie with
+    it, is evaluated.
+    """
     size = _ORACLE_TILE
     starts = np.arange(0, s.size, size)
     starts[-1] = s.size - size  # the last tile overlaps its neighbour
