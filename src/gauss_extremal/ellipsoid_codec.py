@@ -33,7 +33,10 @@ its whitening.
 
 Trials are independent; each draws from counter-based streams keyed by
 (seed, trial, stream), so the aggregate is bit-reproducible regardless of
-execution order. Aggregation is order-independent (sums and counts).
+execution order. A run evaluates its trials in memory-bounded stacks,
+with one stacked SVD and one stacked slogdet (one LU per trial) per stack
+and source; numpy's stacked matmul, svd and slogdet work matrix by
+matrix, and sums run in trial order, so the stack size changes no result.
 """
 
 from __future__ import annotations
@@ -46,7 +49,9 @@ import numpy as np
 from .errors import DegenerateShrinkage, DomainError, Infeasible
 from .gauss_model import cholesky_pd, log_det
 from .rate_region import RegionQuery, RegionVerdict, region_verdict
-from .rng import STREAM_NOISE_X, STREAM_NOISE_Y, STREAM_SOURCE, check_seed, stream
+from .rng import STREAM_NOISE_X, STREAM_NOISE_Y, STREAM_SOURCE, Streams, check_seed
+# stream stays importable from this module: the benchmark's tracer tests name it here.
+from .rng import stream  # noqa: F401
 
 # Implied rates sit on the dominant face of the achievable region; this
 # slack nudges them strictly inside so boundary round-off cannot flip the
@@ -54,6 +59,11 @@ from .rng import STREAM_NOISE_X, STREAM_NOISE_Y, STREAM_SOURCE, check_seed, stre
 RATE_SLACK = 1e-9
 
 LOG_2PIE = math.log(2.0 * math.pi * math.e)
+
+# Trials per stack are capped so that one stack of n x n matrices holds
+# about 2^18 entries (2 MB): 256 trials at n = 32, 4 at n = 256, and one
+# for n > 362, where a trial's memory and work are what they are alone.
+_STACK_ENTRIES = 1 << 18
 
 
 def log_unit_ball_volume(n: int) -> float:
@@ -276,28 +286,31 @@ class ShrunkMatrix:
     basis: np.ndarray  # rank x n orthonormal rows spanning the centers
 
 
-def _deflate(a: np.ndarray, centers: np.ndarray, delta: float, logdet_a: float) -> ShrunkMatrix:
-    """Deflate a along the span of the centers; logdet_a is log |det a|.
+def _deflate(a: np.ndarray, centers: np.ndarray, delta: float, logdet_a: float):
+    """Deflate a along the span of each trial's centers; logdet_a is log |det a|.
 
-    The span basis is the right singular vectors of the centers whose
-    singular values exceed 1e-10 times the largest center norm. B is
-    factorized once; its log-determinant is returned and compared with the
-    identity's value.
+    centers is a (T, k, n) stack. A trial's span basis is the right
+    singular vectors of its centers whose singular values exceed 1e-10
+    times its largest center norm; the other rows of vt are zeroed, so the
+    bases stay one (T, k, n) stack. Each B is factorized once (slogdet
+    does one LU per matrix of the stack) and its log-determinant compared
+    with the identity's value. Returns the (T, ...) stacks of B, log |det
+    B|, the residual, the rank and the zero-padded basis.
     """
     tau = 1.0 - 2.0 * math.sqrt(delta)
     gamma = (1.0 - delta) * tau
     _, singular, vt = np.linalg.svd(centers, full_matrices=False)
-    cutoff = 1e-10 * np.max(np.linalg.norm(centers, axis=1), initial=0.0)
-    basis = vt[: int(np.count_nonzero(singular > cutoff))]
-    rank = basis.shape[0]
+    cutoff = 1e-10 * np.max(np.linalg.norm(centers, axis=2), axis=1, initial=0.0)
+    kept = singular > cutoff[:, None]
+    vt[~kept] = 0.0
+    rank = np.count_nonzero(kept, axis=1)
 
-    b = tau * a - gamma * basis.T @ (basis @ a)
+    b = gamma * vt.transpose(0, 2, 1) @ (vt @ a)
+    np.subtract(tau * a, b, out=b)
     _, ld_b = np.linalg.slogdet(b)
     n = a.shape[0]
     expected = logdet_a + (n - rank) * math.log(tau) + rank * math.log(tau - gamma)
-    return ShrunkMatrix(
-        b_matrix=b, logdet_b=float(ld_b), logdet_residual=abs(ld_b - expected), rank=rank, basis=basis
-    )
+    return b, ld_b, np.abs(ld_b - expected), rank, vt
 
 
 def build_shrunk_matrix(a_x: np.ndarray, centers, delta: float) -> ShrunkMatrix:
@@ -320,7 +333,12 @@ def build_shrunk_matrix(a_x: np.ndarray, centers, delta: float) -> ShrunkMatrix:
     if tau <= 0.0:
         raise DegenerateShrinkage(f"tau = {tau:g} <= 0 at delta = {delta:g}")
     _, ld_a = np.linalg.slogdet(a)
-    return _deflate(a, c, delta, float(ld_a))
+    b, ld_b, residual, rank, basis = _deflate(a, c[None], delta, float(ld_a))
+    rank = int(rank[0])
+    return ShrunkMatrix(
+        b_matrix=b[0], logdet_b=float(ld_b[0]), logdet_residual=float(residual[0]), rank=rank,
+        basis=basis[0, :rank],
+    )
 
 
 @dataclass(frozen=True)
@@ -378,8 +396,8 @@ class SimulationReport:
 
 
 class _Setup:
-    """What every trial of a run shares: the whitening of sigma and the
-    solved description channel."""
+    """What every trial of a run shares: the whitening of sigma, the
+    solved description channel and the run's random streams."""
 
     def __init__(self, config: CodecConfig):
         self.config = config
@@ -394,27 +412,38 @@ class _Setup:
             RegionQuery(rho=rho, r_x=self.r_x, r_y=self.r_y, nu_x=nu_x, nu_y=nu_y)
         )
         self.weights = _cond_weights(self.q_x, self.q_y, rho)
+        self.streams = Streams(config.seed)
 
-    def draw(self, trial: int):
-        """One trial: the whitened X samples, the (x, y) samples and their
-        conditional-mean estimates (x_hat, y_hat) in original coordinates."""
+    def draw(self, trials: range):
+        """Some trials: their whitened X samples, their (x, y) samples and
+        the conditional-mean estimates (x_hat, y_hat) in original
+        coordinates, each a (len(trials), k, n) stack."""
         cfg = self.config
         k, n, rho = cfg.k, cfg.n, cfg.rho
-        src = stream(cfg.seed, trial, STREAM_SOURCE)
-        g1 = src.standard_normal((k, n))
-        g2 = src.standard_normal((k, n))
+        shape = (len(trials), k, n)
+        g1, g2 = np.empty(shape), np.empty(shape)
+        noises = {
+            stream_id: np.empty(shape)
+            for stream_id, q in ((STREAM_NOISE_X, self.q_x), (STREAM_NOISE_Y, self.q_y))
+            if math.isfinite(q)  # an infinite noise level: the description is not sent
+        }
+        for i, t in enumerate(trials):
+            src = self.streams(t, STREAM_SOURCE)
+            src.standard_normal(out=g1[i])
+            src.standard_normal(out=g2[i])
+            for stream_id, noise in noises.items():
+                self.streams(t, stream_id).standard_normal(out=noise[i])
         xw = g1
         yw = rho * g1 + math.sqrt(1.0 - rho * rho) * g2
         w_xu, w_xv, w_yu, w_yv = self.weights
-        xhat_w = np.zeros((k, n))
-        yhat_w = np.zeros((k, n))
+        xhat_w = np.zeros(shape)
+        yhat_w = np.zeros(shape)
         for sample, q, stream_id, w_x, w_y in (
             (xw, self.q_x, STREAM_NOISE_X, w_xu, w_yu),
             (yw, self.q_y, STREAM_NOISE_Y, w_xv, w_yv),
         ):
-            if math.isfinite(q):  # an infinite noise level: the description is not sent
-                noise = stream(cfg.seed, trial, stream_id).standard_normal((k, n))
-                desc = sample + math.sqrt(q) * noise
+            if stream_id in noises:
+                desc = sample + math.sqrt(q) * noises[stream_id]
                 xhat_w += w_x * desc
                 yhat_w += w_y * desc
         unwhite_t = self.unwhite.T
@@ -429,9 +458,9 @@ def simulate_descriptions(config: CodecConfig, trial: int = 0) -> DescriptionSet
     result (the construction should always land inside).
     """
     setup = _Setup(config)
-    _, _, (x_hat, y_hat) = setup.draw(trial)
+    _, _, (x_hat, y_hat) = setup.draw(range(trial, trial + 1))
     return DescriptionSet(
-        x_hat=x_hat, y_hat=y_hat, r_x=setup.r_x, r_y=setup.r_y, q_x=setup.q_x, q_y=setup.q_y,
+        x_hat=x_hat[0], y_hat=y_hat[0], r_x=setup.r_x, r_y=setup.r_y, q_x=setup.q_x, q_y=setup.q_y,
         region=setup.verdict,
     )
 
@@ -463,36 +492,42 @@ def run_simulation(config: CodecConfig) -> SimulationReport:
     exceeds = [0, 0]
     white_cov_sum = np.zeros((n, n))
 
-    for t in range(trials):
-        xw, points, estimates = setup.draw(t)
-        white_cov_sum += xw.T @ xw
+    chunk = max(1, _STACK_ENTRIES // (n * n))
+    for lo in range(0, trials, chunk):
+        chunk_trials = range(lo, min(trials, lo + chunk))
+        xw, points, estimates = setup.draw(chunk_trials)
+        # Each trial's X^T X, added in trial order as a running sum would.
+        grams = xw.transpose(0, 2, 1) @ xw
+        grams[0] += white_cov_sum
+        white_cov_sum = grams.sum(axis=0)
+        del grams  # n x n per trial: no stack stays alive through the deflation
         per_source = []
         for i in range(2):  # source 0 is X, source 1 is Y
             centers = estimates[i] @ a_mats[i].T
-            exceeds[i] += int(np.count_nonzero(np.linalg.norm(centers, axis=1) >= norm_bound))
-            shrunk = _deflate(a_mats[i], centers, delta, logdet_as[i])
-            covered = np.linalg.norm(points[i] @ shrunk.b_matrix.T, axis=1) <= 1.0
-            cov_sums[i] += covered
-            norm_vol = math.exp(
-                log_cn / n - shrunk.logdet_b / n
-                - 0.5 * (LOG_2PIE + math.log(nus[i]) + setup.log_det_sigma / n)
-            )
-            per_source.append((
-                tuple(bool(c) for c in covered),
-                norm_vol,
-                norm_vol * tau * delta ** (shrunk.rank / n),
-                shrunk.logdet_residual,
-                shrunk.rank,
+            exceeds[i] += int(np.count_nonzero(np.linalg.norm(centers, axis=2) >= norm_bound))
+            b, logdet_b, residual, rank, _ = _deflate(a_mats[i], centers, delta, logdet_as[i])
+            covered = np.linalg.norm(points[i] @ b.transpose(0, 2, 1), axis=2) <= 1.0
+            cov_sums[i] += covered.sum(axis=0)
+            vols = [
+                math.exp(
+                    log_cn / n - ld_b / n
+                    - 0.5 * (LOG_2PIE + math.log(nus[i]) + setup.log_det_sigma / n)
+                )
+                for ld_b in logdet_b.tolist()
+            ]
+            rank = rank.tolist()
+            corrected = [vol * tau * delta ** (r / n) for vol, r in zip(vols, rank)]
+            per_source.append((covered.tolist(), vols, corrected, residual.tolist(), rank))
+        (cov_x, vol_x, corr_x, res_x, rank_x), (cov_y, vol_y, corr_y, res_y, rank_y) = per_source
+        for j, t in enumerate(chunk_trials):
+            reports.append(TrialReport(
+                trial=t, covered_x=tuple(cov_x[j]), covered_y=tuple(cov_y[j]),
+                norm_volume_x=vol_x[j], norm_volume_y=vol_y[j],
+                norm_volume_x_corrected=corr_x[j], norm_volume_y_corrected=corr_y[j],
+                implied_rates=(setup.r_x, setup.r_y),
+                logdet_residual_x=res_x[j], logdet_residual_y=res_y[j],
+                rank_x=rank_x[j], rank_y=rank_y[j],
             ))
-        covered, vol, vol_corrected, residual, rank = zip(*per_source)
-        reports.append(TrialReport(
-            trial=t, covered_x=covered[0], covered_y=covered[1],
-            norm_volume_x=vol[0], norm_volume_y=vol[1],
-            norm_volume_x_corrected=vol_corrected[0], norm_volume_y_corrected=vol_corrected[1],
-            implied_rates=(setup.r_x, setup.r_y),
-            logdet_residual_x=residual[0], logdet_residual_y=residual[1],
-            rank_x=rank[0], rank_y=rank[1],
-        ))
 
     per_point_cov = cov_sums / trials
     white_err = float(np.linalg.norm(white_cov_sum / (trials * k) - np.eye(n))) / n

@@ -162,7 +162,9 @@ def scalar_dual_closed(lam: float, rho: float) -> DualValue:
     Active branch (lam >= 1/rho^2):
         (1/2) [log2(rho^2 (lam-1) / (1-rho^2))
                - lam log2((lam-1) / (lam (1-rho^2)))]
-    and zero below the threshold. Continuous at the branch point.
+    and zero below the threshold. Continuous at the branch point. Raises
+    DomainError when the value is not finite: for lam near the float
+    maximum both logarithmic terms overflow, to inf - inf = nan.
     """
     if lam < 0.0:
         raise DomainError("lam must be nonnegative")
@@ -175,6 +177,10 @@ def scalar_dual_closed(lam: float, rho: float) -> DualValue:
         math.log2(r2 * (lam - 1.0) / (1.0 - r2))
         - lam * math.log2((lam - 1.0) / (lam * (1.0 - r2)))
     )
+    if not math.isfinite(value):
+        raise DomainError(
+            f"F({lam:g}) is not finite: lam is too large for the closed form, whose terms overflow"
+        )
     return DualValue(lam=lam, value_bits=value, branch="active", exactness="exact")
 
 

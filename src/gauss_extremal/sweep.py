@@ -1,8 +1,8 @@
 """Seeded falsification sweeps of the extremal inequalities.
 
-Sample t of a sweep draws all its parameters from its own stream
-rng.stream(seed, t, 0), in a fixed order, so it does not depend on the
-other samples or on the sweep length. The sweep first draws every
+Sample t of a sweep draws all its parameters from its own stream, the
+(seed, t, 0) key of the sweep's rng.Streams, in a fixed order, so it does
+not depend on the other samples or on the sweep length. The sweep first draws every
 sample of a chunk, then stacks their joint covariances and evaluates
 all of them in one call of the batched information kernel. Chunks only
 bound memory: every sample's gap is the same whatever the chunk size.
@@ -22,7 +22,7 @@ import numpy as np
 from .errors import GaussExtremalError
 from .extremal import scalar_gap, vector_gap_forms
 from .gauss_model import cholesky_pd, conditional_cov_noise, information_batch
-from .rng import random_pd, stream
+from .rng import Streams, random_pd
 
 VERIFY_MODES = ("thm1-scalar", "thm1-vector", "thm3", "oohama", "vec-epi")
 GAP_TOL = 1e-9
@@ -66,8 +66,8 @@ def _vector_channel(gen: np.random.Generator, n: int) -> tuple[np.ndarray, np.nd
     return gain, random_pd(gen, n)
 
 
-def _scalar_sweep(mode: str, samples: range, seed: int) -> tuple[np.ndarray, list[dict]]:
-    draws = np.array([_draw_scalar(mode, stream(seed, t, 0)) for t in samples])
+def _scalar_sweep(mode: str, samples: range, streams: Streams) -> tuple[np.ndarray, list[dict]]:
+    draws = np.array([_draw_scalar(mode, streams(t, 0)) for t in samples])
     rho, corr_u, corr_v = draws.T
     source = np.empty((len(samples), 2, 2))
     source[:, 0, 0] = source[:, 1, 1] = 1.0
@@ -81,12 +81,14 @@ def _scalar_sweep(mode: str, samples: range, seed: int) -> tuple[np.ndarray, lis
     return gaps, [{"sample": t, "rho": float(r)} for t, r in zip(samples, rho)]
 
 
-def _vector_sweep(mode: str, samples: range, n: int, seed: int) -> tuple[np.ndarray, list[dict]]:
+def _vector_sweep(
+    mode: str, samples: range, n: int, streams: Streams
+) -> tuple[np.ndarray, list[dict]]:
     size = len(samples)
     sigma_x, sigma_z, gain_u, noise_u, gain_v, noise_v = (np.empty((size, n, n)) for _ in range(6))
     inject_draw = np.zeros(size)
     for i, t in enumerate(samples):
-        gen = stream(seed, t, 0)
+        gen = streams(t, 0)
         sigma_x[i] = random_pd(gen, n)
         sigma_z[i] = random_pd(gen, n)
         if mode == "thm1-vector":
@@ -139,13 +141,14 @@ def run_verify_sweep(mode: str, trials: int, dim: int, seed: int) -> dict:
 
     vector = mode in ("thm1-vector", "vec-epi")
     chunk = max(1, _STACK_ENTRIES // (4 * dim if vector else 4) ** 2)
+    streams = Streams(seed)
     gaps, params = [], []
     for lo in range(0, trials, chunk):
         samples = range(lo, min(trials, lo + chunk))
         if vector:
-            g, p = _vector_sweep(mode, samples, dim, seed)
+            g, p = _vector_sweep(mode, samples, dim, streams)
         else:
-            g, p = _scalar_sweep(mode, samples, seed)
+            g, p = _scalar_sweep(mode, samples, streams)
         gaps.append(g)
         params += p
     gaps = np.concatenate(gaps)

@@ -200,6 +200,19 @@ class TestEllipsoidCommand:
         ])
         assert code == 2 and "data" in err
 
+    @pytest.mark.parametrize("data", [[True, False, False, True], ["2.0", "0", "0", "2.0"]])
+    def test_sigma_file_entries_must_be_numbers(self, capsys, tmp_path, data):
+        # Both used to run (the booleans as the identity) and exit 0.
+        sigma_path = tmp_path / "sigma.json"
+        sigma_path.write_text(json.dumps({"n": 2, "data": data}))
+        code, out, err = run_cli(capsys, [
+            "ellipsoid", "--n", "2", "--k", "1", "--rho", "0.3",
+            "--nux", "0.5", "--nuy", "0.5", "--trials", "2",
+            "--sigma-file", str(sigma_path),
+        ])
+        assert code == 2 and out == ""
+        assert "entries must be numbers" in err
+
     def test_trials_csv_written(self, capsys, tmp_path):
         target = tmp_path / "trials.csv"
         code, _, _ = run_cli(capsys, [

@@ -20,7 +20,7 @@ from gauss_extremal.ellipsoid_codec import (
     unit_ball_volume,
 )
 from gauss_extremal.gauss_model import log_det
-from gauss_extremal.rng import STREAM_SOURCE, random_pd, stream
+from gauss_extremal.rng import STREAM_NOISE_X, STREAM_NOISE_Y, STREAM_SOURCE, random_pd, stream
 
 
 class TestUnitBallVolume:
@@ -231,6 +231,31 @@ class TestBuildShrunkMatrix:
             assert out.rank == rank
             assert out.logdet_residual < 1e-12
 
+    def test_stack_with_different_ranks(self):
+        # One stack whose trials have ranks 3, 2, 0 and 1: each trial gives
+        # what it gives alone, and the rejected basis rows are zero.
+        gen = np.random.default_rng(67)
+        n = 6
+        a = random_pd(gen, n)
+        row = gen.standard_normal(n)
+        centers = np.stack([
+            gen.standard_normal((3, n)),
+            np.stack([row, 2.0 * row, gen.standard_normal(n)]),
+            np.zeros((3, n)),
+            np.stack([row, row + 1e-13, -row]),
+        ])
+        logdet_a = float(np.linalg.slogdet(a)[1])
+        b, logdet_b, residual, rank, basis = ellipsoid_codec._deflate(a, centers, 0.01, logdet_a)
+        assert rank.tolist() == [3, 2, 0, 1]
+        for t in range(len(centers)):
+            alone = build_shrunk_matrix(a, centers[t], 0.01)
+            assert alone.rank == rank[t]
+            assert np.array_equal(b[t], alone.b_matrix)
+            assert logdet_b[t] == alone.logdet_b and residual[t] == alone.logdet_residual
+            assert residual[t] < 1e-12
+            assert np.array_equal(basis[t, : rank[t]], alone.basis)
+            assert np.all(basis[t, rank[t]:] == 0.0)
+
     def test_residual_small_for_random_inputs(self):
         gen = np.random.default_rng(62)
         for _ in range(20):
@@ -272,7 +297,55 @@ class TestCodecConfigValidation:
             CodecConfig(n=2, k=1, rho=0.5, sigma=np.eye(2), nu_x=0.0, nu_y=0.5)
 
 
+def reference_trial(cfg, t):
+    """Trial t one at a time, from fresh per-trial streams and the public
+    one-trial build_shrunk_matrix: (coverage, volume, rank) per source."""
+    eigvals, eigvecs = np.linalg.eigh(cfg.sigma)
+    white, unwhite = (eigvecs / np.sqrt(eigvals)).T, eigvecs * np.sqrt(eigvals)
+    q = solve_noise_levels(cfg.rho, cfg.nu_x, cfg.nu_y)
+    src = stream(cfg.seed, t, STREAM_SOURCE)
+    xw = src.standard_normal((cfg.k, cfg.n))
+    yw = cfg.rho * xw + math.sqrt(1.0 - cfg.rho**2) * src.standard_normal((cfg.k, cfg.n))
+    descs = [
+        sample + math.sqrt(q_i) * stream(cfg.seed, t, sid).standard_normal((cfg.k, cfg.n))
+        for sample, q_i, sid in ((xw, q[0], STREAM_NOISE_X), (yw, q[1], STREAM_NOISE_Y))
+    ]
+    # Conditional means of the whitened X and Y given both descriptions.
+    det = (1.0 + q[0]) * (1.0 + q[1]) - cfg.rho**2
+    x_hat = ((1.0 + q[1] - cfg.rho**2) * descs[0] + cfg.rho * q[0] * descs[1]) / det
+    y_hat = (cfg.rho * q[1] * descs[0] + (1.0 + q[0] - cfg.rho**2) * descs[1]) / det
+    out = []
+    for sample, est, nu in ((xw, x_hat, cfg.nu_x), (yw, y_hat, cfg.nu_y)):
+        a = white / math.sqrt(cfg.n * nu)
+        shrunk = build_shrunk_matrix(a, (est @ unwhite.T) @ a.T, cfg.delta)
+        covered = tuple(np.linalg.norm((sample @ unwhite.T) @ shrunk.b_matrix.T, axis=1) <= 1.0)
+        log_vol = log_unit_ball_volume(cfg.n) - shrunk.logdet_b
+        norm_vol = math.exp(log_vol / cfg.n) / math.sqrt(2.0 * math.pi * math.e * nu) * math.exp(
+            -float(np.sum(np.log(eigvals))) / (2 * cfg.n)
+        )
+        out.append((covered, norm_vol, shrunk.rank))
+    return out
+
+
 class TestRunSimulation:
+    @pytest.mark.parametrize("n,k,rho,stack", [
+        (12, 3, 0.6, None), (12, 3, -0.5, 4), (40, 6, 0.3, 1),
+    ])
+    def test_stacked_trials_match_one_trial_reference(self, n, k, rho, stack, monkeypatch):
+        sigma = random_pd(np.random.default_rng(68), n)
+        cfg = CodecConfig(n=n, k=k, rho=rho, sigma=sigma, nu_x=0.3, nu_y=0.4,
+                          delta=0.005, trials=9, seed=2**64 - 7)
+        if stack is not None:
+            monkeypatch.setattr(ellipsoid_codec, "_STACK_ENTRIES", stack * n * n)
+        rep = run_simulation(cfg)
+        for tr in rep.trials:
+            (cov_x, vol_x, rank_x), (cov_y, vol_y, rank_y) = reference_trial(cfg, tr.trial)
+            assert (tr.covered_x, tr.rank_x) == (cov_x, rank_x)
+            assert (tr.covered_y, tr.rank_y) == (cov_y, rank_y)
+            # The reference regroups the volume's logarithms: roundoff only.
+            assert abs(tr.norm_volume_x - vol_x) <= 1e-13 * vol_x
+            assert abs(tr.norm_volume_y - vol_y) <= 1e-13 * vol_y
+
     def test_loose_targets_cover_comfortably(self):
         cfg = CodecConfig(n=64, k=2, rho=0.0, sigma=np.eye(64), nu_x=0.99, nu_y=0.99,
                           delta=0.01, trials=100, seed=0)
@@ -304,16 +377,48 @@ class TestRunSimulation:
         cfg = CodecConfig(n=16, k=3, rho=0.5, sigma=random_pd(np.random.default_rng(64), 16),
                           nu_x=0.3, nu_y=0.4, delta=0.005, trials=7, seed=2)
         slogdet = np.linalg.slogdet
-        calls = []
+        factorized = []
 
         def counted(mat):
-            calls.append(mat.shape)
+            # slogdet factorizes each matrix of a stack separately.
+            factorized.append(math.prod(mat.shape[:-2]))
             return slogdet(mat)
 
         monkeypatch.setattr(np.linalg, "slogdet", counted)
         rep = run_simulation(cfg)
-        assert len(calls) == 2 * cfg.trials
+        assert sum(factorized) == 2 * cfg.trials
         assert all(max(tr.logdet_residual_x, tr.logdet_residual_y) <= 1e-9 for tr in rep.trials)
+
+    @pytest.mark.parametrize("chunk", [1, 3, 7])
+    def test_chunk_size_changes_no_trial(self, chunk, monkeypatch):
+        sigma = random_pd(np.random.default_rng(66), 16)
+        for rho, nu_x in ((0.5, 0.3), (-0.6, 0.3), (0.0, 1.0)):  # nu_x = 1: X is not sent
+            cfg = CodecConfig(n=16, k=3, rho=rho, sigma=sigma, nu_x=nu_x, nu_y=0.4,
+                              delta=0.005, trials=17, seed=4)
+            whole = run_simulation(cfg)
+            monkeypatch.setattr(ellipsoid_codec, "_STACK_ENTRIES", chunk * cfg.n * cfg.n)
+            chunked = run_simulation(cfg)
+            monkeypatch.undo()
+            assert chunked.trials == whole.trials
+            assert report_to_dict(chunked) == report_to_dict(whole)
+
+    def test_one_deflation_per_stack_and_source(self, monkeypatch):
+        cfg = CodecConfig(n=16, k=3, rho=0.5, sigma=np.eye(16), nu_x=0.3, nu_y=0.4,
+                          delta=0.005, trials=17, seed=4)
+        stacks = []
+        deflate = ellipsoid_codec._deflate
+
+        def recorded(a, centers, delta, logdet_a):
+            stacks.append(centers.shape[0])
+            return deflate(a, centers, delta, logdet_a)
+
+        monkeypatch.setattr(ellipsoid_codec, "_deflate", recorded)
+        run_simulation(cfg)
+        assert stacks == [17, 17]  # one stack per source
+        monkeypatch.setattr(ellipsoid_codec, "_STACK_ENTRIES", 7 * cfg.n * cfg.n)
+        stacks.clear()
+        run_simulation(cfg)
+        assert stacks == [7, 7, 7, 7, 3, 3]
 
     def test_bit_reproducible(self):
         cfg = CodecConfig(n=24, k=2, rho=0.3, sigma=np.eye(24), nu_x=0.4, nu_y=0.4,

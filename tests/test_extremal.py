@@ -93,6 +93,20 @@ class TestScalarDualClosed:
         with pytest.raises(DomainError):
             scalar_dual_closed(-0.1, 0.5)
 
+    @pytest.mark.parametrize("lam,rho", [(1e308, 0.9), (1e307, 0.9999999), (2e307, -0.9999999)])
+    def test_overflow_is_a_domain_error_not_nan(self, lam, rho):
+        # Both logarithmic terms overflow and their difference is nan.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="not finite"):
+                scalar_dual_closed(lam, rho)
+
+    def test_large_finite_lambda_still_evaluates(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = scalar_dual_closed(1e300, 0.9).value_bits
+        assert math.isfinite(value) and value < 0.0
+
     @pytest.mark.parametrize("r2", [0.2, 0.5, 0.8])
     def test_concave_and_nonincreasing(self, r2):
         rho = math.sqrt(r2)

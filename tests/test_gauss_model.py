@@ -226,6 +226,25 @@ class TestMatrixJson:
         with pytest.raises(DomainError):
             matrix_from_json({"n": 1, "data": ["x"]})
 
+    @pytest.mark.parametrize("obj", [
+        {"n": 1, "data": ["2.0"]},  # numpy reads the string as 2.0
+        {"n": 2, "data": [True, False, False, True]},  # and the booleans as 1 and 0
+        {"n": 1, "data": [None]},
+        {"n": 1, "data": [[1.0]]},
+        {"n": True, "data": [2.0]},
+    ])
+    def test_rejects_entries_that_are_not_json_numbers(self, obj):
+        with pytest.raises(DomainError, match="must be"):
+            matrix_from_json(obj)
+
+    def test_rejects_integer_beyond_float_range(self):
+        with pytest.raises(DomainError, match="finite"):
+            matrix_from_json(json.loads('{"n": 1, "data": [1' + "0" * 400 + "]}"))
+
+    def test_accepts_integer_entries(self):
+        got = matrix_from_json(json.loads('{"n": 2, "data": [2, 0, 0.5, 1]}'))
+        assert got.dtype == float and np.array_equal(got, [[2.0, 0.0], [0.5, 1.0]])
+
     def test_rejects_bad_dimension(self):
         with pytest.raises(DomainError):
             matrix_from_json({"n": 0, "data": []})
