@@ -164,7 +164,10 @@ def solve_noise_levels(rho: float, nu_x: float, nu_y: float) -> tuple[float, flo
     V = Y + N(0, q_y).
 
     Fixing q_y, the q_x hitting the X target is eliminated in closed form;
-    the remaining scalar equation in q_y is solved by bisection. Raises
+    the remaining scalar equation in q_y is solved by bisection, for at
+    most 200 halvings. It stops after the first halving whose midpoint
+    equals an end of the bracket: the bracket cannot change after that, so
+    q_y is what all 200 halvings give. Raises
     Infeasible when no nonnegative pair meets both targets (one target
     looser than what the other side's description already implies).
     """
@@ -216,10 +219,13 @@ def solve_noise_levels(rho: float, nu_x: float, nu_y: float) -> tuple[float, flo
         raise Infeasible("failed to bracket the noise level for the Y target")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
+        converged = mid == lo or mid == hi
         if excess_y(mid) < 0.0:
             lo = mid
         else:
             hi = mid
+        if converged:  # (lo, hi) is now a fixed point of the halving
+            break
     q_y = 0.5 * (lo + hi)
     q_x = q_x_for(q_y)
     m_x, m_y = mse_pair(q_x, q_y)

@@ -133,6 +133,72 @@ class TestSolveNoiseLevels:
         q_x, q_y = solve_noise_levels(0.5, 1.0, 1.0)
         assert math.isinf(q_x) and math.isinf(q_y)
 
+    def test_early_stop_matches_all_200_halvings(self):
+        gen = np.random.default_rng(52)
+        rhos = [-0.999999, -0.99, -0.6, -1e-3, 0.0, 1e-3, 0.3, 0.9, 0.999999, *gen.uniform(-1, 1, 12)]
+        nus = [1e-6, 0.01, 0.1, 0.3, 0.5, 0.9, 0.999, 1.0, *gen.uniform(0, 1, 6)]
+        outcomes = {"solved": 0, "Infeasible": 0}
+        for rho in rhos:
+            for nu_x in nus:
+                for nu_y in nus:
+                    try:
+                        expect = reference_noise_levels(rho, nu_x, nu_y)
+                    except Infeasible as exc:
+                        with pytest.raises(Infeasible, match=str(exc)):
+                            solve_noise_levels(rho, nu_x, nu_y)
+                        outcomes["Infeasible"] += 1
+                        continue
+                    assert solve_noise_levels(rho, nu_x, nu_y) == expect, (rho, nu_x, nu_y)
+                    outcomes["solved"] += 1
+        assert min(outcomes.values()) > 500, outcomes
+
+
+def reference_noise_levels(rho, nu_x, nu_y):
+    """solve_noise_levels with all 200 bisection halvings, for rho and
+    targets in range."""
+    r2 = rho * rho
+    if nu_x == 1.0 and nu_y == 1.0:
+        return math.inf, math.inf
+    if r2 == 0.0:
+        return tuple(math.inf if nu == 1.0 else nu / (1.0 - nu) for nu in (nu_x, nu_y))
+    if nu_y >= 1.0 - r2 * (1.0 - nu_x) or nu_x >= 1.0 - r2 * (1.0 - nu_y):
+        raise Infeasible("no additive-noise pair attains both targets")
+
+    def mse_pair(q_x, q_y):
+        det = (1.0 + q_x) * (1.0 + q_y) - r2
+        return q_x * (1.0 + q_y - r2) / det, q_y * (1.0 + q_x - r2) / det
+
+    def q_x_for(q_y):
+        denom = (1.0 - nu_x) * (1.0 + q_y) - r2
+        return math.inf if denom <= 0.0 else nu_x * (1.0 + q_y - r2) / denom
+
+    def excess_y(q_y):
+        q_x = q_x_for(q_y)
+        return (q_y / (1.0 + q_y) if math.isinf(q_x) else mse_pair(q_x, q_y)[1]) - nu_y
+
+    lo = max(0.0, r2 / (1.0 - nu_x) - 1.0)
+    if lo > 0.0:
+        lo = lo * (1.0 + 1e-12) + 1e-300
+    hi = max(1.0, 2.0 * lo)
+    for _ in range(200):
+        if excess_y(hi) > 0.0:
+            break
+        hi *= 4.0
+    else:
+        raise Infeasible("failed to bracket the noise level for the Y target")
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if excess_y(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    q_y = 0.5 * (lo + hi)
+    q_x = q_x_for(q_y)
+    m_x, m_y = mse_pair(q_x, q_y)
+    if abs(m_x - nu_x) > 1e-9 or abs(m_y - nu_y) > 1e-9:
+        raise Infeasible("noise-level solve did not converge to the targets")
+    return q_x, q_y
+
 
 class TestImpliedRates:
     def test_degenerate_rates_are_zero(self):

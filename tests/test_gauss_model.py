@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from gauss_extremal import gauss_model
 from gauss_extremal.errors import DomainError, NotPositiveDefinite
 from gauss_extremal.gauss_model import (
     GaussianAuxChannel,
@@ -414,3 +415,96 @@ def test_cholesky_pd_checks_every_matrix_of_a_stack():
     stack[2] = np.diag([1e10, 1.0, 1e-10])
     with pytest.raises(NotPositiveDefinite, match=r"\(sample 2\)"):
         cholesky_pd(stack)
+
+
+def per_subset_log_dets(source, gu, wu, gv, wv):
+    """The kernel's log-determinants with every index subset gathered and
+    factorized on its own, in _SUBSETS order: the reference for the grouped
+    factorization, its values and its errors."""
+    joint = gauss_model._joint_covariance(source, [gu, gv], [wu, wv])
+    n = source.shape[1] // 2
+    stops = np.cumsum([0, n, n, gu.shape[1], gv.shape[1]])
+    blocks = {c: np.arange(stops[i], stops[i + 1]) for i, c in enumerate("xyuv")}
+    out = {}
+    for key in gauss_model._SUBSETS:
+        idx = np.concatenate([blocks[c] for c in key])
+        sub = joint if idx.size == joint.shape[1] else joint[:, idx[:, None], idx]
+        lower = gauss_model._factor(sub, f"joint covariance block {key.upper()}")
+        out[key] = 2.0 * np.log(np.diagonal(lower, axis1=1, axis2=2)).sum(axis=1)
+    return out
+
+
+def sized_batch(seed, trials, n, m_u, m_v):
+    """A seeded stack of vector triples whose U and V channels have m_u
+    and m_v rows; every fifth U channel is degenerate (zero gain, unit
+    noise)."""
+    gen = stream(seed, 0, 0)
+
+    def pd(m):
+        a = gen.standard_normal((trials, m, m))
+        return a @ a.transpose(0, 2, 1) + 0.1 * np.eye(m)
+
+    sx, sz = pd(n), pd(n)
+    gu, wu = gen.standard_normal((trials, m_u, n)), pd(m_u)
+    gu[::5], wu[::5] = 0.0, np.eye(m_u)
+    return np.block([[sx, sx], [sx, sx + sz]]), gu, wu, gen.standard_normal((trials, m_v, n)), pd(m_v)
+
+
+class TestGroupedFactorization:
+    @pytest.mark.parametrize("n,m_v", [(1, 1), (2, 2), (4, 4), (8, 8), (2, 1)])
+    @pytest.mark.parametrize("trials", [1, 7, 300])
+    @pytest.mark.parametrize("pieces", [False, True])
+    def test_log_dets_equal_per_subset_factorization(self, n, m_v, trials, pieces, monkeypatch):
+        if pieces:  # a few samples per batched call
+            monkeypatch.setattr(gauss_model, "_GROUP_ENTRIES", 3 * (4 * n) ** 2)
+        batch = sized_batch(41 + n, trials, n, n, m_v)
+        _, ld = information_batch(*batch)
+        expect = per_subset_log_dets(*batch)
+        assert ld.keys() == expect.keys()
+        for key in expect:
+            assert np.array_equal(ld[key], expect[key]), key
+
+    @pytest.mark.parametrize("n,m_v,trials,calls", [
+        (1, 1, 30, 4), (2, 2, 30, 4), (8, 8, 7, 4),
+        # subset sizes 2 (X, Y, U), 1 (V), 4, 3 (XV, YV, UV), 5 and 7 (XYUV)
+        (2, 1, 30, 6),
+        # at most 2^14 entries per call: sizes 8, 16, 24 and 32 take 1, 3, 3
+        # and 2 calls of 64, 10, 14 and 16 samples
+        (8, 8, 30, 9),
+    ])
+    def test_one_cholesky_call_per_subset_size(self, n, m_v, trials, calls, monkeypatch):
+        batch = sized_batch(42, trials, n, n, m_v)
+        shapes = []
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", lambda a: shapes.append(a.shape) or cholesky(a))
+        information_batch(*batch)
+        assert len(shapes) == calls
+        assert {shape[-1] for shape in shapes} == ({n, 2 * n, 3 * n, 4 * n} if m_v == n else {1, 2, 3, 4, 5, 7})
+        assert all(np.prod(shape) <= gauss_model._GROUP_ENTRIES for shape in shapes)
+
+    @pytest.mark.parametrize("trials", [1, 6])
+    @pytest.mark.parametrize("n,m_u,m_v,breaks", [
+        # U copies X in the last sample, V copies Y in sample 2: XU fails
+        # first in _SUBSETS order, whichever sample comes first.
+        (2, 2, 2, {"u_copies_x": -1, "v_copies_y": 2}),
+        (2, 2, 1, {"u_copies_x": -1, "v_copies_y": 2}),
+        # Y = X in the last sample makes XY singular; XY comes before XU
+        # in _SUBSETS, though its size group (4) comes after XU's (3).
+        (2, 1, 3, {"y_equals_x": -1, "u_copies_x": 0}),
+    ])
+    @pytest.mark.parametrize("noise", [0.0, 1e-13])
+    def test_failure_names_first_subset_then_first_sample(self, trials, n, m_u, m_v, breaks, noise):
+        source, gu, wu, gv, wv = (a.copy() for a in sized_batch(43, trials, n, m_u, m_v))
+        for what, t in breaks.items():
+            t %= trials
+            if what == "u_copies_x":
+                gu[t], wu[t] = np.eye(m_u, n), noise * np.eye(m_u)
+            elif what == "v_copies_y":
+                gv[t], wv[t] = np.eye(m_v, n), noise * np.eye(m_v)
+            else:
+                source[t, n:, n:] = source[t, :n, :n] + noise * np.eye(n)
+        with pytest.raises(NotPositiveDefinite) as expect:
+            per_subset_log_dets(source, gu, wu, gv, wv)
+        with pytest.raises(NotPositiveDefinite) as got:
+            information_batch(source, gu, wu, gv, wv)
+        assert str(got.value) == str(expect.value)
