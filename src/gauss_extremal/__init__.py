@@ -36,7 +36,6 @@ from .extremal import (
     scalar_dual_oracle,
     scalar_dual_oracle_argmin,
     scalar_extremal_gap,
-    scalar_gap,
     vector_dual_lower,
     vector_extremal_forms,
     vector_extremal_gap,

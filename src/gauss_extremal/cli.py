@@ -142,6 +142,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_ellipsoid(args) -> int:
+    if args.n < 1:  # before np.eye(args.n), which fails on a negative n
+        raise DomainError(f"--n must be at least 1, got {args.n}")
     if args.sigma_file is not None:
         with open(args.sigma_file) as fh:
             sigma = matrix_from_json(json.load(fh))

@@ -10,7 +10,7 @@ normalized volume near the information-theoretic floor.
 Descriptions are idealized: instead of an explicit binning code, the
 samples are passed through the additive-Gaussian test channel achieving
 the same normalized MMSE targets (nu_x, nu_y) in whitened coordinates,
-with the noise levels solved by bisection and the implied rates reported
+with the noise levels in closed form and the implied rates reported
 and checked against the closed-form rate region. This keeps the
 simulation honest at desk scale without implementing a quantizer.
 
@@ -163,13 +163,14 @@ def solve_noise_levels(rho: float, nu_x: float, nu_y: float) -> tuple[float, flo
     for unit-variance (X, Y) with correlation rho, U = X + N(0, q_x),
     V = Y + N(0, q_y).
 
-    Fixing q_y, the q_x hitting the X target is eliminated in closed form;
-    the remaining scalar equation in q_y is solved by bisection, for at
-    most 200 halvings. It stops after the first halving whose midpoint
-    equals an end of the bracket: the bracket cannot change after that, so
-    q_y is what all 200 halvings give. Raises
-    Infeasible when no nonnegative pair meets both targets (one target
-    looser than what the other side's description already implies).
+    Closed form, from inverting the posterior precision of (X, Y): with
+    c = 1 - rho^2, t = 4 nu_x nu_y rho^2 / c^2, h = c t / (1 + sqrt(1 + t))
+    and the margins g_x = 1 - rho^2 (1 - nu_y) - nu_x (g_y likewise),
+    q_x = c (h + 2 nu_x) / (2 g_x), free of cancellation; nu / (1 - nu) at
+    rho = 0. Raises Infeasible when no nonnegative pair meets both targets:
+    a margin is not positive while rho != 0, so one target is looser than
+    what the other description alone achieves. A zero margin at rho = 0
+    (nu = 1) is a description that is not sent, q = inf.
     """
     if not -1.0 < rho < 1.0:
         raise DomainError("rho must lie in (-1, 1)")
@@ -178,79 +179,50 @@ def solve_noise_levels(rho: float, nu_x: float, nu_y: float) -> tuple[float, flo
     r2 = rho * rho
     if nu_x == 1.0 and nu_y == 1.0:
         return math.inf, math.inf
-    if r2 == 0.0:
-        q_x = math.inf if nu_x == 1.0 else nu_x / (1.0 - nu_x)
-        q_y = math.inf if nu_y == 1.0 else nu_y / (1.0 - nu_y)
-        return q_x, q_y
-    if nu_y >= 1.0 - r2 * (1.0 - nu_x) or nu_x >= 1.0 - r2 * (1.0 - nu_y):
+    g_x = (1.0 - r2 * (1.0 - nu_y)) - nu_x
+    g_y = (1.0 - r2 * (1.0 - nu_x)) - nu_y
+    if r2 != 0.0 and (g_x <= 0.0 or g_y <= 0.0):
         raise Infeasible(
             "no additive-noise pair attains both targets: one target is not "
             "below what the other description alone already achieves"
         )
-
-    def mse_pair(q_x: float, q_y: float) -> tuple[float, float]:
-        det = (1.0 + q_x) * (1.0 + q_y) - r2
-        m_x = q_x * (1.0 + q_y - r2) / det
-        m_y = q_y * (1.0 + q_x - r2) / det
-        return m_x, m_y
-
-    def q_x_for(q_y: float) -> float:
-        # Eliminates q_x from Var(X|U,V) = nu_x at this q_y.
-        denom = (1.0 - nu_x) * (1.0 + q_y) - r2
-        if denom <= 0.0:
-            return math.inf
-        return nu_x * (1.0 + q_y - r2) / denom
-
-    def excess_y(q_y: float) -> float:
-        q_x = q_x_for(q_y)
-        if math.isinf(q_x):
-            return q_y / (1.0 + q_y) - nu_y
-        return mse_pair(q_x, q_y)[1] - nu_y
-
-    lo = max(0.0, r2 / (1.0 - nu_x) - 1.0)
-    if lo > 0.0:
-        lo = lo * (1.0 + 1e-12) + 1e-300
-    hi = max(1.0, 2.0 * lo)
-    for _ in range(200):
-        if excess_y(hi) > 0.0:
-            break
-        hi *= 4.0
-    else:
-        raise Infeasible("failed to bracket the noise level for the Y target")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        converged = mid == lo or mid == hi
-        if excess_y(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if converged:  # (lo, hi) is now a fixed point of the halving
-            break
-    q_y = 0.5 * (lo + hi)
-    q_x = q_x_for(q_y)
-    m_x, m_y = mse_pair(q_x, q_y)
-    if abs(m_x - nu_x) > 1e-9 or abs(m_y - nu_y) > 1e-9:
-        raise Infeasible("noise-level solve did not converge to the targets")
+    c = 1.0 - r2
+    t = 4.0 * nu_x * nu_y * r2 / (c * c)
+    h = c * t / (1.0 + math.sqrt(1.0 + t))
+    q_x, q_y = (
+        c * (h + 2.0 * nu) / (2.0 * g) if g > 0.0 else math.inf  # g = 0 only at rho = 0, nu = 1
+        for nu, g in ((nu_x, g_x), (nu_y, g_y))
+    )
+    if not (q_x > 0.0 and q_y > 0.0):
+        raise Infeasible("a target is so small that its noise level underflows to 0")
+    (_, e_x, v_x), (_, e_y, v_y), d = _test_channel(rho, q_x, q_y)
+    if not (abs(e_x * v_x / d - nu_x) <= 1e-9 and abs(e_y * v_y / d - nu_y) <= 1e-9):
+        raise Infeasible("the solved noise levels miss the targets")
     return q_x, q_y
+
+
+def _test_channel(rho: float, q_x: float, q_y: float):
+    """((s_x, e_x, v_x), (s_y, e_y, v_y), d) of the noise levels q_x, q_y > 0.
+
+    s_x = 1/(1 + q_x) = Corr(X, U)^2 and e_x = q_x/(1 + q_x) = Var(X|U),
+    each without cancellation (s = 0, e = 1 for a description that is not
+    sent, q = inf); v_x = 1 - rho^2 s_y = Var(X|V); d = 1 - rho^2 s_x s_y
+    = 2^(-2 I(U;V)), so that Var(X|U,V) = e_x v_x / d. Likewise for Y.
+    """
+    r2 = rho * rho
+    s_x, s_y = 1.0 / (1.0 + q_x), 1.0 / (1.0 + q_y)
+    e_x, e_y = 1.0 / (1.0 + 1.0 / q_x), 1.0 / (1.0 + 1.0 / q_y)
+    return (s_x, e_x, 1.0 - r2 * s_y), (s_y, e_y, 1.0 - r2 * s_x), 1.0 - r2 * s_x * s_y
 
 
 def _cond_weights(q_x: float, q_y: float, rho: float) -> tuple[float, float, float, float]:
     """Coefficients of (U, V) in the conditional means of X and Y.
 
-    The cross weights carry the sign of rho. The weights of a description
-    with an infinite noise level (one that is not sent) are never used.
+    The cross weights carry the sign of rho. A description that is not
+    sent has weight 0.
     """
-    r2 = rho * rho
-    if math.isinf(q_x):
-        return 0.0, rho / (1.0 + q_y), 0.0, 1.0 / (1.0 + q_y)
-    if math.isinf(q_y):
-        return 1.0 / (1.0 + q_x), 0.0, rho / (1.0 + q_x), 0.0
-    det = (1.0 + q_x) * (1.0 + q_y) - r2
-    w_xu = (1.0 + q_y - r2) / det
-    w_xv = rho * q_x / det
-    w_yu = rho * q_y / det
-    w_yv = (1.0 + q_x - r2) / det
-    return w_xu, w_xv, w_yu, w_yv
+    (s_x, e_x, v_x), (s_y, e_y, v_y), d = _test_channel(rho, q_x, q_y)
+    return s_x * v_x / d, rho * e_x * s_y / d, rho * s_x * e_y / d, s_y * v_y / d
 
 
 def implied_rates(rho: float, nu_x: float, nu_y: float, q_x: float, q_y: float) -> tuple[float, float]:
@@ -259,27 +231,14 @@ def implied_rates(rho: float, nu_x: float, nu_y: float, q_x: float, q_y: float) 
     Each encoder is charged its conditional information given the other
     description plus half the shared information I(U;V); the pair then sits
     on the dominant face of the achievable region (the sum equals the joint
-    information exactly) with a small slack pushing it strictly inside.
+    information exactly) with a small slack pushing a sent description
+    strictly inside. A description that is not sent has rate 0.
     """
-    if math.isinf(q_x) and math.isinf(q_y):
-        return 0.0, 0.0
-    r2 = rho * rho
-
-    def cond_info(q_own: float, q_other: float, nu: float) -> float:
-        if math.isinf(q_own):
-            return 0.0
-        prior = 1.0 if math.isinf(q_other) else 1.0 - r2 / (1.0 + q_other)
-        return 0.5 * math.log2(prior / nu)
-
-    i_x_uv = cond_info(q_x, q_y, nu_x)
-    i_y_vu = cond_info(q_y, q_x, nu_y)
-    if math.isinf(q_x) or math.isinf(q_y):
-        shared = 0.0
-    else:
-        det = (1.0 + q_x) * (1.0 + q_y) - r2
-        shared = 0.5 * math.log2((1.0 + q_x) * (1.0 + q_y) / det)
-    r_x = i_x_uv + 0.5 * shared + (RATE_SLACK if not math.isinf(q_x) else 0.0)
-    r_y = i_y_vu + 0.5 * shared + (RATE_SLACK if not math.isinf(q_y) else 0.0)
+    (s_x, _, v_x), (s_y, _, v_y), d = _test_channel(rho, q_x, q_y)
+    shared = -0.5 * math.log2(d)  # I(U;V)
+    # I(X;U|V) = (1/2) log2(Var(X|V) / nu_x), and likewise for Y.
+    r_x = 0.5 * math.log2(v_x / nu_x) + 0.5 * shared + (RATE_SLACK if s_x > 0.0 else 0.0)
+    r_y = 0.5 * math.log2(v_y / nu_y) + 0.5 * shared + (RATE_SLACK if s_y > 0.0 else 0.0)
     return r_x, r_y
 
 
@@ -305,6 +264,8 @@ def _deflate(a: np.ndarray, centers: np.ndarray, delta: float, logdet_a: float):
     """
     tau = 1.0 - 2.0 * math.sqrt(delta)
     gamma = (1.0 - delta) * tau
+    if tau - gamma <= 0.0:  # tau <= 0, or delta so small that 1 - delta rounds to 1
+        raise DegenerateShrinkage(f"tau - gamma = {tau - gamma:g} <= 0 at delta = {delta:g}")
     _, singular, vt = np.linalg.svd(centers, full_matrices=False)
     cutoff = 1e-10 * np.max(np.linalg.norm(centers, axis=2), axis=1, initial=0.0)
     kept = singular > cutoff[:, None]
@@ -335,9 +296,6 @@ def build_shrunk_matrix(a_x: np.ndarray, centers, delta: float) -> ShrunkMatrix:
         raise DomainError("centers must have the same dimension as a_x")
     if delta <= 0.0:
         raise DomainError("delta must be positive")
-    tau = 1.0 - 2.0 * math.sqrt(delta)
-    if tau <= 0.0:
-        raise DegenerateShrinkage(f"tau = {tau:g} <= 0 at delta = {delta:g}")
     _, ld_a = np.linalg.slogdet(a)
     b, ld_b, residual, rank, basis = _deflate(a, c[None], delta, float(ld_a))
     rank = int(rank[0])

@@ -9,7 +9,9 @@ inequality states, with r = (|sigma_x| / |sigma_y|)^(1/n),
 with equality iff the conditional law of X given U is Gaussian with
 covariance proportional to sigma_z. Each gap function here returns
 LHS - RHS, so nonnegativity of the gap over all Gaussian channels is the
-falsifiable form of the inequality.
+falsifiable form of the inequality. The scalar inequality is its n = 1
+case for the unit-variance pair, with r = rho^2 and
+2^(-2 I(X;Y)) = 1 - rho^2.
 
 The dual value function is
 
@@ -101,20 +103,6 @@ def vector_gap_forms(info: InfoVector, n: int, ratio):
     return gap_cond, gap_uncond
 
 
-def scalar_gap(info: InfoVector, r2):
-    """LHS - RHS of the unit-variance scalar inequality from its informations,
-    elementwise over floats or (T,) arrays (r2 = rho^2 of the same kind).
-
-    2^(-2 I(Y;U)) 2^(-2 I(X;V|U)) - (1 - rho^2)
-        - rho^2 2^(-2 I(X;U)) 2^(-2 I(Y;V|U)).
-    """
-    return (
-        2.0 ** (-2.0 * (info.i_yu + info.i_xv_given_u))
-        - (1.0 - r2)
-        - r2 * 2.0 ** (-2.0 * (info.i_xu + info.i_yv_given_u))
-    )
-
-
 def vector_extremal_forms(
     model: GaussianPairModel, u: GaussianAuxChannel, v: GaussianAuxChannel
 ) -> tuple[float, float, InfoVector]:
@@ -137,23 +125,16 @@ def vector_extremal_gap(
 
 
 def scalar_extremal_gap(rho: float, u: GaussianAuxChannel, v: GaussianAuxChannel) -> float:
-    """LHS - RHS of the unit-variance scalar inequality (see scalar_gap)."""
-    model = GaussianPairModel.scalar(rho)
-    return scalar_gap(mutual_information(model, u, v), rho * rho)
+    """LHS - RHS of the unit-variance scalar inequality: the n = 1 vector gap."""
+    return vector_extremal_gap(GaussianPairModel.scalar(rho), u, v)
 
 
 def oohama_gap(model: GaussianPairModel, u: GaussianAuxChannel) -> float:
     """Gap of the single-description bound: the two-description gap with
-    V degenerate, whose informations all vanish.
-
-    Scalar: 2^(-2 I(Y;U)) - (1 - rho^2) - rho^2 2^(-2 I(X;U)).
-    Vector: per-dimension form with determinant ratios. Zero iff the
-    conditional covariance of X given U is proportional to sigma_z.
+    V degenerate, whose informations all vanish. Zero iff the conditional
+    covariance of X given U is proportional to sigma_z.
     """
-    v = GaussianAuxChannel.degenerate_on("y")
-    if model.kind == "scalar":
-        return scalar_extremal_gap(model.rho, u, v)
-    return vector_extremal_gap(model, u, v)
+    return vector_extremal_gap(model, u, GaussianAuxChannel.degenerate_on("y"))
 
 
 def scalar_dual_closed(lam: float, rho: float) -> DualValue:

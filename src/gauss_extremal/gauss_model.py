@@ -257,10 +257,11 @@ class GaussianPairModel:
         return np.block([[sx, sx], [sx, sx + self.sigma_z]])
 
     def det_ratio_x_over_y(self) -> float:
-        """(|sigma_x| / |sigma_y|)^(1/n), the source-to-output volume ratio."""
+        """(|sigma_x| / |sigma_y|)^(1/n), the source-to-output volume ratio.
+
+        rho^2 for the scalar model: 0 at rho = 0, the limit of its vector
+        embedding, which is undefined there."""
         if self.kind == "scalar":
-            if self.rho == 0.0:
-                raise DomainError("ratio undefined for the scalar model with rho = 0")
             return self.rho * self.rho
         n = self.n
         return math.exp((log_det(self.sigma_x) - log_det(self.sigma_y)) / n)

@@ -27,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import GaussExtremalError
-from .extremal import scalar_gap, vector_gap_forms
+from .extremal import vector_gap_forms
 from .gauss_model import cholesky_pd, conditional_cov_noise, information_batch
 from .rng import Streams
 
@@ -89,11 +89,9 @@ def _scalar_sweep(mode: str, samples: range, streams: Streams) -> tuple[np.ndarr
     source[:, 0, 1] = source[:, 1, 0] = rho
     gain_u, gain_v = corr_u.reshape(-1, 1, 1), corr_v.reshape(-1, 1, 1)
     info, _ = information_batch(source, gain_u, 1.0 - gain_u * gain_u, gain_v, 1.0 - gain_v * gain_v)
-    r2 = rho * rho
-    # thm1-scalar: the scalar model's volume ratio is rho^2 (its joint has
-    # unit variances, so the X and Y blocks do not give it).
-    gaps = vector_gap_forms(info, 1, r2)[0] if mode == "thm1-scalar" else scalar_gap(info, r2)
-    return gaps, [{"sample": t, "rho": float(r)} for t, r in zip(samples, rho)]
+    # The scalar model's volume ratio is rho^2 (its joint has unit
+    # variances, so the X and Y blocks do not give it).
+    return vector_gap_forms(info, 1, rho * rho)[0], [{"sample": t, "rho": float(r)} for t, r in zip(samples, rho)]
 
 
 def _draw_vector(mode: str, samples: range, n: int, streams: Streams) -> tuple[np.ndarray, ...]:

@@ -301,6 +301,19 @@ class TestBadInputExitsTwo:
         assert code == 2 and out == ""
         assert flag in err and "finite" in err
 
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_dimension_below_one(self, capsys, n):
+        code, out, err = run_cli(capsys, ["ellipsoid", "--n", n, "--k", "1", "--rho", "0.5",
+                                          "--nux", "0.3", "--nuy", "0.3"])
+        assert code == 2 and out == ""
+        assert "n must be at least 1" in err
+
+    def test_delta_too_small_to_shrink(self, capsys):
+        # 1 - delta rounds to 1, so the shrinkage along the centers is zero.
+        code, out, err = run_cli(capsys, ELLIPSOID + ["--delta", "1e-17"])
+        assert code == 2 and out == ""
+        assert "delta = 1e-17" in err
+
     @pytest.mark.parametrize("seed", ["-3", str(2**64)])
     @pytest.mark.parametrize("command", [VERIFY, ELLIPSOID, REGION])
     def test_seed_outside_domain(self, capsys, command, seed):

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -128,17 +129,22 @@ class TestSolveNoiseLevels:
         # A loose Y target that the X description alone already beats.
         with pytest.raises(Infeasible):
             solve_noise_levels(math.sqrt(0.96), 0.1, 0.9)
+        # Feasible, but the noise level of a subnormal target underflows to 0.
+        with pytest.raises(Infeasible, match="underflows"):
+            solve_noise_levels(0.9999999999999999, 1e-320, 1e-16)
 
     def test_pure_degenerate_limit(self):
         q_x, q_y = solve_noise_levels(0.5, 1.0, 1.0)
         assert math.isinf(q_x) and math.isinf(q_y)
 
-    def test_early_stop_matches_all_200_halvings(self):
+    def test_closed_form_matches_bisection_reference(self):
         gen = np.random.default_rng(52)
         rhos = [-0.999999, -0.99, -0.6, -1e-3, 0.0, 1e-3, 0.3, 0.9, 0.999999, *gen.uniform(-1, 1, 12)]
         nus = [1e-6, 0.01, 0.1, 0.3, 0.5, 0.9, 0.999, 1.0, *gen.uniform(0, 1, 6)]
         outcomes = {"solved": 0, "Infeasible": 0}
         for rho in rhos:
+            # The bisection's own error grows like 1e-16 / (1 - rho^2).
+            tol = 1e-11 if abs(rho) <= 0.999 else 1e-7
             for nu_x in nus:
                 for nu_y in nus:
                     try:
@@ -148,14 +154,48 @@ class TestSolveNoiseLevels:
                             solve_noise_levels(rho, nu_x, nu_y)
                         outcomes["Infeasible"] += 1
                         continue
-                    assert solve_noise_levels(rho, nu_x, nu_y) == expect, (rho, nu_x, nu_y)
+                    got = solve_noise_levels(rho, nu_x, nu_y)
+                    for q, ref in zip(got, expect):
+                        assert q == ref or abs(q - ref) <= tol * ref, (rho, nu_x, nu_y, got, expect)
+                    assert target_residual(rho, nu_x, nu_y, *got) <= 5e-11, (rho, nu_x, nu_y)
                     outcomes["solved"] += 1
         assert min(outcomes.values()) > 500, outcomes
 
+    def test_near_boundary_targets_are_solved(self):
+        # One target within 1e-16 to 1e-8 relative of the largest the other
+        # description allows; the bisection fails to bracket some of these.
+        gen = np.random.default_rng(53)
+        solved = 0
+        for side in ("x", "y"):
+            for _ in range(1000):
+                rho, nu = gen.uniform(-1, 1), gen.uniform(0, 1)
+                r2 = rho * rho
+                near = (1.0 - r2 * (1.0 - nu)) * (1.0 - 10.0 ** gen.uniform(-16, -8))
+                nu_x, nu_y = (near, nu) if side == "x" else (nu, near)
+                g_x = (1.0 - r2 * (1.0 - nu_y)) - nu_x
+                g_y = (1.0 - r2 * (1.0 - nu_x)) - nu_y
+                if g_x <= 0.0 or g_y <= 0.0:
+                    with pytest.raises(Infeasible, match="no additive-noise pair"):
+                        solve_noise_levels(rho, nu_x, nu_y)
+                    continue
+                assert target_residual(rho, nu_x, nu_y, *solve_noise_levels(rho, nu_x, nu_y)) <= 5e-11
+                solved += 1
+        assert solved > 1500
+
+
+def target_residual(rho, nu_x, nu_y, q_x, q_y):
+    """Exact largest relative error of Var(X|U,V) and Var(Y|U,V) against the
+    targets, for the float inputs taken as exact rationals."""
+    r2 = Fraction(rho) ** 2
+    c = 1 - r2
+    p_x, p_y = (Fraction(0) if math.isinf(q) else 1 / Fraction(q) for q in (q_x, q_y))
+    det = (1 + p_x) * (1 + p_y) - r2 * p_x * p_y
+    return float(max(abs((1 + c * p_y) / det / Fraction(nu_x) - 1), abs((1 + c * p_x) / det / Fraction(nu_y) - 1)))
+
 
 def reference_noise_levels(rho, nu_x, nu_y):
-    """solve_noise_levels with all 200 bisection halvings, for rho and
-    targets in range."""
+    """The noise levels by bracketing and 200 bisection halvings, for rho
+    and targets in range: an independent reference for the closed form."""
     r2 = rho * rho
     if nu_x == 1.0 and nu_y == 1.0:
         return math.inf, math.inf
@@ -198,6 +238,26 @@ def reference_noise_levels(rho, nu_x, nu_y):
     if abs(m_x - nu_x) > 1e-9 or abs(m_y - nu_y) > 1e-9:
         raise Infeasible("noise-level solve did not converge to the targets")
     return q_x, q_y
+
+
+class TestCondWeights:
+    def test_weights_are_the_conditional_mean_coefficients(self):
+        # E[(X, Y) | U, V] = Cov((X, Y), (U, V)) Cov(U, V)^{-1} (U, V), in
+        # exact arithmetic; Cov((X, Y), (U, V)) = [[1, rho], [rho, 1]].
+        gen = np.random.default_rng(54)
+        for _ in range(200):
+            rho, q_x, q_y = gen.uniform(-0.999, 0.999), *(10.0 ** gen.uniform(-6, 6, 2))
+            r, a, b = Fraction(rho), 1 + Fraction(q_x), 1 + Fraction(q_y)
+            det = a * b - r * r
+            expect = ((b - r * r) / det, r * (a - 1) / det, r * (b - 1) / det, (a - r * r) / det)
+            got = ellipsoid_codec._cond_weights(q_x, q_y, rho)
+            for w, e in zip(got, expect):
+                assert abs(Fraction(w) - e) <= 1e-12 * abs(e), (rho, q_x, q_y)
+
+    def test_unsent_description_has_weight_zero(self):
+        q = 0.7
+        assert ellipsoid_codec._cond_weights(math.inf, q, -0.4) == (0.0, -0.4 / (1.0 + q), 0.0, 1.0 / (1.0 + q))
+        assert ellipsoid_codec._cond_weights(q, math.inf, 0.4) == (1.0 / (1.0 + q), 0.0, 0.4 / (1.0 + q), 0.0)
 
 
 class TestImpliedRates:
@@ -336,6 +396,9 @@ class TestBuildShrunkMatrix:
             build_shrunk_matrix(np.eye(3), np.zeros((1, 3)), 0.3)
         with pytest.raises(DomainError):
             build_shrunk_matrix(np.eye(3), np.zeros((1, 3)), 0.0)
+        # 1 - delta rounds to 1: tau - gamma = 0 and log(tau - gamma) is undefined.
+        with pytest.raises(DegenerateShrinkage, match="tau - gamma"):
+            build_shrunk_matrix(np.eye(4), np.ones((2, 4)), 1e-17)
 
 
 class TestCodecConfigValidation:

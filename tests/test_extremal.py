@@ -43,6 +43,20 @@ def scalar_channels(cu, cv):
     )
 
 
+def reference_scalar_gap(info, r2):
+    """The dedicated unit-variance scalar gap, kept as a reference for its
+    n = 1 vector form: elementwise over floats or (T,) arrays,
+
+    2^(-2 I(Y;U)) 2^(-2 I(X;V|U)) - (1 - rho^2)
+        - rho^2 2^(-2 I(X;U)) 2^(-2 I(Y;V|U)).
+    """
+    return (
+        2.0 ** (-2.0 * (info.i_yu + info.i_xv_given_u))
+        - (1.0 - r2)
+        - r2 * 2.0 ** (-2.0 * (info.i_xu + info.i_yv_given_u))
+    )
+
+
 def tradeoff_oracle(a1, a2, lam, points=20001, zooms=2):
     """Grid-plus-zoom minimization of max(f(t), 0) - lam*t where f is the
     implicit exponent curve 2^(-2t) = a1 2^(-2 f) + a2. Independent of the
@@ -470,12 +484,16 @@ class TestGapFunctionals:
             vector_gap_forms(type(infos[0])(**batch), 2, ratio)
 
     def test_scalar_and_vector_paths_agree(self):
+        # The scalar gap is the n = 1 vector gap; the dedicated scalar
+        # formula differs from it by rounding only.
         gen = np.random.default_rng(22)
-        for _ in range(50):
-            rho = gen.uniform(0.05, 0.95)
-            u, v = scalar_channels(gen.uniform(0, 0.99), gen.uniform(0, 0.99))
-            model = GaussianPairModel.scalar(rho)
-            assert abs(scalar_extremal_gap(rho, u, v) - vector_extremal_gap(model, u, v)) < 1e-12
+        for _ in range(200):
+            model, u, v = make_scalar_triple(gen)
+            expect = reference_scalar_gap(mutual_information(model, u, v), model.rho * model.rho)
+            assert abs(scalar_extremal_gap(model.rho, u, v) - expect) <= 1e-15
+            no_v = GaussianAuxChannel.degenerate_on("y")
+            expect = reference_scalar_gap(mutual_information(model, u, no_v), model.rho * model.rho)
+            assert abs(oohama_gap(model, u) - expect) <= 1e-15
 
     def test_oohama_gap_scalar_cases(self):
         model = GaussianPairModel.scalar(0.6)
@@ -483,6 +501,10 @@ class TestGapFunctionals:
         u = GaussianAuxChannel.scalar_corr(0.7, "x")
         sg = scalar_extremal_gap(0.6, u, GaussianAuxChannel.degenerate_on("y"))
         assert abs(oohama_gap(model, u) - sg) < 1e-12
+
+    def test_oohama_gap_independent_sources_is_zero(self):
+        u = GaussianAuxChannel.scalar_corr(0.7, "x")
+        assert abs(oohama_gap(GaussianPairModel.scalar(0.0), u)) <= 1e-15
 
     def test_oohama_gap_vector_equality_family(self):
         gen = np.random.default_rng(23)

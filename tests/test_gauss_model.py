@@ -257,6 +257,11 @@ class TestModelValidation:
             GaussianPairModel.scalar(1.0)
         GaussianPairModel.scalar(0.0)  # zero correlation is allowed
 
+    def test_scalar_det_ratio_is_rho_squared(self):
+        assert GaussianPairModel.scalar(-0.6).det_ratio_x_over_y() == 0.36
+        # rho = 0: the vector embedding's limit, though the embedding is undefined.
+        assert GaussianPairModel.scalar(0.0).det_ratio_x_over_y() == 0.0
+
     def test_vector_requires_pd(self):
         with pytest.raises(NotPositiveDefinite):
             GaussianPairModel.vector([[1.0, 2.0], [2.0, 1.0]], np.eye(2))

@@ -9,8 +9,10 @@ from gauss_extremal.extremal import (
     scalar_extremal_gap,
     vector_extremal_gap,
 )
-from gauss_extremal.gauss_model import GaussianAuxChannel, GaussianPairModel
+from gauss_extremal.gauss_model import GaussianAuxChannel, GaussianPairModel, mutual_information
 from gauss_extremal.rng import Streams, random_pd, stream
+
+from test_extremal import reference_scalar_gap
 
 
 # The per-sample draws of a sweep before they were stacked: every value a
@@ -51,14 +53,20 @@ def reference_draw_vector(mode, t, n, gen):
     return sigma_x, sigma_z, reference_vector_channel(gen, n), None, None
 
 
+def reference_scalar_triple(mode, gen):
+    """(rho, U channel, V channel) of a scalar sample's reference draws."""
+    rho, corr_u, corr_v = reference_draw_scalar(mode, gen)
+    u, v = (GaussianAuxChannel.scalar_corr(c, side) if c else GaussianAuxChannel.degenerate_on(side)
+            for c, side in ((corr_u, "x"), (corr_v, "y")))
+    return rho, u, v
+
+
 def reference_sample(mode, t, dim, seed):
     """Gap of sample t through the single-triple API, one sample at a time,
     from the per-sample reference draws of stream(seed, t, 0)."""
     gen = stream(seed, t, 0)
     if mode in ("thm3", "thm1-scalar", "oohama"):
-        rho, corr_u, corr_v = reference_draw_scalar(mode, gen)
-        u, v = (GaussianAuxChannel.scalar_corr(c, side) if c else GaussianAuxChannel.degenerate_on(side)
-                for c, side in ((corr_u, "x"), (corr_v, "y")))
+        rho, u, v = reference_scalar_triple(mode, gen)
         if mode == "thm3":
             return scalar_extremal_gap(rho, u, v)
         model = GaussianPairModel.scalar(rho)
@@ -93,6 +101,15 @@ def test_batched_gaps_match_single_triple_path(mode, dim, seed):
     assert summary["negative_count"] == int(np.count_nonzero(expect < -sweep.GAP_TOL))
     # The reported argmin attains the minimum up to roundoff.
     assert expect[summary["argmin"]["sample"]] - expect.min() <= 1e-12
+
+
+@pytest.mark.parametrize("mode", ["thm3", "oohama"])
+def test_scalar_gaps_match_dedicated_scalar_formula(mode):
+    gaps = sweep.run_verify_sweep(mode, 300, 1, 3)["gaps"]
+    for t, gap in enumerate(gaps):
+        rho, u, v = reference_scalar_triple(mode, stream(3, t, 0))
+        info = mutual_information(GaussianPairModel.scalar(rho), u, v)
+        assert abs(gap - reference_scalar_gap(info, rho * rho)) <= 1e-15, t
 
 
 @pytest.mark.parametrize("mode,dim", [("thm3", 1), ("thm1-vector", 3), ("vec-epi", 3)])
