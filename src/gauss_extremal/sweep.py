@@ -32,7 +32,7 @@ from .gauss_model import cholesky_pd, conditional_cov_noise, information_batch
 from .rng import Streams
 
 VERIFY_MODES = ("thm1-scalar", "thm1-vector", "thm3", "oohama", "vec-epi")
-GAP_TOL = 1e-9
+GAP_TOL = 1e-9  # gaps that are 0 exactly (vec-epi's equality channels) round to -1.3e-12 at dim 16
 
 # Small chance of a degenerate description keeps the zero paths exercised.
 DEGENERATE_PROB = 0.02

@@ -314,6 +314,15 @@ class TestBadInputExitsTwo:
         assert code == 2 and out == ""
         assert "delta = 1e-17" in err
 
+    def test_degenerate_delta_is_refused_before_the_run(self, capsys, monkeypatch):
+        def run_simulation(config):
+            raise AssertionError("the simulation ran")
+
+        monkeypatch.setattr(cli, "run_simulation", run_simulation)
+        code, out, err = run_cli(capsys, ELLIPSOID + ["--delta", "1e-17"])
+        assert code == 2 and out == ""
+        assert "tau - gamma = 0 <= 0 at delta = 1e-17" in err
+
     @pytest.mark.parametrize("seed", ["-3", str(2**64)])
     @pytest.mark.parametrize("command", [VERIFY, ELLIPSOID, REGION])
     def test_seed_outside_domain(self, capsys, command, seed):

@@ -57,6 +57,19 @@ def reference_scalar_gap(info, r2):
     )
 
 
+def reference_scalar_dual(lam, rho):
+    """The dedicated scalar closed form, kept as a reference for its n = 1
+    case: (value, branch), the value non-finite where its terms overflow."""
+    r2 = rho * rho
+    if lam * r2 < 1.0 or r2 == 0.0:
+        return 0.0, "zero"
+    value = 0.5 * (
+        math.log2(r2 * (lam - 1.0) / (1.0 - r2))
+        - lam * math.log2((lam - 1.0) / (lam * (1.0 - r2)))
+    )
+    return value, "active"
+
+
 def tradeoff_oracle(a1, a2, lam, points=20001, zooms=2):
     """Grid-plus-zoom minimization of max(f(t), 0) - lam*t where f is the
     implicit exponent curve 2^(-2t) = a1 2^(-2 f) + a2. Independent of the
@@ -115,6 +128,32 @@ class TestScalarDualClosed:
             with pytest.raises(DomainError, match="not finite"):
                 scalar_dual_closed(lam, rho)
 
+    def test_matches_dedicated_scalar_formula_bit_for_bit(self):
+        # The n = 1 case of the shared closed form, on a grid that holds
+        # both float neighbours of every threshold 1/rho^2, rho = 0 and
+        # lam = 0; the sign of a zero counts.
+        rhos = [0.0, 5e-324, 1e-8, 0.3, 0.5, math.sqrt(0.5), 0.9, 0.999999, 1.0 - 2.0**-53]
+        rhos += np.linspace(0.01, 0.99, 40).tolist()
+        cases = 0
+        for rho in rhos + [-r for r in rhos]:
+            r2 = rho * rho
+            lams = [0.0, 1e-300, 0.5, 1.0, 1.0 + 2.0**-52, 2.0, 1e300, 1e308]
+            lams += np.geomspace(1e-3, 1e6, 60).tolist()
+            if r2 > 0.0:
+                t = 1.0 / r2
+                lams += [t, math.nextafter(t, 0.0), math.nextafter(t, math.inf),
+                         math.nextafter(math.nextafter(t, 0.0), 0.0), t * 1.5, t * 1e6]
+            for lam in lams:
+                expect, branch = reference_scalar_dual(lam, rho)
+                cases += 1
+                if not math.isfinite(expect):
+                    with pytest.raises(DomainError, match="not finite"):
+                        scalar_dual_closed(lam, rho)
+                    continue
+                got = scalar_dual_closed(lam, rho)
+                assert (got.value_bits.hex(), got.branch) == (expect.hex(), branch), (lam, rho)
+        assert cases > 7000
+
     def test_large_finite_lambda_still_evaluates(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -152,6 +191,21 @@ class TestVectorDualLower:
             if abs(lam * r2 - 1.0) > 1e-9:  # away from the branch point
                 assert vec.branch == sca.branch
 
+    @pytest.mark.parametrize("lam,sx,sz", [
+        (1e308, 1e300 * np.eye(2), np.eye(2)),
+        (3.0, 1e300 * np.eye(2), 1e-300 * np.eye(2)),
+    ])
+    def test_overflow_is_a_domain_error_not_nan(self, lam, sx, sz):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="not finite"):
+                vector_dual_lower(lam, sx, sz)
+
+    @pytest.mark.parametrize("sx,sz", [(np.eye(2), np.eye(3)), (np.eye(2), np.ones(2)), ([[1.0]], 1.0)])
+    def test_rejects_mismatched_shapes(self, sx, sz):
+        with pytest.raises(DomainError, match="share a shape"):
+            vector_dual_lower(2.0, sx, sz)
+
     def test_threshold_continuity(self):
         gen = np.random.default_rng(13)
         sx, sz = random_pd(gen, 4), random_pd(gen, 4)
@@ -187,6 +241,21 @@ class TestVectorDualLower:
             vals = [vector_dual_lower(l, sx, sz).value_bits for l in lams]
             assert all(v <= 1e-12 for v in vals)
             assert all(v2 <= v1 + 1e-9 for v1, v2 in zip(vals, vals[1:]))
+
+    @pytest.mark.parametrize("rho", [0.6, 0.9, -0.8, 0.3])
+    def test_alpha_family_attains_scalar_dual(self, rho):
+        # The channel is built in the scalar model's own X coordinates, so
+        # the model it was given certifies F(lam).
+        model = GaussianPairModel.scalar(rho)
+        for mult in (1.01, 1.5, 3.0, 20.0):
+            lam = mult / (rho * rho)
+            channel, _ = alpha_family_channel(model, lam)
+            info = mutual_information(model, channel, GaussianAuxChannel.degenerate_on("y"))
+            assert abs(dual_functional(info, lam) - scalar_dual_closed(lam, rho).value_bits) <= 1e-12
+
+    def test_alpha_family_needs_correlated_scalar_sources(self):
+        with pytest.raises(DomainError, match="rho = 0"):
+            alpha_family_channel(GaussianPairModel.scalar(0.0), 3.0)
 
     def test_alpha_family_attains_bound_nonproportional(self):
         gen = np.random.default_rng(16)
@@ -382,6 +451,12 @@ class TestExponentTradeoffMin:
     def test_matches_implicit_oracle(self):
         val = exponent_tradeoff_min(0.3, 0.5, 4.0)
         assert abs(val - tradeoff_oracle(0.3, 0.5, 4.0)) < 1e-6
+
+    def test_overflow_is_a_domain_error_not_nan(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="not finite"):
+                exponent_tradeoff_min(0.5, 1e-300, 1e308)
 
     def test_rejects_invalid_weights(self):
         with pytest.raises(DomainError):

@@ -156,17 +156,12 @@ def test_scalar_embedding_reproduces_scalar_path():
         v = GaussianAuxChannel.scalar_corr(cv, "y")
         info_s = mutual_information(scalar_model, u, v)
 
-        vec_model = scalar_model.to_vector()
-        # The embedding rescales X by rho, so the X-side gain rescales too.
+        vec_model = GaussianPairModel.vector([[rho * rho]], [[1.0 - rho * rho]])
+        # The vector model's X is rho X, so the X-side gain rescales too.
         u_vec = GaussianAuxChannel.linear([[cu / rho]], [[1.0 - cu * cu]], "x")
         info_v = mutual_information(vec_model, u_vec, v)
         for name in info_s.__dataclass_fields__:
             assert abs(getattr(info_s, name) - getattr(info_v, name)) < 1e-12, name
-
-
-def test_embedding_requires_nonzero_correlation():
-    with pytest.raises(DomainError):
-        GaussianPairModel.scalar(0.0).to_vector()
 
 
 def test_conditional_cov_channel_hits_target():
@@ -180,6 +175,17 @@ def test_conditional_cov_channel_hits_target():
     ])
     cond = schur_conditional_cov(joint, range(4), range(4, 8))
     assert np.max(np.abs(cond - target)) < 1e-10
+
+
+@pytest.mark.parametrize("side", ["x", "y"])
+def test_conditional_cov_channel_uses_scalar_model_coordinates(side):
+    # Var(X) = Var(Y) = 1 in the scalar model: Var(X | U) and Var(Y | V)
+    # equal the target as the model's own joint covariance gives them.
+    model = GaussianPairModel.scalar(0.6)
+    ch = GaussianAuxChannel.for_conditional_cov(model, [[0.2]], side)
+    g, w = ch.gain[0, 0], ch.noise_cov[0, 0]
+    joint = np.array([[1.0, g], [g, g * g + w]])
+    assert abs(schur_conditional_cov(joint, [0], [1])[0, 0] - 0.2) < 1e-15
 
 
 def test_conditional_cov_channel_rejects_infeasible_target():
