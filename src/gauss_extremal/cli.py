@@ -12,6 +12,7 @@ condition failed, 2 bad input.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -87,15 +88,7 @@ def _check_args(args) -> None:
 def _cmd_region(args) -> int:
     q = RegionQuery(rho=args.rho, r_x=args.rx, r_y=args.ry, nu_x=args.nux, nu_y=args.nuy)
     v = region_verdict(q)
-    payload = {
-        "inside": v.inside,
-        "satisfies_rx": v.satisfies_rx,
-        "satisfies_ry": v.satisfies_ry,
-        "satisfies_sum": v.satisfies_sum,
-        "slack_rx": v.slack_rx,
-        "slack_ry": v.slack_ry,
-        "slack_sum": v.slack_sum,
-    }
+    payload = dataclasses.asdict(v)
     if args.output == "json":
         _emit_json(payload, args.precision)
     else:

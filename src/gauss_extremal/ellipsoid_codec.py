@@ -133,13 +133,6 @@ class CodecConfig:
             raise DomainError("k must satisfy 1 <= k <= n")
         if not -1.0 < self.rho < 1.0:
             raise DomainError("rho must lie in (-1, 1)")
-        sigma = np.asarray(self.sigma, dtype=float)
-        if sigma.shape != (self.n, self.n):
-            raise DomainError("sigma must be n x n")
-        cholesky_pd(sigma, "sigma")
-        sigma = sigma.copy()
-        sigma.setflags(write=False)
-        object.__setattr__(self, "sigma", sigma)
         for name in ("nu_x", "nu_y"):
             v = getattr(self, name)
             if not 0.0 < v <= 1.0:
@@ -152,6 +145,14 @@ class CodecConfig:
         if self.trials < 1:
             raise DomainError("trials must be at least 1")
         check_seed(self.seed)
+        # Sigma last: its Cholesky is the one check that costs O(n^3).
+        sigma = np.asarray(self.sigma, dtype=float)
+        if sigma.shape != (self.n, self.n):
+            raise DomainError("sigma must be n x n")
+        cholesky_pd(sigma, "sigma")
+        sigma = sigma.copy()
+        sigma.setflags(write=False)
+        object.__setattr__(self, "sigma", sigma)
 
     @property
     def tau(self) -> float:

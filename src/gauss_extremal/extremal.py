@@ -1,7 +1,7 @@
 """Extremal-inequality gap functionals and the dual value function.
 
-For a Markov chain U - X - Y - V over a Gaussian pair, the central vector
-inequality states, with r = (|sigma_x| / |sigma_y|)^(1/n),
+For a Markov chain U - X - Y - V over a Gaussian pair Y = rho X + Z, the
+central vector inequality states, with r = rho^2 (|sigma_x| / |sigma_y|)^(1/n),
 
     2^(-(2/n)(I(Y;U) + I(X;V|U)))
         >= r * 2^(-(2/n)(I(X;U) + I(Y;V|U))) + 2^(-(2/n) I(X;Y)),
@@ -146,7 +146,9 @@ def oohama_gap(model: GaussianPairModel, u: GaussianAuxChannel) -> float:
 def _dual_closed(lam: float, n: int, root_x: float, root_z: float, root_y: float) -> tuple[float, str]:
     """(value, branch) of the closed form in the module docstring, +0.0 on the zero branch
     when r_x + r_z = r_y. Raises DomainError when the value is not finite: near the ends
-    of the float range the logarithmic terms overflow, to inf - inf = nan."""
+    of the float range the logarithmic terms overflow, to inf - inf = nan (in Python floats,
+    as numpy scalars would warn first)."""
+    lam, root_x, root_z, root_y = float(lam), float(root_x), float(root_z), float(root_y)
     active = lam * root_x >= root_x + root_z
     if active:
         value = (n / 2.0) * (
@@ -393,22 +395,20 @@ def nondegenerate_minimizers(lam: float, rho: float, count: int = 20) -> list[Mi
 def alpha_family_channel(
     model: GaussianPairModel, lam: float
 ) -> tuple[GaussianAuxChannel, float]:
-    """The tightness-certifying channel with conditional source covariance
-    alpha * sigma_z, alpha = 1 / (lam - 1), in the model's own X coordinates:
-    alpha (1 - rho^2) / rho^2 for the scalar model, whose Y = rho X + Z.
+    """The tightness-certifying channel: Cov(rho X | U) = alpha sigma_z, alpha = 1 / (lam - 1),
+    built in the model's own X coordinates, so its target Cov(X | U) is alpha sigma_z / rho^2.
 
-    Valid only when that sits strictly below the covariance of X, as it does
-    for every lam above 1 + max-eigenvalue of sigma_x^{-1} sigma_z, or above
-    1 / rho^2; DomainError at rho = 0."""
-    if lam <= 1.0:
+    Valid only when that sits strictly below sigma_x, as it does for every lam above
+    1 + max-eigenvalue of (rho^2 sigma_x)^{-1} sigma_z (1 / rho^2 for the scalar model).
+    DomainError when rho^2 is 0 or the target is not finite."""
+    if not lam > 1.0:  # NaN included
         raise DomainError("lam must exceed 1 for the channel family")
     alpha = 1.0 / (lam - 1.0)
-    if model.kind == "vector":
-        target = alpha * model.sigma_z
-    elif model.rho == 0.0:
-        raise DomainError("the scalar model with rho = 0 has no equality-family channel")
-    else:
-        target = [[alpha * (1.0 - model.rho**2) / model.rho**2]]
+    r2 = model.rho * model.rho
+    with np.errstate(all="ignore"):  # rho^2 = 0 (rho = 0, or rho^2 underflows) gives inf or nan
+        target = alpha * model.sigma_z / r2
+    if not np.all(np.isfinite(target)):
+        raise DomainError(f"alpha sigma_z / rho^2 is not finite at rho^2 = {r2:g} (no such channel at rho = 0)")
     return GaussianAuxChannel.for_conditional_cov(model, target, "x"), alpha
 
 

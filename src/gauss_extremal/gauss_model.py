@@ -1,12 +1,10 @@
 """Jointly Gaussian source pairs, linear test channels, and exact mutual
 informations.
 
-Sources come in two forms. The scalar form is a unit-variance pair (X, Y)
-with correlation rho, i.e. Y = rho * X + Z with Var(Z) = 1 - rho^2. The
-vector form is X ~ N(0, sigma_x), Z ~ N(0, sigma_z) independent, and
-Y = X + Z. The vector model with sigma_x = [[rho^2]], sigma_z =
-[[1 - rho^2]] is the scalar pair with X rescaled to rho X: the mutual
-informations agree, but X-side gains and covariances differ by that scale.
+Every source pair is Y = rho X + Z with X ~ N(0, sigma_x) and
+Z ~ N(0, sigma_z) independent. The scalar model is the unit-variance pair
+with correlation rho: sigma_x = [[1]], sigma_z = [[1 - rho^2]], so
+sigma_y = [[1]]. A vector model has rho = 1, Y = X + Z.
 
 Test channels are linear with independent Gaussian noise: U = C X + W on
 the X side, V = C Y + W on the Y side. A channel never reads the opposite
@@ -204,20 +202,25 @@ def matrix_to_json(mat) -> dict:
 
 @dataclass(frozen=True)
 class GaussianPairModel:
-    """Joint law of the source pair (X, Y), scalar or vector form."""
+    """Joint law of the source pair (X, Y): Y = rho X + Z, with
+    X ~ N(0, sigma_x) and Z ~ N(0, sigma_z) independent. scalar(rho) is
+    the unit-variance pair with correlation rho; vector(sigma_x, sigma_z)
+    has rho = 1. The arrays are read-only."""
 
-    kind: str  # "scalar" | "vector"
     n: int
-    rho: float | None = None
-    sigma_x: np.ndarray | None = None
-    sigma_z: np.ndarray | None = None
+    sigma_x: np.ndarray
+    sigma_z: np.ndarray
+    rho: float
 
     @classmethod
     def scalar(cls, rho: float) -> "GaussianPairModel":
         rho = float(rho)
         if not -1.0 < rho < 1.0:
             raise DomainError(f"rho must lie in (-1, 1), got {rho}")
-        return cls(kind="scalar", n=1, rho=rho)
+        sx, sz = np.ones((1, 1)), np.full((1, 1), 1.0 - rho * rho)
+        sx.setflags(write=False)
+        sz.setflags(write=False)
+        return cls(n=1, sigma_x=sx, sigma_z=sz, rho=rho)
 
     @classmethod
     def vector(cls, sigma_x, sigma_z) -> "GaussianPairModel":
@@ -229,29 +232,34 @@ class GaussianPairModel:
         cholesky_pd(sz, "sigma_z")
         sx.setflags(write=False)
         sz.setflags(write=False)
-        return cls(kind="vector", n=sx.shape[0], sigma_x=sx, sigma_z=sz)
+        return cls(n=sx.shape[0], sigma_x=sx, sigma_z=sz, rho=1.0)
 
     @property
     def sigma_y(self) -> np.ndarray:
-        if self.kind != "vector":
-            raise DomainError("sigma_y is defined for vector models")
-        return self.sigma_x + self.sigma_z
+        """rho^2 sigma_x + sigma_z: [[1]] for the scalar model, as rho^2 + (1 - rho^2) rounds to 1."""
+        return self.rho * self.rho * self.sigma_x + self.sigma_z
 
     def joint_xy_cov(self) -> np.ndarray:
         """Covariance of the stacked (X, Y) vector."""
-        if self.kind == "scalar":
-            return np.array([[1.0, self.rho], [self.rho, 1.0]])
-        sx = self.sigma_x
-        return np.block([[sx, sx], [sx, sx + self.sigma_z]])
+        return _source_covariance(self.sigma_x[None], self.sigma_z[None], self.rho)[0]
 
     def det_ratio_x_over_y(self) -> float:
-        """(|sigma_x| / |sigma_y|)^(1/n), the source-to-output volume ratio.
+        """rho^2 (|sigma_x| / |sigma_y|)^(1/n), the volume ratio of the vector
+        inequality in the coordinates of X: rho^2 for the scalar model, 0 at
+        rho = 0."""
+        return self.rho * self.rho * math.exp((log_det(self.sigma_x) - log_det(self.sigma_y)) / self.n)
 
-        rho^2 for the scalar model, with X rescaled to rho X; 0 at rho = 0."""
-        if self.kind == "scalar":
-            return self.rho * self.rho
-        n = self.n
-        return math.exp((log_det(self.sigma_x) - log_det(self.sigma_y)) / n)
+
+def _source_covariance(sigma_x: np.ndarray, sigma_z: np.ndarray, rho) -> np.ndarray:
+    """(T, 2n, 2n) covariances [[S_x, rho S_x], [rho S_x, rho^2 S_x + S_z]] of (X, Y)
+    from (T, n, n) stacks S_x, S_z and (T,) coefficients rho, or one rho for all."""
+    r = np.reshape(rho, (-1, 1, 1))
+    t, n = sigma_x.shape[:2]
+    out = np.empty((t, 2 * n, 2 * n))  # filled block by block: np.block costs 2-3x as much on small stacks
+    out[:, :n, :n] = sigma_x
+    out[:, :n, n:] = out[:, n:, :n] = r * sigma_x
+    out[:, n:, n:] = r * r * sigma_x + sigma_z
+    return out
 
 
 @dataclass(frozen=True)
@@ -297,12 +305,11 @@ class GaussianAuxChannel:
 
         With U = X + W the conditional covariance is (S^{-1} + N^{-1})^{-1},
         so N = (T^{-1} - S^{-1})^{-1}; this requires T strictly below S, the
-        block of model.joint_xy_cov() (Var(X) = 1 if scalar).
+        model's sigma_x or sigma_y.
         """
         cls._check_side(side)
-        n, joint = model.n, model.joint_xy_cov()
-        source = joint[:n, :n] if side == "x" else joint[n:, n:]
-        return cls.linear(np.eye(n), conditional_cov_noise(source, target_cov), side)
+        source = model.sigma_x if side == "x" else model.sigma_y
+        return cls.linear(np.eye(model.n), conditional_cov_noise(source, target_cov), side)
 
     @staticmethod
     def _check_side(side: str) -> None:

@@ -9,10 +9,12 @@ a vector sample draws the factors of sigma_x and sigma_z in one call,
 then per description a degeneracy uniform and, when live, the gain and
 noise factor in one call. The sweep first draws every sample of a
 chunk, forms all its covariances A A^T + 0.1 I in one stacked product,
-then stacks the joint covariances and evaluates all of them in one call
-of the batched information kernel. Every value equals the one drawn
-with a call per value. Chunks only bound memory: every sample's gap is
-the same whatever the chunk size.
+then stacks the joint covariances of its pairs Y = rho X + Z (the
+unit-variance pair, sigma_z = 1 - rho^2, in the scalar modes; rho = 1 in
+the vector modes) and evaluates all of them in one call of the batched
+information kernel, whose log-determinants also give the volume ratio.
+Every value equals the one drawn with a call per value. Chunks only
+bound memory: every sample's gap is the same whatever the chunk size.
 
 Gap conventions per mode: thm3 and thm1-scalar use two descriptions on a
 unit-variance pair, thm1-vector uses random covariances and channels,
@@ -28,7 +30,7 @@ import numpy as np
 
 from .errors import GaussExtremalError
 from .extremal import vector_gap_forms
-from .gauss_model import cholesky_pd, conditional_cov_noise, information_batch
+from .gauss_model import _source_covariance, cholesky_pd, conditional_cov_noise, information_batch
 from .rng import Streams
 
 VERIFY_MODES = ("thm1-scalar", "thm1-vector", "thm3", "oohama", "vec-epi")
@@ -82,16 +84,14 @@ def _draw_scalar(mode: str, samples: range, streams: Streams) -> tuple[np.ndarra
     return rho, corr_u, _scalar_corrs(u, at)[0]
 
 
-def _scalar_sweep(mode: str, samples: range, streams: Streams) -> tuple[np.ndarray, list[dict]]:
+def _scalar_samples(mode: str, samples: range, streams: Streams) -> tuple[tuple, list[dict]]:
+    """(sigma_x, sigma_z, rho, gain_u, noise_u, gain_v, noise_v) of the
+    unit-variance pairs, stacked over the samples, and their params."""
     rho, corr_u, corr_v = _draw_scalar(mode, samples, streams)
-    source = np.empty((len(samples), 2, 2))
-    source[:, 0, 0] = source[:, 1, 1] = 1.0
-    source[:, 0, 1] = source[:, 1, 0] = rho
     gain_u, gain_v = corr_u.reshape(-1, 1, 1), corr_v.reshape(-1, 1, 1)
-    info, _ = information_batch(source, gain_u, 1.0 - gain_u * gain_u, gain_v, 1.0 - gain_v * gain_v)
-    # The scalar model's volume ratio is rho^2 (its joint has unit
-    # variances, so the X and Y blocks do not give it).
-    return vector_gap_forms(info, 1, rho * rho)[0], [{"sample": t, "rho": float(r)} for t, r in zip(samples, rho)]
+    sources = np.ones((len(samples), 1, 1)), (1.0 - rho * rho).reshape(-1, 1, 1), rho
+    channels = gain_u, 1.0 - gain_u * gain_u, gain_v, 1.0 - gain_v * gain_v
+    return (*sources, *channels), [{"sample": t, "rho": float(r)} for t, r in zip(samples, rho)]
 
 
 def _draw_vector(mode: str, samples: range, n: int, streams: Streams) -> tuple[np.ndarray, ...]:
@@ -132,9 +132,9 @@ def _draw_vector(mode: str, samples: range, n: int, streams: Streams) -> tuple[n
     return pd[:, 0], pd[:, 1], normals[:, 2], noises[0], gain_v, noise_v, inject_draw
 
 
-def _vector_sweep(
-    mode: str, samples: range, n: int, streams: Streams
-) -> tuple[np.ndarray, list[dict]]:
+def _vector_samples(mode: str, samples: range, n: int, streams: Streams) -> tuple[tuple, list[dict]]:
+    """(sigma_x, sigma_z, rho = 1, gain_u, noise_u, gain_v, noise_v), the
+    arrays stacked over the samples, and their params."""
     sigma_x, sigma_z, gain_u, noise_u, gain_v, noise_v, inject_draw = _draw_vector(mode, samples, n, streams)
     lower_x = cholesky_pd(sigma_x, "sigma_x")
     cholesky_pd(sigma_z, "sigma_z")
@@ -155,10 +155,7 @@ def _vector_sweep(
         for i, a in zip(inj, alpha):
             params[i]["alpha"] = float(a)
 
-    source = np.block([[sigma_x, sigma_x], [sigma_x, sigma_x + sigma_z]])
-    info, ld = information_batch(source, gain_u, noise_u, gain_v, noise_v)
-    ratio = np.exp((ld["x"] - ld["y"]) / n)
-    return vector_gap_forms(info, n, ratio)[0], params
+    return (sigma_x, sigma_z, 1.0, gain_u, noise_u, gain_v, noise_v), params
 
 
 def run_verify_sweep(mode: str, trials: int, dim: int, seed: int) -> dict:
@@ -176,22 +173,22 @@ def run_verify_sweep(mode: str, trials: int, dim: int, seed: int) -> dict:
         raise GaussExtremalError("dim must lie in [1, 64]")
 
     vector = mode in ("thm1-vector", "vec-epi")
-    chunk = max(1, _STACK_ENTRIES // (4 * dim if vector else 4) ** 2)
+    n = dim if vector else 1
+    chunk = max(1, _STACK_ENTRIES // (4 * n) ** 2)
     streams = Streams(seed)
     gaps, params = [], []
     for lo in range(0, trials, chunk):
         samples = range(lo, min(trials, lo + chunk))
-        if vector:
-            g, p = _vector_sweep(mode, samples, dim, streams)
-        else:
-            g, p = _scalar_sweep(mode, samples, streams)
-        gaps.append(g)
+        drawn = _vector_samples(mode, samples, n, streams) if vector else _scalar_samples(mode, samples, streams)
+        (sigma_x, sigma_z, rho, *channels), p = drawn
+        info, ld = information_batch(_source_covariance(sigma_x, sigma_z, rho), *channels)
+        gaps.append(vector_gap_forms(info, n, rho * rho * np.exp((ld["x"] - ld["y"]) / n))[0])
         params += p
     gaps = np.concatenate(gaps)
     return {
         "mode": mode,
         "trials": trials,
-        "dim": dim if vector else 1,
+        "dim": n,
         "seed": seed,
         "min_gap": float(gaps.min()),
         "mean_gap": float(gaps.mean()),

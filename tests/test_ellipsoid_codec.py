@@ -416,6 +416,9 @@ class TestCodecConfigValidation:
         # 1 - delta rounds to 1: refused before any trial is drawn.
         with pytest.raises(DegenerateShrinkage, match="delta = 1e-17"):
             CodecConfig(n=4, k=2, rho=0.5, sigma=np.eye(4), nu_x=0.5, nu_y=0.5, delta=1e-17)
+        # The cheap fields are checked before sigma's O(n^3) factorization.
+        with pytest.raises(DegenerateShrinkage, match="delta = 1e-17"):
+            CodecConfig(n=4, k=2, rho=0.5, sigma=-np.eye(4), nu_x=0.5, nu_y=0.5, delta=1e-17)
 
     def test_delta_must_stay_below_targets(self):
         with pytest.raises(DomainError):

@@ -120,9 +120,13 @@ class TestScalarDualClosed:
         with pytest.raises(DomainError):
             scalar_dual_closed(-0.1, 0.5)
 
-    @pytest.mark.parametrize("lam,rho", [(1e308, 0.9), (1e307, 0.9999999), (2e307, -0.9999999)])
+    @pytest.mark.parametrize("lam,rho", [
+        (1e308, 0.9), (1e307, 0.9999999), (2e307, -0.9999999),
+        pytest.param(np.float64(1e308), np.float64(0.9), id="float64"),
+    ])
     def test_overflow_is_a_domain_error_not_nan(self, lam, rho):
-        # Both logarithmic terms overflow and their difference is nan.
+        # Both logarithmic terms overflow and their difference is nan; numpy
+        # float64 arguments too, without a numpy overflow warning.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match="not finite"):
@@ -254,8 +258,28 @@ class TestVectorDualLower:
             assert abs(dual_functional(info, lam) - scalar_dual_closed(lam, rho).value_bits) <= 1e-12
 
     def test_alpha_family_needs_correlated_scalar_sources(self):
-        with pytest.raises(DomainError, match="rho = 0"):
-            alpha_family_channel(GaussianPairModel.scalar(0.0), 3.0)
+        # rho^2 = 0 for rho = 0 and when it underflows (1e-200); at 1e-160
+        # it is subnormal and alpha (1 - rho^2) / rho^2 overflows.
+        for rho in (0.0, 1e-200, -1e-200, 1e-160):
+            with pytest.raises(DomainError, match="rho = 0"):
+                alpha_family_channel(GaussianPairModel.scalar(rho), 3.0)
+
+    def test_alpha_family_needs_lambda_above_one(self):
+        for lam in (1.0, 0.5, math.nan):
+            with pytest.raises(DomainError, match="exceed 1"):
+                alpha_family_channel(GaussianPairModel.scalar(0.6), lam)
+
+    @pytest.mark.parametrize("rho", [0.6, -0.6, 1.0 - 2.0**-53, -(1.0 - 2.0**-53)])
+    def test_alpha_family_scalar_target_is_alpha_sigma_z_over_rho_squared(self, rho):
+        # The target alpha sigma_z / rho^2 of the one model form, against the
+        # scalar target alpha (1 - rho^2) / rho^2 written out.
+        model = GaussianPairModel.scalar(rho)
+        for mult in (1.01, 1.5, 3.0, 20.0):
+            lam = mult / (rho * rho)
+            channel, alpha = alpha_family_channel(model, lam)
+            target = [[alpha * (1.0 - rho**2) / rho**2]]
+            expect = GaussianAuxChannel.for_conditional_cov(model, target, "x")
+            assert np.array_equal(channel.noise_cov, expect.noise_cov)
 
     def test_alpha_family_attains_bound_nonproportional(self):
         gen = np.random.default_rng(16)
@@ -457,6 +481,8 @@ class TestExponentTradeoffMin:
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match="not finite"):
                 exponent_tradeoff_min(0.5, 1e-300, 1e308)
+            with pytest.raises(DomainError, match="not finite"):
+                exponent_tradeoff_min(np.float64(0.5), np.float64(1e-300), np.float64(1e308))
 
     def test_rejects_invalid_weights(self):
         with pytest.raises(DomainError):

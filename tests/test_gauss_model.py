@@ -257,16 +257,40 @@ class TestMatrixJson:
             matrix_from_json({"n": 0, "data": []})
 
 
+# Correlations for the scalar model's tests: 0, both signs, the doubles
+# closest to +-1, and one whose square underflows to 0.
+SCALAR_RHOS = (0.0, 0.6, -0.6, 1.0 - 2.0**-53, -(1.0 - 2.0**-53), 1e-200)
+
+
 class TestModelValidation:
     def test_scalar_rho_range(self):
         with pytest.raises(DomainError):
             GaussianPairModel.scalar(1.0)
         GaussianPairModel.scalar(0.0)  # zero correlation is allowed
 
-    def test_scalar_det_ratio_is_rho_squared(self):
-        assert GaussianPairModel.scalar(-0.6).det_ratio_x_over_y() == 0.36
-        # rho = 0: the vector embedding's limit, though the embedding is undefined.
-        assert GaussianPairModel.scalar(0.0).det_ratio_x_over_y() == 0.0
+    @pytest.mark.parametrize("rho", SCALAR_RHOS)
+    def test_scalar_det_ratio_is_rho_squared(self, rho):
+        assert GaussianPairModel.scalar(rho).det_ratio_x_over_y() == rho * rho
+
+    @pytest.mark.parametrize("rho", SCALAR_RHOS)
+    def test_scalar_model_is_the_unit_variance_pair(self, rho):
+        # Y = rho X + Z with Var(X) = 1 and Var(Z) = 1 - rho^2: since
+        # rho^2 + (1 - rho^2) rounds to 1, the joint is [[1, rho], [rho, 1]].
+        model = GaussianPairModel.scalar(rho)
+        assert model.rho == rho and model.n == 1
+        assert np.array_equal(model.sigma_x, [[1.0]])
+        assert np.array_equal(model.sigma_z, [[1.0 - rho * rho]])
+        assert np.array_equal(model.sigma_y, [[1.0]])
+        assert np.array_equal(model.joint_xy_cov(), [[1.0, rho], [rho, 1.0]])
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_vector_model_has_unit_coefficient(self, n):
+        gen = np.random.default_rng(40 + n)
+        sx, sz = random_pd(gen, n), random_pd(gen, n)
+        model = GaussianPairModel.vector(sx, sz)
+        assert model.rho == 1.0
+        assert np.array_equal(model.sigma_y, sx + sz)
+        assert np.array_equal(model.joint_xy_cov(), np.block([[sx, sx], [sx, sx + sz]]))
 
     def test_vector_requires_pd(self):
         with pytest.raises(NotPositiveDefinite):
@@ -280,6 +304,9 @@ class TestModelValidation:
         model = GaussianPairModel.vector(np.eye(2), np.eye(2))
         with pytest.raises(ValueError):
             model.sigma_x[0, 0] = 2.0
+        for rho in SCALAR_RHOS:
+            model = GaussianPairModel.scalar(rho)
+            assert not model.sigma_x.flags.writeable and not model.sigma_z.flags.writeable
 
 
 INFO_FIELDS = tuple(InfoVector.__dataclass_fields__)
