@@ -230,6 +230,9 @@ def main(argv=None) -> int:
     except (GaussExtremalError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:  # an input too large for the memory at hand, such as ellipsoid --n 10^6
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -34,6 +34,9 @@ tiles of its grid that a lower bound cannot rule out, best bound first,
 and picks the smallest (value, rho_u^2, rho_v^2) triple lexicographically:
 ties break toward smaller rho_u^2, then smaller rho_v^2, so the result is
 the full scan's and does not depend on the order tiles are visited in.
+The functional is symmetric in (rho_u^2, rho_v^2) and each cell is
+computed symmetrically, so the oracle visits only tile pairs (a, b) with
+a <= b: the first minimum lies in one of them.
 """
 
 from __future__ import annotations
@@ -48,8 +51,8 @@ from .gauss_model import (
     GaussianAuxChannel,
     GaussianPairModel,
     InfoVector,
+    _triple_batch,
     log_det,
-    mutual_information,
 )
 
 _FORM_TOL = 1e-10  # the two exponent forms differ by roundoff: <= 1.3e-12 on verify sweeps, dims 1-16
@@ -109,17 +112,25 @@ def vector_gap_forms(info: InfoVector, n: int, ratio):
     return gap_cond, gap_uncond
 
 
+def volume_ratio(ld: dict, n: int, rho):
+    """rho^2 (|sigma_x| / |sigma_y|)^(1/n), the ratio of vector_gap_forms, from the
+    X and Y log-determinants of information_batch; elementwise over its stack."""
+    return rho * rho * np.exp((ld["x"] - ld["y"]) / n)
+
+
 def vector_extremal_forms(
     model: GaussianPairModel, u: GaussianAuxChannel, v: GaussianAuxChannel
 ) -> tuple[float, float, InfoVector]:
     """Both exponent forms of the vector inequality gap.
 
     Returns (gap_conditional, gap_unconditional, info); see
-    vector_gap_forms for the cross-check between them.
+    vector_gap_forms for the cross-check between them. One kernel call
+    gives the informations and, through volume_ratio, the ratio, as in a
+    sweep, so the gap equals the sweep's for the same triple bit for bit.
     """
-    info = mutual_information(model, u, v)
-    gap_cond, gap_uncond = vector_gap_forms(info, model.n, model.det_ratio_x_over_y())
-    return gap_cond, gap_uncond, info
+    info, ld = _triple_batch(model, u, v)
+    gap_cond, gap_uncond = vector_gap_forms(info, model.n, volume_ratio(ld, model.n, model.rho))
+    return float(gap_cond[0]), float(gap_uncond[0]), info.at(0)
 
 
 def vector_extremal_gap(
@@ -217,8 +228,13 @@ def _oracle_axis(resolution: int) -> np.ndarray:
 # Side, in grid cells, of the square tiles the oracle bounds and evaluates.
 _ORACLE_TILE = 64
 # Tiles evaluated together once a first minimum is known; bounds the
-# oracle's temporaries to about 0.5 MB each.
+# oracle's work buffer to 2 x 16 x 64 x 64 doubles, 1 MB.
 _ORACLE_BATCH = 16
+# Largest grid_resolution accepted. The tile-pair arrays of the search
+# (pair indices, bounds, their order) hold about (1.25 grid / 64)^2 / 2
+# entries each, about 76 MB in total at 10^5; a larger grid would fail on
+# memory in them, not in the cells.
+_ORACLE_MAX_GRID = 10**5
 # Pruning margin, relative to the largest term of the functional (a cell
 # is the sum of three terms). It absorbs the rounding by which a computed
 # cell can fall below the computed bound of its tile: the cell rounds
@@ -258,7 +274,9 @@ def _oracle_search(gu, s, r2: float, c: float, margin: float) -> tuple[float, in
     Exact best-first branch and bound: tiles are evaluated in order of a
     lower bound on their cells until a bound exceeds the best value by more
     than the margin, so every tile that could hold the minimum, or tie with
-    it, is evaluated.
+    it, is evaluated. Cell (i, j) equals cell (j, i) bit for bit, so the
+    first minimum has iu <= iv and lies in a tile pair (a, b) with a <= b:
+    only those pairs are searched.
     """
     size = _ORACLE_TILE
     starts = np.arange(0, s.size, size)
@@ -270,9 +288,11 @@ def _oracle_search(gu, s, r2: float, c: float, margin: float) -> tuple[float, in
     # t increases with s_u s_v for lam > 1 and decreases for lam < 1: bound
     # it by its value at the tile corner where it is smallest.
     corner = lo if c >= 0.0 else s_t[:, -1]
-    bound = (g_min[:, None] + g_min[None, :]) - c * np.log2(1.0 - r2 * np.outer(corner, corner))
-    order = np.argsort(bound, axis=None)
-    sorted_bound = bound.reshape(-1)[order]
+    pair_a, pair_b = np.triu_indices(starts.size)
+    bound = (g_min[pair_a] + g_min[pair_b]) - c * np.log2(1.0 - r2 * (corner[pair_a] * corner[pair_b]))
+    order = np.argsort(bound)
+    sorted_bound = bound[order]
+    work = np.empty((2, _ORACLE_BATCH, size, size))  # a batch's cells and coupling terms
 
     best = (math.inf, 0, 0)  # (value, iu, iv), compared lexicographically
     done = 0
@@ -281,7 +301,7 @@ def _oracle_search(gu, s, r2: float, c: float, margin: float) -> tuple[float, in
             done + _ORACLE_BATCH,
             int(np.searchsorted(sorted_bound, best[0] + margin, side="right")),
         )
-        a, b = np.divmod(order[done:stop], starts.size)
+        a, b = pair_a[order[done:stop]], pair_b[order[done:stop]]
         done = stop
         if c > 0.0:
             # Tighter bound for the convex, increasing t: its tangent at the
@@ -297,9 +317,15 @@ def _oracle_search(gu, s, r2: float, c: float, margin: float) -> tuple[float, in
             a, b = a[keep], b[keep]
             if a.size == 0:
                 continue
-        g = g_t[a][:, :, None] + g_t[b][:, None, :]
+        g, t = work[0, : a.size], work[1, : a.size]  # the full scan's arithmetic, in place
+        np.add(g_t[a][:, :, None], g_t[b][:, None, :], out=g)
         if c != 0.0:  # lam == 1: the coupling term is left out, not added as zero
-            g = g - c * np.log2(1.0 - r2 * (s_t[a][:, :, None] * s_t[b][:, None, :]))
+            np.multiply(s_t[a][:, :, None], s_t[b][:, None, :], out=t)
+            np.multiply(r2, t, out=t)
+            np.subtract(1.0, t, out=t)
+            np.log2(t, out=t)
+            np.multiply(c, t, out=t)
+            np.subtract(g, t, out=g)
         g = g.reshape(a.size, -1)
         flat = g.argmin(axis=1)  # first minimum: smallest iu, then smallest iv
         iu, iv = np.divmod(flat, size)
@@ -321,15 +347,17 @@ def scalar_dual_oracle(lam: float, rho: float, grid_resolution: int = 500) -> fl
 
     The value is the minimum over every grid cell, computed cell by cell as
     a full scan would, but only square tiles of the grid that could hold it
-    are evaluated. A tile's lower bound is the smallest per-axis term over
-    its rows plus that over its columns plus the coupling term
+    are evaluated, and by symmetry only tile pairs (a, b) with a <= b: cell
+    (i, j) equals cell (j, i) bit for bit, so the first minimum has
+    rho_u^2 <= rho_v^2. A tile's lower bound is the smallest per-axis term
+    over its rows plus that over its columns plus the coupling term
     -(lam-1)/2 log2(1 - rho^2 s_u s_v) at the tile corner where it is
     smallest; for lam > 1 the tangent of the coupling at that corner
     tightens it. Tiles are visited in order of bound until one exceeds the
     best value by more than a margin of 1e-10 times the largest term,
     which absorbs the bounds' own rounding. Raises DomainError when lam is
     so large (above about 1e307 for |rho| near 1) that a term or the
-    minimum overflows.
+    minimum overflows, and when grid_resolution lies outside [100, 10^5].
     """
     value, _, _ = scalar_dual_oracle_argmin(lam, rho, grid_resolution)
     return value
@@ -339,8 +367,8 @@ def scalar_dual_oracle_argmin(
     lam: float, rho: float, grid_resolution: int = 500
 ) -> tuple[float, float, float]:
     """Oracle value together with the minimizing (rho_u^2, rho_v^2) cell."""
-    if grid_resolution < 100:
-        raise DomainError("grid_resolution must be at least 100")
+    if not 100 <= grid_resolution <= _ORACLE_MAX_GRID:
+        raise DomainError(f"grid_resolution must lie in [100, {_ORACLE_MAX_GRID}], got {grid_resolution}")
     if lam < 0.0:
         raise DomainError("lam must be nonnegative")
     if not -1.0 < rho < 1.0:

@@ -355,6 +355,10 @@ class InfoVector:
     i_y_uv: float
     i_xy_uv: float
 
+    def at(self, t: int) -> "InfoVector":
+        """The float record of triple t of an information_batch stack."""
+        return InfoVector(**{name: float(value[t]) for name, value in vars(self).items()})
+
 
 # Index subsets of (X, Y, U, V), in that order, whose log-determinants
 # the informations combine.
@@ -525,6 +529,18 @@ def _channel_arrays(ch: GaussianAuxChannel, n: int) -> tuple[np.ndarray, np.ndar
     return ch.gain, ch.noise_cov
 
 
+def _triple_batch(
+    model: GaussianPairModel, u: GaussianAuxChannel, v: GaussianAuxChannel
+) -> tuple[InfoVector, dict]:
+    """information_batch of the one triple (model, U, V): (1,) arrays and log-determinants."""
+    if u.side != "x":
+        raise DomainError('the U channel must have side "x"')
+    if v.side != "y":
+        raise DomainError('the V channel must have side "y"')
+    (gu, wu), (gv, wv) = _channel_arrays(u, model.n), _channel_arrays(v, model.n)
+    return information_batch(model.joint_xy_cov()[None], gu[None], wu[None], gv[None], wv[None])
+
+
 def mutual_information(model: GaussianPairModel, u: GaussianAuxChannel, v: GaussianAuxChannel) -> InfoVector:
     """All pairwise and chain informations of (X, Y, U, V), in bits.
 
@@ -533,10 +549,4 @@ def mutual_information(model: GaussianPairModel, u: GaussianAuxChannel, v: Gauss
     NotPositiveDefinite: it signals a degenerate channel that was not
     flagged as such.
     """
-    if u.side != "x":
-        raise DomainError('the U channel must have side "x"')
-    if v.side != "y":
-        raise DomainError('the V channel must have side "y"')
-    (gu, wu), (gv, wv) = _channel_arrays(u, model.n), _channel_arrays(v, model.n)
-    info, _ = information_batch(model.joint_xy_cov()[None], gu[None], wu[None], gv[None], wv[None])
-    return InfoVector(**{name: float(value[0]) for name, value in vars(info).items()})
+    return _triple_batch(model, u, v)[0].at(0)

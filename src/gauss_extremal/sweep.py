@@ -29,7 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import GaussExtremalError
-from .extremal import vector_gap_forms
+from .extremal import vector_gap_forms, volume_ratio
 from .gauss_model import _source_covariance, cholesky_pd, conditional_cov_noise, information_batch
 from .rng import Streams
 
@@ -182,7 +182,7 @@ def run_verify_sweep(mode: str, trials: int, dim: int, seed: int) -> dict:
         drawn = _vector_samples(mode, samples, n, streams) if vector else _scalar_samples(mode, samples, streams)
         (sigma_x, sigma_z, rho, *channels), p = drawn
         info, ld = information_batch(_source_covariance(sigma_x, sigma_z, rho), *channels)
-        gaps.append(vector_gap_forms(info, n, rho * rho * np.exp((ld["x"] - ld["y"]) / n))[0])
+        gaps.append(vector_gap_forms(info, n, volume_ratio(ld, n, rho))[0])
         params += p
     gaps = np.concatenate(gaps)
     return {

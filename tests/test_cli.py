@@ -6,7 +6,7 @@ import warnings
 
 import pytest
 
-from gauss_extremal import cli
+from gauss_extremal import cli, extremal
 from gauss_extremal.cli import main
 
 
@@ -322,6 +322,30 @@ class TestBadInputExitsTwo:
         code, out, err = run_cli(capsys, ELLIPSOID + ["--delta", "1e-17"])
         assert code == 2 and out == ""
         assert "tau - gamma = 0 <= 0 at delta = 1e-17" in err
+
+    def test_grid_above_the_cap(self, capsys, monkeypatch):
+        def scan(lam, rho, resolution):
+            raise AssertionError("the oracle ran")
+
+        monkeypatch.setattr(extremal, "_oracle_scan", scan)
+        grid = str(extremal._ORACLE_MAX_GRID + 1)
+        code, out, err = run_cli(capsys, ["dual", "--rho", "0.5", "--lambdas", "2", "--grid", grid])
+        assert code == 2 and out == ""
+        assert f"grid_resolution must lie in [100, {extremal._ORACLE_MAX_GRID}], got {grid}" in err
+
+    @pytest.mark.parametrize("command,callee", [
+        (DUAL, "scalar_dual_oracle"), (VERIFY, "run_verify_sweep"), (ELLIPSOID, "run_simulation"),
+    ])
+    def test_out_of_memory_exits_two(self, capsys, monkeypatch, command, callee):
+        # Stands in for an input too large to allocate, such as --grid 10^7
+        # or ellipsoid --n 10^6, without allocating anything.
+        def exhausted(*args):
+            raise MemoryError("Unable to allocate 284. GiB for an array")
+
+        monkeypatch.setattr(cli, callee, exhausted)
+        code, out, err = run_cli(capsys, command)
+        assert code == 2 and out == ""
+        assert err == "error: out of memory: Unable to allocate 284. GiB for an array\n"
 
     @pytest.mark.parametrize("seed", ["-3", str(2**64)])
     @pytest.mark.parametrize("command", [VERIFY, ELLIPSOID, REGION])

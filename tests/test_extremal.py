@@ -335,6 +335,14 @@ class TestScalarDualOracle:
         with pytest.raises(DomainError):
             scalar_dual_oracle(1.0, 0.5, 99)
 
+    def test_rejects_grid_above_the_cap(self, monkeypatch):
+        # The scan is stubbed: the largest accepted grid reaches it, and
+        # nothing is allocated for either grid.
+        monkeypatch.setattr(extremal, "_oracle_scan", lambda lam, rho, resolution: (0.0, 0.0, 0.0))
+        assert scalar_dual_oracle(1.0, 0.5, extremal._ORACLE_MAX_GRID) == 0.0
+        with pytest.raises(DomainError, match="grid_resolution"):
+            scalar_dual_oracle(1.0, 0.5, extremal._ORACLE_MAX_GRID + 1)
+
 
 def full_scan_oracle(lam, rho, resolution):
     """Reference for the grid oracle: every cell, 512 rows at a time, with
@@ -375,6 +383,25 @@ def oracle_cases(grid, count, seed):
     return [(lam, rho, grid) for lam, rho in cases]
 
 
+def bench_shaped_cases(count, seed):
+    """Seeded (lam, rho, 2000) shaped like the benchmark's dual table:
+    rho^2 in [0.2, 0.8], lam rho^2 in [0, 0.95] and in [1.01, 30]."""
+    gen = np.random.default_rng(seed)
+    cases = []
+    for _ in range(count):
+        r2 = float(gen.uniform(0.2, 0.8))
+        rho = math.sqrt(r2) * float(gen.choice((-1.0, 1.0)))
+        below = float(gen.uniform(0.0, 0.95)) / r2
+        above = math.exp(float(gen.uniform(math.log(1.01), math.log(30.0)))) / r2
+        cases += [(below, rho, 2000), (above, rho, 2000)]
+    return cases
+
+
+# Grids whose axis is a whole number of tiles (320 and 1280 cells), and
+# grids whose last tile overlaps its neighbour (319 and 1279 cells).
+WHOLE_TILE_GRIDS, OVERLAP_TILE_GRIDS = (257, 1025), (256, 1024)
+
+
 class TestOracleEqualsFullScan:
     """The branch and bound evaluates each cell as the full scan does and
     breaks ties the same way, so value and argmin are equal, not close."""
@@ -382,13 +409,33 @@ class TestOracleEqualsFullScan:
     @pytest.mark.parametrize(
         "lam,rho,grid",
         oracle_cases(100, 4, 61) + oracle_cases(150, 4, 62) + oracle_cases(500, 3, 63)
-        + oracle_cases(2000, 2, 64) + [(1e200, 0.5, 2000), (1e200, -0.99, 500)],
+        + oracle_cases(2000, 2, 64) + [(1e200, 0.5, 2000), (1e200, -0.99, 500)]
+        + bench_shaped_cases(4, 65)
+        + [case for k, grid in enumerate(WHOLE_TILE_GRIDS + OVERLAP_TILE_GRIDS)
+           for case in oracle_cases(grid, 2, 66 + k)],
     )
     def test_value_and_argmin_equal(self, lam, rho, grid):
         got = scalar_dual_oracle_argmin(lam, rho, grid)
         want = full_scan_oracle(lam, rho, grid)
         assert got == want
         assert math.copysign(1.0, got[0]) == math.copysign(1.0, want[0])
+
+    def test_tile_edge_grids(self):
+        tile = extremal._ORACLE_TILE
+        assert all(extremal._oracle_axis(grid).size % tile == 0 for grid in WHOLE_TILE_GRIDS)
+        assert all(extremal._oracle_axis(grid).size % tile != 0 for grid in OVERLAP_TILE_GRIDS)
+
+    @pytest.mark.parametrize("lam,rho,grid", oracle_cases(150, 3, 70) + bench_shaped_cases(2, 71))
+    def test_cells_are_symmetric_bit_for_bit(self, lam, rho, grid):
+        # Cell (i, j) equals cell (j, i) in every bit, as + and x commute
+        # exactly: the premise of searching only tile pairs (a, b), a <= b.
+        s = extremal._oracle_axis(grid)
+        r2 = rho * rho
+        gu = -0.5 * np.log2(1.0 - s) + (lam / 2.0) * np.log2(1.0 - r2 * s)
+        g = gu[:, None] + gu[None, :]
+        if lam != 1.0:
+            g = g - ((lam - 1.0) / 2.0) * np.log2(1.0 - r2 * np.outer(s, s))
+        assert np.array_equal(g.view(np.int64), g.T.view(np.int64))
 
     @pytest.mark.parametrize("lam,rho", [(3.0, math.sqrt(0.5)), (12.0, -0.6), (1e6, 0.5)])
     def test_tie_breaks_toward_smallest_cell(self, lam, rho):
@@ -406,9 +453,10 @@ class TestOracleEqualsFullScan:
     @pytest.mark.parametrize("lam,rho", [(30.0, 0.7), (1e200, -0.99), (0.5, 0.7)])
     def test_peak_memory_within_budget(self, lam, rho):
         # One 512-row chunk of the full grid at resolution 2000 is
-        # 512 x 2500 doubles, 10 MB per temporary; the tiles' temporaries
-        # are 16 x 64 x 64 doubles, 0.5 MB, and the whole call measured
-        # 1.7 MB at most.
+        # 512 x 2500 doubles, 10 MB per temporary; the tiles are evaluated
+        # in one work buffer of 2 x 16 x 64 x 64 doubles, 1 MB, and the
+        # whole call measured 1.34 MB at most (1.72 MB with a fresh 0.5 MB
+        # temporary per step of a batch).
         scalar_dual_oracle(lam, rho, 2000)
         tracemalloc.start()
         try:
@@ -563,13 +611,13 @@ class TestGapFunctionals:
     def test_diverging_exponent_forms_raise(self, monkeypatch):
         # A Markov-identity violation (I(U;V) off by 0.1 bit) must raise, not
         # pass silently as an assert would under python -O.
-        real = extremal.mutual_information
+        real = extremal._triple_batch
 
         def broken(model, u, v):
-            info = real(model, u, v)
-            return dataclasses.replace(info, i_uv=info.i_uv + 0.1)
+            info, ld = real(model, u, v)
+            return dataclasses.replace(info, i_uv=info.i_uv + 0.1), ld
 
-        monkeypatch.setattr(extremal, "mutual_information", broken)
+        monkeypatch.setattr(extremal, "_triple_batch", broken)
         model, u, v = make_vector_triple(np.random.default_rng(26), n=3, allow_degenerate=False)
         with pytest.raises(CrossCheckFailed, match="exponent forms diverged"):
             vector_extremal_forms(model, u, v)

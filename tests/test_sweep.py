@@ -103,6 +103,28 @@ def test_batched_gaps_match_single_triple_path(mode, dim, seed):
     assert expect[summary["argmin"]["sample"]] - expect.min() <= 1e-12
 
 
+@pytest.mark.parametrize("mode,dim", [("thm1-scalar", 1), ("thm1-vector", 1), ("thm1-vector", 3)])
+def test_single_triple_gap_equals_sweep_gap_bit_for_bit(mode, dim):
+    # Both paths take the informations and the volume ratio from one kernel
+    # call on the same arrays, so the gaps are equal, not close.
+    trials, seed = 40, 6
+    gaps = sweep.run_verify_sweep(mode, trials, dim, seed)["gaps"]
+    samples = range(trials)
+    if mode == "thm1-scalar":
+        (sigma_x, sigma_z, rho, *channels), _ = sweep._scalar_samples(mode, samples, Streams(seed))
+    else:
+        (sigma_x, sigma_z, rho, *channels), _ = sweep._vector_samples(mode, samples, dim, Streams(seed))
+    for t in samples:
+        if np.ndim(rho):
+            model = GaussianPairModel.scalar(rho[t])
+        else:
+            model = GaussianPairModel.vector(sigma_x[t], sigma_z[t])
+        gain_u, noise_u, gain_v, noise_v = (c[t] for c in channels)
+        u = GaussianAuxChannel.linear(gain_u, noise_u, "x")
+        v = GaussianAuxChannel.linear(gain_v, noise_v, "y")
+        assert vector_extremal_gap(model, u, v) == gaps[t], t
+
+
 @pytest.mark.parametrize("mode", ["thm3", "oohama"])
 def test_scalar_gaps_match_dedicated_scalar_formula(mode):
     gaps = sweep.run_verify_sweep(mode, 300, 1, 3)["gaps"]
