@@ -24,7 +24,7 @@ import numpy as np
 from .errors import DomainError, GaussExtremalError
 from .extremal import scalar_dual_closed, scalar_dual_oracle
 from .gauss_model import matrix_from_json
-from .ellipsoid_codec import CodecConfig, report_to_dict, run_simulation, trials_csv_rows
+from .ellipsoid_codec import CodecConfig, check_scalar_params, report_to_dict, run_simulation, trials_csv_rows
 from .rate_region import RegionQuery, region_verdict
 # run_verify_sweep and stream stay importable from this module: the
 # acceptance tests and the benchmark's tracer tests name them here.
@@ -135,8 +135,10 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_ellipsoid(args) -> int:
-    if args.n < 1:  # before np.eye(args.n), which fails on a negative n
-        raise DomainError(f"--n must be at least 1, got {args.n}")
+    params = dict(n=args.n, k=args.k, rho=args.rho, nu_x=args.nux, nu_y=args.nuy,
+                  delta=args.delta, trials=args.trials, seed=args.seed)
+    # Before sigma: parsing a --sigma-file takes about half a second at n = 1024.
+    check_scalar_params(**params)
     if args.sigma_file is not None:
         with open(args.sigma_file) as fh:
             sigma = matrix_from_json(json.load(fh))
@@ -146,12 +148,7 @@ def _cmd_ellipsoid(args) -> int:
         sigma = np.eye(args.n)
     else:
         raise GaussExtremalError('--sigma accepts only "identity" (or use --sigma-file)')
-    config = CodecConfig(
-        n=args.n, k=args.k, rho=args.rho, sigma=sigma,
-        nu_x=args.nux, nu_y=args.nuy, delta=args.delta,
-        trials=args.trials, seed=args.seed,
-    )
-    report = run_simulation(config)
+    report = run_simulation(CodecConfig(sigma=sigma, **params))
     if args.trials_csv:
         with open(args.trials_csv, "w") as fh:
             fh.write("\n".join(trials_csv_rows(report, args.precision)) + "\n")

@@ -127,24 +127,7 @@ class CodecConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n < 1:
-            raise DomainError("n must be at least 1")
-        if not 1 <= self.k <= self.n:
-            raise DomainError("k must satisfy 1 <= k <= n")
-        if not -1.0 < self.rho < 1.0:
-            raise DomainError("rho must lie in (-1, 1)")
-        for name in ("nu_x", "nu_y"):
-            v = getattr(self, name)
-            if not 0.0 < v <= 1.0:
-                raise DomainError(f"{name} must lie in (0, 1]")
-        if not 0.0 < self.delta < 0.25:
-            raise DomainError("delta must lie in (0, 0.25) so the shrinkage factor stays positive")
-        _shrinkage(self.delta)
-        if self.delta >= self.nu_x or self.delta >= self.nu_y:
-            raise DomainError("delta must stay below both distortion targets")
-        if self.trials < 1:
-            raise DomainError("trials must be at least 1")
-        check_seed(self.seed)
+        check_scalar_params(self.n, self.k, self.rho, self.nu_x, self.nu_y, self.delta, self.trials, self.seed)
         # Sigma last: its Cholesky is the one check that costs O(n^3).
         sigma = np.asarray(self.sigma, dtype=float)
         if sigma.shape != (self.n, self.n):
@@ -157,6 +140,28 @@ class CodecConfig:
     @property
     def tau(self) -> float:
         return _shrinkage(self.delta)[0]
+
+
+def check_scalar_params(n: int, k: int, rho: float, nu_x: float, nu_y: float,
+                        delta: float, trials: int, seed: int) -> None:
+    """CodecConfig's O(1) checks, of every field but sigma: a caller can run them before it reads sigma."""
+    if n < 1:
+        raise DomainError("n must be at least 1")
+    if not 1 <= k <= n:
+        raise DomainError("k must satisfy 1 <= k <= n")
+    if not -1.0 < rho < 1.0:
+        raise DomainError("rho must lie in (-1, 1)")
+    for name, v in (("nu_x", nu_x), ("nu_y", nu_y)):
+        if not 0.0 < v <= 1.0:
+            raise DomainError(f"{name} must lie in (0, 1]")
+    if not 0.0 < delta < 0.25:
+        raise DomainError("delta must lie in (0, 0.25) so the shrinkage factor stays positive")
+    _shrinkage(delta)
+    if delta >= nu_x or delta >= nu_y:
+        raise DomainError("delta must stay below both distortion targets")
+    if trials < 1:
+        raise DomainError("trials must be at least 1")
+    check_seed(seed)
 
 
 def _shrinkage(delta: float) -> tuple[float, float]:

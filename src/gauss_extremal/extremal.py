@@ -29,14 +29,10 @@ sigma_x and sigma_z are proportional and, above the branch threshold, for
 the channel family with conditional covariance alpha * sigma_z,
 alpha = 1 / (lam - 1).
 
-Everything here is pure and stateless. The grid oracle evaluates only the
-tiles of its grid that a lower bound cannot rule out, best bound first,
-and picks the smallest (value, rho_u^2, rho_v^2) triple lexicographically:
-ties break toward smaller rho_u^2, then smaller rho_v^2, so the result is
-the full scan's and does not depend on the order tiles are visited in.
-The functional is symmetric in (rho_u^2, rho_v^2) and each cell is
-computed symmetrically, so the oracle visits only tile pairs (a, b) with
-a <= b: the first minimum lies in one of them.
+Everything here is pure and stateless. The grid oracle returns a full
+scan's minimum and argmin, ties broken toward smaller rho_u^2, then smaller
+rho_v^2, but evaluates only the 32 x 32 tiles of its grid that a lower
+bound cannot rule out, the best-bound tile first (see scalar_dual_oracle).
 """
 
 from __future__ import annotations
@@ -226,14 +222,13 @@ def _oracle_axis(resolution: int) -> np.ndarray:
 
 
 # Side, in grid cells, of the square tiles the oracle bounds and evaluates.
-_ORACLE_TILE = 64
+_ORACLE_TILE = 32
 # Tiles evaluated together once a first minimum is known; bounds the
-# oracle's work buffer to 2 x 16 x 64 x 64 doubles, 1 MB.
-_ORACLE_BATCH = 16
-# Largest grid_resolution accepted. The tile-pair arrays of the search
-# (pair indices, bounds, their order) hold about (1.25 grid / 64)^2 / 2
-# entries each, about 76 MB in total at 10^5; a larger grid would fail on
-# memory in them, not in the cells.
+# oracle's work buffer, made when a batch is due, to 2 x 64 x 32 x 32 doubles.
+_ORACLE_BATCH = 64
+# Largest grid_resolution accepted. The search's (tiles x tiles) pair bounds
+# and their temporaries measured 95 MB at 5 x 10^4, so about 380 MB at 10^5;
+# a larger grid would fail on memory in them, not in the cells.
 _ORACLE_MAX_GRID = 10**5
 # Pruning margin, relative to the largest term of the functional (a cell
 # is the sum of three terms). It absorbs the rounding by which a computed
@@ -271,11 +266,12 @@ def _oracle_search(gu, s, r2: float, c: float, margin: float) -> tuple[float, in
     """(value, iu, iv) of the lexicographically smallest cell, where cell
     (i, j) holds gu[i] + gu[j] - c log2(1 - r2 s_i s_j).
 
-    Exact best-first branch and bound: tiles are evaluated in order of a
-    lower bound on their cells until a bound exceeds the best value by more
-    than the margin, so every tile that could hold the minimum, or tie with
-    it, is evaluated. Cell (i, j) equals cell (j, i) bit for bit, so the
-    first minimum has iu <= iv and lies in a tile pair (a, b) with a <= b:
+    Exact best-first branch and bound: the tile pair of the smallest lower
+    bound gives a first minimum, then the pairs whose bound is within the
+    margin of it are evaluated in order of bound until one exceeds the best
+    value by more than the margin, so every tile that could hold the
+    minimum, or tie with it, is evaluated. Cell (i, j) equals cell (j, i)
+    bit for bit, so the first minimum lies in a pair (a, b) with a <= b:
     only those pairs are searched.
     """
     size = _ORACLE_TILE
@@ -286,38 +282,14 @@ def _oracle_search(gu, s, r2: float, c: float, margin: float) -> tuple[float, in
     lo = s_t[:, 0]
     g_min = g_t.min(axis=1)
     # t increases with s_u s_v for lam > 1 and decreases for lam < 1: bound
-    # it by its value at the tile corner where it is smallest.
+    # it by its value at the tile corner where it is smallest. Pair (a, b)
+    # is entry a * tiles + b; its bound equals that of (b, a) bit for bit.
     corner = lo if c >= 0.0 else s_t[:, -1]
-    pair_a, pair_b = np.triu_indices(starts.size)
-    bound = (g_min[pair_a] + g_min[pair_b]) - c * np.log2(1.0 - r2 * (corner[pair_a] * corner[pair_b]))
-    order = np.argsort(bound)
-    sorted_bound = bound[order]
-    work = np.empty((2, _ORACLE_BATCH, size, size))  # a batch's cells and coupling terms
+    bound = (np.add.outer(g_min, g_min) - c * np.log2(1.0 - r2 * np.multiply.outer(corner, corner))).ravel()
 
-    best = (math.inf, 0, 0)  # (value, iu, iv), compared lexicographically
-    done = 0
-    while done < order.size and sorted_bound[done] <= best[0] + margin:
-        stop = done + 1 if best[0] == math.inf else min(
-            done + _ORACLE_BATCH,
-            int(np.searchsorted(sorted_bound, best[0] + margin, side="right")),
-        )
-        a, b = pair_a[order[done:stop]], pair_b[order[done:stop]]
-        done = stop
-        if c > 0.0:
-            # Tighter bound for the convex, increasing t: its tangent at the
-            # low corner p0 = lo_a lo_b, with
-            # s_u s_v - p0 >= lo_b (s_u - lo_a) + lo_a (s_v - lo_b),
-            # splits into a row term and a column term. A slope that
-            # overflows gives a NaN bound, which prunes nothing.
-            p0 = lo[a] * lo[b]
-            slope = c * (r2 / ((1.0 - r2 * p0) * math.log(2.0)))
-            row = (g_t[a] + (slope * lo[b])[:, None] * (s_t[a] - lo[a][:, None])).min(axis=1)
-            col = (g_t[b] + (slope * lo[a])[:, None] * (s_t[b] - lo[b][:, None])).min(axis=1)
-            keep = ~((row + col) - c * np.log2(1.0 - r2 * p0) > best[0] + margin)
-            a, b = a[keep], b[keep]
-            if a.size == 0:
-                continue
-        g, t = work[0, : a.size], work[1, : a.size]  # the full scan's arithmetic, in place
+    def evaluate(a, b, work):
+        """Smallest (value, iu, iv) over tile pairs (a, b), with the full scan's arithmetic in work."""
+        g, t = work[0, : a.size], work[1, : a.size]
         np.add(g_t[a][:, :, None], g_t[b][:, None, :], out=g)
         if c != 0.0:  # lam == 1: the coupling term is left out, not added as zero
             np.multiply(s_t[a][:, :, None], s_t[b][:, None, :], out=t)
@@ -329,11 +301,41 @@ def _oracle_search(gu, s, r2: float, c: float, margin: float) -> tuple[float, in
         g = g.reshape(a.size, -1)
         flat = g.argmin(axis=1)  # first minimum: smallest iu, then smallest iv
         iu, iv = np.divmod(flat, size)
-        best = min(best, *zip(
-            g[np.arange(a.size), flat].tolist(),
-            (starts[a] + iu).tolist(),
-            (starts[b] + iv).tolist(),
-        ))
+        values = g[np.arange(a.size), flat].tolist()
+        return min(zip(values, (starts[a] + iu).tolist(), (starts[b] + iv).tolist()))
+
+    # The first smallest bound has a <= b, as its mirror entry comes later.
+    a, b = divmod(int(np.argmin(bound)), starts.size)
+    best = evaluate(np.array([a]), np.array([b]), np.empty((2, 1, size, size)))
+    # Only pairs (a <= b) within the margin of that minimum can hold the first
+    # minimum. The stable sort keeps the first smallest bound first: the pair
+    # just evaluated leads the order and is dropped.
+    kept = np.flatnonzero(bound <= best[0] + margin)
+    kept = kept[kept // starts.size <= kept % starts.size]
+    order = kept[np.argsort(bound[kept], kind="stable")][1:]
+    sorted_bound = tight = bound[order]
+    a, b = np.divmod(order, starts.size)
+    if c > 0.0 and order.size:
+        # Tighter bound for the convex, increasing t: its tangent at the
+        # low corner p0 = lo_a lo_b, with
+        # s_u s_v - p0 >= lo_b (s_u - lo_a) + lo_a (s_v - lo_b),
+        # splits into a row term and a column term. A slope that
+        # overflows gives a NaN bound, which prunes nothing.
+        p0 = lo[a] * lo[b]
+        slope = c * (r2 / ((1.0 - r2 * p0) * math.log(2.0)))
+        row = (g_t[a] + (slope * lo[b])[:, None] * (s_t[a] - lo[a][:, None])).min(axis=1)
+        col = (g_t[b] + (slope * lo[a])[:, None] * (s_t[b] - lo[b][:, None])).min(axis=1)
+        tight = (row + col) - c * np.log2(1.0 - r2 * p0)
+    work = None  # grown to a full batch once a second batch is due
+    done = 0
+    while done < order.size and sorted_bound[done] <= best[0] + margin:
+        stop = min(done + _ORACLE_BATCH, int(np.searchsorted(sorted_bound, best[0] + margin, side="right")))
+        keep = np.flatnonzero(~(tight[done:stop] > best[0] + margin)) + done
+        done = stop
+        if keep.size:
+            if work is None:
+                work = np.empty((2, _ORACLE_BATCH, size, size))
+            best = min(best, evaluate(a[keep], b[keep], work))
     return best
 
 
@@ -346,18 +348,19 @@ def scalar_dual_oracle(lam: float, rho: float, grid_resolution: int = 500) -> fl
     break toward smaller rho_u^2, then smaller rho_v^2.
 
     The value is the minimum over every grid cell, computed cell by cell as
-    a full scan would, but only square tiles of the grid that could hold it
-    are evaluated, and by symmetry only tile pairs (a, b) with a <= b: cell
-    (i, j) equals cell (j, i) bit for bit, so the first minimum has
-    rho_u^2 <= rho_v^2. A tile's lower bound is the smallest per-axis term
-    over its rows plus that over its columns plus the coupling term
-    -(lam-1)/2 log2(1 - rho^2 s_u s_v) at the tile corner where it is
-    smallest; for lam > 1 the tangent of the coupling at that corner
-    tightens it. Tiles are visited in order of bound until one exceeds the
-    best value by more than a margin of 1e-10 times the largest term,
-    which absorbs the bounds' own rounding. Raises DomainError when lam is
-    so large (above about 1e307 for |rho| near 1) that a term or the
-    minimum overflows, and when grid_resolution lies outside [100, 10^5].
+    a full scan would, but only the 32 x 32 tiles of the grid that could
+    hold it are evaluated, and by symmetry only tile pairs (a, b) with
+    a <= b: cell (i, j) equals cell (j, i) bit for bit. A tile's lower bound
+    is the smallest per-axis term over its rows plus that over its columns
+    plus the coupling term -(lam-1)/2 log2(1 - rho^2 s_u s_v) at the tile
+    corner where it is smallest, tightened for lam > 1 by the coupling's
+    tangent there. The pair of the smallest bound is evaluated first; then
+    only the pairs whose bound is within a margin of that minimum are sorted
+    and visited, best first, until a bound exceeds the best value by more
+    than the margin, 1e-10 times the largest term, which absorbs the
+    bounds' own rounding. Raises DomainError when lam is so large (above
+    about 1e307 for |rho| near 1) that a term or the minimum overflows, and
+    when grid_resolution lies outside [100, 10^5].
     """
     value, _, _ = scalar_dual_oracle_argmin(lam, rho, grid_resolution)
     return value

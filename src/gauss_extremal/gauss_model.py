@@ -243,12 +243,6 @@ class GaussianPairModel:
         """Covariance of the stacked (X, Y) vector."""
         return _source_covariance(self.sigma_x[None], self.sigma_z[None], self.rho)[0]
 
-    def det_ratio_x_over_y(self) -> float:
-        """rho^2 (|sigma_x| / |sigma_y|)^(1/n), the volume ratio of the vector
-        inequality in the coordinates of X: rho^2 for the scalar model, 0 at
-        rho = 0."""
-        return self.rho * self.rho * math.exp((log_det(self.sigma_x) - log_det(self.sigma_y)) / self.n)
-
 
 def _source_covariance(sigma_x: np.ndarray, sigma_z: np.ndarray, rho) -> np.ndarray:
     """(T, 2n, 2n) covariances [[S_x, rho S_x], [rho S_x, rho^2 S_x + S_z]] of (X, Y)

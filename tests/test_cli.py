@@ -323,6 +323,13 @@ class TestBadInputExitsTwo:
         assert code == 2 and out == ""
         assert "tau - gamma = 0 <= 0 at delta = 1e-17" in err
 
+    def test_degenerate_delta_is_refused_before_the_sigma_file_is_read(self, capsys, tmp_path):
+        # The file does not exist: reading it would exit 2 with an OSError.
+        missing = str(tmp_path / "missing.json")
+        code, out, err = run_cli(capsys, ELLIPSOID + ["--delta", "1e-17", "--sigma-file", missing])
+        assert code == 2 and out == ""
+        assert "tau - gamma = 0 <= 0 at delta = 1e-17" in err and "missing.json" not in err
+
     def test_grid_above_the_cap(self, capsys, monkeypatch):
         def scan(lam, rho, resolution):
             raise AssertionError("the oracle ran")

@@ -397,9 +397,36 @@ def bench_shaped_cases(count, seed):
     return cases
 
 
+def heavy_active_cases(count, seed):
+    """Seeded (lam, rho, grid) deep in the active branch, lam rho^2 in [10, 30]:
+    the rows whose search evaluates the most tiles."""
+    gen = np.random.default_rng(seed)
+    cases = []
+    for grid in (500, 2000):
+        for _ in range(count):
+            r2 = float(gen.uniform(0.05, 0.95))
+            rho = math.sqrt(r2) * float(gen.choice((-1.0, 1.0)))
+            cases.append((float(gen.uniform(10.0, 30.0)) / r2, rho, grid))
+    return cases
+
+
+def oracle_peak_bytes(lam, rho, grid):
+    """tracemalloc peak of one oracle call, after a warm-up call."""
+    scalar_dual_oracle(lam, rho, grid)
+    tracemalloc.start()
+    try:
+        scalar_dual_oracle(lam, rho, grid)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 # Grids whose axis is a whole number of tiles (320 and 1280 cells), and
 # grids whose last tile overlaps its neighbour (319 and 1279 cells).
 WHOLE_TILE_GRIDS, OVERLAP_TILE_GRIDS = (257, 1025), (256, 1024)
+# A grid whose axis is an odd number of tiles (352 cells, 11 tiles), so not
+# a whole number of tiles twice the size.
+ODD_TILE_GRIDS = (283,)
 
 
 class TestOracleEqualsFullScan:
@@ -411,8 +438,9 @@ class TestOracleEqualsFullScan:
         oracle_cases(100, 4, 61) + oracle_cases(150, 4, 62) + oracle_cases(500, 3, 63)
         + oracle_cases(2000, 2, 64) + [(1e200, 0.5, 2000), (1e200, -0.99, 500)]
         + bench_shaped_cases(4, 65)
-        + [case for k, grid in enumerate(WHOLE_TILE_GRIDS + OVERLAP_TILE_GRIDS)
-           for case in oracle_cases(grid, 2, 66 + k)],
+        + [case for k, grid in enumerate(WHOLE_TILE_GRIDS + OVERLAP_TILE_GRIDS + ODD_TILE_GRIDS)
+           for case in oracle_cases(grid, 2, 66 + k)]
+        + heavy_active_cases(4, 72),
     )
     def test_value_and_argmin_equal(self, lam, rho, grid):
         got = scalar_dual_oracle_argmin(lam, rho, grid)
@@ -424,6 +452,8 @@ class TestOracleEqualsFullScan:
         tile = extremal._ORACLE_TILE
         assert all(extremal._oracle_axis(grid).size % tile == 0 for grid in WHOLE_TILE_GRIDS)
         assert all(extremal._oracle_axis(grid).size % tile != 0 for grid in OVERLAP_TILE_GRIDS)
+        sizes = [extremal._oracle_axis(grid).size for grid in ODD_TILE_GRIDS]
+        assert all(size % tile == 0 and size % (2 * tile) != 0 for size in sizes)
 
     @pytest.mark.parametrize("lam,rho,grid", oracle_cases(150, 3, 70) + bench_shaped_cases(2, 71))
     def test_cells_are_symmetric_bit_for_bit(self, lam, rho, grid):
@@ -453,18 +483,18 @@ class TestOracleEqualsFullScan:
     @pytest.mark.parametrize("lam,rho", [(30.0, 0.7), (1e200, -0.99), (0.5, 0.7)])
     def test_peak_memory_within_budget(self, lam, rho):
         # One 512-row chunk of the full grid at resolution 2000 is
-        # 512 x 2500 doubles, 10 MB per temporary; the tiles are evaluated
-        # in one work buffer of 2 x 16 x 64 x 64 doubles, 1 MB, and the
-        # whole call measured 1.34 MB at most (1.72 MB with a fresh 0.5 MB
-        # temporary per step of a batch).
-        scalar_dual_oracle(lam, rho, 2000)
-        tracemalloc.start()
-        try:
-            scalar_dual_oracle(lam, rho, 2000)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        # 512 x 2500 doubles, 10 MB per temporary; after the first tile the
+        # tiles are evaluated in one work buffer of 2 x 64 x 32 x 32
+        # doubles, 1 MB, and the whole call measured 1.40 MB at most.
+        peak = oracle_peak_bytes(lam, rho, 2000)
         assert peak < 3e6, peak
+
+    @pytest.mark.parametrize("lam,rho", [(0.0, 0.5), (0.5, 0.7), (1.0, 0.5), (1.5, 0.5), (1.9, -0.7)])
+    def test_zero_branch_call_allocates_no_batch(self, lam, rho):
+        # On the zero branch the first tile pair ends the search, so no
+        # batch work buffer (1 MB) is allocated: the call measured 0.31 MB.
+        peak = oracle_peak_bytes(lam, rho, 2000)
+        assert peak < 5e5, peak
 
     @pytest.mark.parametrize("lam,rho", [(1e308, 0.9), (3e307, 0.9999999), (2e307, -0.9999999)])
     def test_overflow_is_a_domain_error(self, lam, rho):

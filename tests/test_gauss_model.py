@@ -6,6 +6,7 @@ import pytest
 
 from gauss_extremal import gauss_model
 from gauss_extremal.errors import DomainError, NotPositiveDefinite
+from gauss_extremal.extremal import volume_ratio
 from gauss_extremal.gauss_model import (
     GaussianAuxChannel,
     GaussianPairModel,
@@ -268,9 +269,16 @@ class TestModelValidation:
             GaussianPairModel.scalar(1.0)
         GaussianPairModel.scalar(0.0)  # zero correlation is allowed
 
-    @pytest.mark.parametrize("rho", SCALAR_RHOS)
-    def test_scalar_det_ratio_is_rho_squared(self, rho):
-        assert GaussianPairModel.scalar(rho).det_ratio_x_over_y() == rho * rho
+    # The kernel refuses the doubles closest to +-1 (the joint's pivot
+    # 1 - rho^2 falls below its floor): 1 - 1e-9 is near 1 and accepted.
+    @pytest.mark.parametrize("rho", (0.0, 0.6, -0.6, 1.0 - 1e-9, -(1.0 - 1e-9), 1e-200))
+    def test_scalar_volume_ratio_is_rho_squared(self, rho):
+        # The X and Y blocks of the scalar joint are both [[1]], so the
+        # kernel's log-determinants vanish and the ratio is rho^2 exactly.
+        model = GaussianPairModel.scalar(rho)
+        u, v = GaussianAuxChannel.scalar_corr(0.5, "x"), GaussianAuxChannel.scalar_corr(0.5, "y")
+        _, ld = gauss_model._triple_batch(model, u, v)
+        assert volume_ratio(ld, model.n, model.rho).tolist() == [rho * rho]
 
     @pytest.mark.parametrize("rho", SCALAR_RHOS)
     def test_scalar_model_is_the_unit_variance_pair(self, rho):
