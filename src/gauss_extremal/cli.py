@@ -98,12 +98,10 @@ def _cmd_region(args) -> int:
 
 
 def _cmd_dual(args) -> int:
-    try:
-        lambdas = [float(s) for s in args.lambdas.split(",") if s.strip()]
+    try:  # an empty entry, as in "2,,3" or "3,", is malformed too
+        lambdas = [float(s) for s in args.lambdas.split(",")]
     except ValueError:
         raise DomainError(f"--lambdas must list numbers, got {args.lambdas!r}") from None
-    if not lambdas:
-        raise GaussExtremalError("--lambdas must list at least one value")
     if not all(math.isfinite(lam) for lam in lambdas):
         raise DomainError(f"--lambdas must be finite, got {args.lambdas!r}")
     rows = []

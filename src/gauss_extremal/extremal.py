@@ -29,14 +29,16 @@ sigma_x and sigma_z are proportional and, above the branch threshold, for
 the channel family with conditional covariance alpha * sigma_z,
 alpha = 1 / (lam - 1).
 
-Everything here is pure and stateless. The grid oracle returns a full
-scan's minimum and argmin, ties broken toward smaller rho_u^2, then smaller
-rho_v^2, but evaluates only the 32 x 32 tiles of its grid that a lower
-bound cannot rule out, the best-bound tile first (see scalar_dual_oracle).
+Everything here is pure; its only state is a cache of read-only grid plans.
+The grid oracle returns a full scan's minimum and argmin, ties broken
+toward smaller rho_u^2, then smaller rho_v^2, but evaluates only the 32 x 32
+tiles that a lower bound cannot rule out, best first (see scalar_dual_oracle).
 """
 
 from __future__ import annotations
 
+import collections
+import functools
 import math
 from dataclasses import dataclass
 
@@ -226,9 +228,9 @@ _ORACLE_TILE = 32
 # Tiles evaluated together once a first minimum is known; bounds the
 # oracle's work buffer, made when a batch is due, to 2 x 64 x 32 x 32 doubles.
 _ORACLE_BATCH = 64
-# Largest grid_resolution accepted. The search's (tiles x tiles) pair bounds
-# and their temporaries measured 95 MB at 5 x 10^4, so about 380 MB at 10^5;
-# a larger grid would fail on memory in them, not in the cells.
+# Largest grid_resolution accepted. The search's per-call (tiles x tiles) pair
+# bounds and their temporaries measured 95 MB at 5 x 10^4, so about 380 MB at
+# 10^5 (the cached plan: 5 MB); a larger grid would fail on memory in them.
 _ORACLE_MAX_GRID = 10**5
 # Pruning margin, relative to the largest term of the functional (a cell
 # is the sum of three terms). It absorbs the rounding by which a computed
@@ -240,31 +242,51 @@ _ORACLE_MAX_GRID = 10**5
 # by at most about 1e-13 of the largest term; the others by a few ulps. The
 # margin is a thousand times that.
 _ORACLE_MARGIN = 1e-10
+_OraclePlan = collections.namedtuple("_OraclePlan", "s g0 starts cells s_t lo off_t")
+
+
+@functools.lru_cache(maxsize=4)
+def _oracle_plan(resolution: int) -> _OraclePlan:
+    """The lam-free arrays of one resolution, read-only and O(resolution) in size:
+    the axis s, g0 = -(1/2) log2(1 - s), each tile's first cell (the last tile
+    overlaps its neighbour), the (tiles, 32) cells, s_t = s[cells], the tile
+    lows lo = s_t[:, 0] and the tangent bound's offsets off_t = s_t - lo[:, None]."""
+    s = _oracle_axis(resolution)
+    starts = np.arange(0, s.size, _ORACLE_TILE)
+    starts[-1] = s.size - _ORACLE_TILE
+    cells = starts[:, None] + np.arange(_ORACLE_TILE)
+    s_t = s[cells]
+    plan = _OraclePlan(s, -0.5 * np.log2(1.0 - s), starts, cells, s_t, s_t[:, 0], s_t - s_t[:, :1])
+    for array in plan:
+        array.flags.writeable = False
+    return plan
 
 
 def _oracle_scan(lam: float, rho: float, resolution: int) -> tuple[float, float, float]:
     """(value, rho_u^2, rho_v^2) of the grid minimum; see scalar_dual_oracle."""
     r2 = rho * rho
-    s = _oracle_axis(resolution)
+    plan = _oracle_plan(resolution)
+    s = plan.s
     c = (lam - 1.0) / 2.0
     # Overflow is checked below, on the terms and on the minimum.
     with np.errstate(over="ignore", invalid="ignore"):
-        gu = -0.5 * np.log2(1.0 - s) + (lam / 2.0) * np.log2(1.0 - r2 * s)
+        gu = plan.g0 + (lam / 2.0) * np.log2(1.0 - r2 * s)
         # t is monotone in s_u s_v and vanishes at 0: its largest magnitude
         # is at the far corner of the grid.
         t_far = c * math.log2(1.0 - r2 * s[-1] * s[-1])
         if not (np.all(np.isfinite(gu)) and math.isfinite(t_far)):
             raise DomainError(f"lam = {lam:g} is too large for the grid oracle: its terms overflow")
         margin = _ORACLE_MARGIN * max(float(np.max(np.abs(gu))), abs(t_far))
-        value, iu, iv = _oracle_search(gu, s, r2, c, margin)
+        value, iu, iv = _oracle_search(gu, plan, r2, c, margin)
     if not math.isfinite(value):
         raise DomainError(f"lam = {lam:g} is too large for the grid oracle: its minimum overflows")
     return value, float(s[iu]), float(s[iv])
 
 
-def _oracle_search(gu, s, r2: float, c: float, margin: float) -> tuple[float, int, int]:
+def _oracle_search(gu, plan: _OraclePlan, r2: float, c: float, margin: float) -> tuple[float, int, int]:
     """(value, iu, iv) of the lexicographically smallest cell, where cell
-    (i, j) holds gu[i] + gu[j] - c log2(1 - r2 s_i s_j).
+    (i, j) holds gu[i] + gu[j] - c log2(1 - r2 s_i s_j), s and the tiles
+    taken from the cached plan of the resolution.
 
     Exact best-first branch and bound: the tile pair of the smallest lower
     bound gives a first minimum, then the pairs whose bound is within the
@@ -275,11 +297,8 @@ def _oracle_search(gu, s, r2: float, c: float, margin: float) -> tuple[float, in
     only those pairs are searched.
     """
     size = _ORACLE_TILE
-    starts = np.arange(0, s.size, size)
-    starts[-1] = s.size - size  # the last tile overlaps its neighbour
-    cells = starts[:, None] + np.arange(size)
-    s_t, g_t = s[cells], gu[cells]
-    lo = s_t[:, 0]
+    starts, s_t, lo, off_t = plan.starts, plan.s_t, plan.lo, plan.off_t
+    g_t = gu[plan.cells]
     g_min = g_t.min(axis=1)
     # t increases with s_u s_v for lam > 1 and decreases for lam < 1: bound
     # it by its value at the tile corner where it is smallest. Pair (a, b)
@@ -323,8 +342,8 @@ def _oracle_search(gu, s, r2: float, c: float, margin: float) -> tuple[float, in
         # overflows gives a NaN bound, which prunes nothing.
         p0 = lo[a] * lo[b]
         slope = c * (r2 / ((1.0 - r2 * p0) * math.log(2.0)))
-        row = (g_t[a] + (slope * lo[b])[:, None] * (s_t[a] - lo[a][:, None])).min(axis=1)
-        col = (g_t[b] + (slope * lo[a])[:, None] * (s_t[b] - lo[b][:, None])).min(axis=1)
+        row = (g_t[a] + (slope * lo[b])[:, None] * off_t[a]).min(axis=1)
+        col = (g_t[b] + (slope * lo[a])[:, None] * off_t[b]).min(axis=1)
         tight = (row + col) - c * np.log2(1.0 - r2 * p0)
     work = None  # grown to a full batch once a second batch is due
     done = 0
@@ -358,8 +377,10 @@ def scalar_dual_oracle(lam: float, rho: float, grid_resolution: int = 500) -> fl
     only the pairs whose bound is within a margin of that minimum are sorted
     and visited, best first, until a bound exceeds the best value by more
     than the margin, 1e-10 times the largest term, which absorbs the
-    bounds' own rounding. Raises DomainError when lam is so large (above
-    about 1e307 for |rho| near 1) that a term or the minimum overflows, and
+    bounds' own rounding. The axis, tiling and lam-free terms are built once
+    per resolution per process and cached, read-only, for the last 4
+    resolutions: about 5 MB at 10^5. Raises DomainError when lam is so large
+    (about 1e307 for |rho| near 1) that a term or the minimum overflows, and
     when grid_resolution lies outside [100, 10^5].
     """
     value, _, _ = scalar_dual_oracle_argmin(lam, rho, grid_resolution)

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 from gauss_extremal import cli, extremal
@@ -62,6 +63,19 @@ class TestRegionCommand:
         assert row.split(",")[0] == "true"
 
 
+def seed0_dual_table():
+    """(rho, lambdas) of the benchmark's seed-0 dual-oracle table, drawn as
+    bench/workloads.py draws it: per rho, one lambda below 1/rho^2 and one above."""
+    gen = np.random.default_rng(0)
+    table = []
+    for _ in range(4):
+        r2 = float(gen.uniform(0.2, 0.8))
+        below = gen.uniform(0.0, 0.95, 1) / r2
+        above = np.exp(gen.uniform(math.log(1.01), math.log(30.0), 1)) / r2
+        table.append((math.sqrt(r2), [float(below[0]), float(above[0])]))
+    return table
+
+
 class TestDualCommand:
     def test_threshold_row_is_zero(self, capsys):
         rho = math.sqrt(0.5)
@@ -93,6 +107,37 @@ class TestDualCommand:
     def test_empty_lambda_list_rejected(self, capsys):
         code, _, err = run_cli(capsys, ["dual", "--rho", "0.5", "--lambdas", ","])
         assert code == 2 and "error" in err
+
+    @pytest.mark.parametrize("rho,lambdas", seed0_dual_table())
+    def test_lambda_list_prints_the_rows_of_one_command_per_lambda(self, capsys, rho, lambdas):
+        # The oracle's cached plan serves every row of a list; each row must
+        # still be the row a command of its own prints.
+        dual = ["dual", "--rho", repr(rho), "--grid", "2000", "--precision", "17"]
+        code, out, _ = run_cli(capsys, dual + ["--lambdas", ",".join(map(repr, lambdas))])
+        assert code == 0
+        rows = []
+        for lam in lambdas:
+            code, one, _ = run_cli(capsys, dual + ["--lambdas", repr(lam)])
+            assert code == 0
+            rows += one.splitlines()[1:]
+        assert out.splitlines()[1:] == rows and len(rows) == len(lambdas)
+
+    @pytest.mark.parametrize("output", ["csv", "json"])
+    def test_alternating_grids_print_what_fresh_runs_print(self, capsys, output):
+        def run(grid):
+            args = ["dual", "--rho", "-0.6", "--lambdas", "0.5,2,3,40", "--grid", grid,
+                    "--precision", "17", "--output", output]
+            code, out, _ = run_cli(capsys, args)
+            assert code == 0
+            return out
+
+        grids = ["500", "2000", "500"]
+        in_one_process = [run(grid) for grid in grids]
+        fresh = []
+        for grid in grids:
+            extremal._oracle_plan.cache_clear()
+            fresh.append(run(grid))
+        assert in_one_process == fresh
 
 
 class TestVerifyCommand:
@@ -284,7 +329,7 @@ class TestBadInputExitsTwo:
         assert code == 2 and out == ""
         assert "--precision" in err
 
-    @pytest.mark.parametrize("lambdas", ["nan", "inf", "2,-inf", "nan,inf", "2,x"])
+    @pytest.mark.parametrize("lambdas", ["nan", "inf", "2,-inf", "nan,inf", "2,x", "2,,3", "3,", ",3"])
     def test_non_finite_or_malformed_lambdas(self, capsys, lambdas):
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -410,15 +411,20 @@ def heavy_active_cases(count, seed):
     return cases
 
 
-def oracle_peak_bytes(lam, rho, grid):
-    """tracemalloc peak of one oracle call, after a warm-up call."""
-    scalar_dual_oracle(lam, rho, grid)
+def traced_peak_bytes(call):
+    """tracemalloc peak of call()."""
     tracemalloc.start()
     try:
-        scalar_dual_oracle(lam, rho, grid)
+        call()
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def oracle_peak_bytes(lam, rho, grid):
+    """tracemalloc peak of one oracle call, after a warm-up call."""
+    scalar_dual_oracle(lam, rho, grid)
+    return traced_peak_bytes(lambda: scalar_dual_oracle(lam, rho, grid))
 
 
 # Grids whose axis is a whole number of tiles (320 and 1280 cells), and
@@ -485,14 +491,21 @@ class TestOracleEqualsFullScan:
         # One 512-row chunk of the full grid at resolution 2000 is
         # 512 x 2500 doubles, 10 MB per temporary; after the first tile the
         # tiles are evaluated in one work buffer of 2 x 64 x 32 x 32
-        # doubles, 1 MB, and the whole call measured 1.40 MB at most.
+        # doubles, 1 MB, and the whole call measured 1.34 MB at most.
         peak = oracle_peak_bytes(lam, rho, 2000)
+        assert peak < 3e6, peak
+
+    @pytest.mark.parametrize("lam,rho", [(30.0, 0.7), (1e200, -0.99), (0.5, 0.7)])
+    def test_cold_call_within_budget(self, lam, rho):
+        # A call that builds its resolution's plan first: measured 1.44 MB at most.
+        extremal._oracle_plan.cache_clear()
+        peak = traced_peak_bytes(lambda: scalar_dual_oracle(lam, rho, 2000))
         assert peak < 3e6, peak
 
     @pytest.mark.parametrize("lam,rho", [(0.0, 0.5), (0.5, 0.7), (1.0, 0.5), (1.5, 0.5), (1.9, -0.7)])
     def test_zero_branch_call_allocates_no_batch(self, lam, rho):
         # On the zero branch the first tile pair ends the search, so no
-        # batch work buffer (1 MB) is allocated: the call measured 0.31 MB.
+        # batch work buffer (1 MB) is allocated: the call measured 0.24 MB.
         peak = oracle_peak_bytes(lam, rho, 2000)
         assert peak < 5e5, peak
 
@@ -508,6 +521,71 @@ class TestOracleEqualsFullScan:
             warnings.simplefilter("error")
             value = scalar_dual_oracle(1e308, 0.5, 100)
         assert math.isfinite(value) and value < 0.0
+
+
+# Cases of each kind, their resolutions interleaved so that the cache
+# holds other resolutions' plans between calls at 2000.
+INTERLEAVED_CASES = (
+    oracle_cases(ODD_TILE_GRIDS[0], 2, 80) + bench_shaped_cases(2, 81)
+    + oracle_cases(OVERLAP_TILE_GRIDS[0], 2, 82)
+    + [(lam, rho, 2000) for lam, rho, _ in heavy_active_cases(2, 83)]
+    + oracle_cases(WHOLE_TILE_GRIDS[1], 2, 84)
+)
+
+
+class TestOraclePlan:
+    """The per-resolution plan is built once, cannot be written and changes no result."""
+
+    @pytest.mark.parametrize("grid", [100, 283, 2000])
+    def test_plan_is_cached(self, grid):
+        assert extremal._oracle_plan(grid) is extremal._oracle_plan(grid)
+
+    @pytest.mark.parametrize("grid", [100, 256, 1025])
+    def test_plan_is_read_only(self, grid):
+        plan = extremal._oracle_plan(grid)
+        assert len(plan) == 7 and all(not array.flags.writeable for array in plan)
+        with pytest.raises(ValueError):
+            plan.g0[0] = 0.0
+
+    @pytest.mark.parametrize("grid", [100, 256, 257, 283, 2000, 10**5])
+    def test_plan_axis_is_the_axis_bit_for_bit(self, grid):
+        extremal._oracle_plan.cache_clear()
+        s = extremal._oracle_axis(grid)
+        assert np.array_equal(extremal._oracle_plan(grid).s.view(np.int64), s.view(np.int64))
+
+    def test_cold_and_warm_cache_give_the_same_tuples(self):
+        assert [grid for grid, _ in itertools.groupby(case[2] for case in INTERLEAVED_CASES)] == [
+            283, 2000, 256, 2000, 1025]
+        cold = []
+        for case in INTERLEAVED_CASES:
+            extremal._oracle_plan.cache_clear()
+            cold.append(scalar_dual_oracle_argmin(*case))
+        extremal._oracle_plan.cache_clear()
+        first = [scalar_dual_oracle_argmin(*case) for case in INTERLEAVED_CASES]
+        hits = extremal._oracle_plan.cache_info().hits
+        warm = [scalar_dual_oracle_argmin(*case) for case in INTERLEAVED_CASES]
+        assert extremal._oracle_plan.cache_info().hits == hits + len(INTERLEAVED_CASES)
+        assert cold == first == warm
+
+    def test_full_scan_reference_never_reads_the_plan(self, monkeypatch):
+        lam, rho, grid = INTERLEAVED_CASES[10]  # grid 283, active branch
+        want = scalar_dual_oracle_argmin(lam, rho, grid)
+
+        def plan(resolution):
+            raise AssertionError("the reference read the plan")
+
+        monkeypatch.setattr(extremal, "_oracle_plan", plan)
+        assert full_scan_oracle(lam, rho, grid) == want
+
+    def test_plan_at_the_cap_is_small(self):
+        # O(grid) arrays, measured 5.1 MB at 10^5; caching (tiles x tiles)
+        # data would take 122 MB per array there.
+        extremal._oracle_plan.cache_clear()
+        try:
+            peak = traced_peak_bytes(lambda: extremal._oracle_plan(10**5))
+        finally:
+            extremal._oracle_plan.cache_clear()
+        assert peak < 16e6, peak
 
 
 class TestNondegenerateMinimizers:
