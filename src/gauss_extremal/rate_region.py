@@ -65,7 +65,7 @@ def beta(rho: float, z: float) -> float:
     """1 + sqrt(1 + 4 rho^2 z / (1 - rho^2)^2); exactly 2 at rho = 0 or z = 0."""
     if not -1.0 < rho < 1.0:
         raise DomainError("rho must lie in (-1, 1)")
-    if z < 0.0:
+    if not z >= 0.0:  # NaN included
         raise DomainError("z must be nonnegative")
     r2 = rho * rho
     return 1.0 + math.sqrt(1.0 + 4.0 * r2 * z / (1.0 - r2) ** 2)
@@ -98,6 +98,10 @@ def distortion_of_sum_rate(rho: float, r: float) -> float:
     distortion slot recovers r (the bound solves this quadratic in
     2^(-2r)).
     """
+    if not -1.0 < rho < 1.0:
+        raise DomainError("rho must lie in (-1, 1)")
+    if not r >= 0.0:  # NaN included
+        raise DomainError("r must be nonnegative")
     r2 = rho * rho
     t = 2.0 ** (-2.0 * r)
     return t * (1.0 - r2 + r2 * t)

@@ -3,6 +3,7 @@ import math
 import subprocess
 import sys
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -234,6 +235,32 @@ class TestEllipsoidCommand:
         ])
         assert code == 0
         assert abs(json.loads(out)["config"]["sigma"]["trace"] - 5.5) < 1e-12
+
+    def test_parsed_sigma_is_freed_before_the_run(self, capsys, tmp_path, monkeypatch):
+        # The config holds its own read-only copy of sigma: the parsed array
+        # must not stay alive beside it through the run.
+        sigma_path = tmp_path / "sigma.json"
+        sigma_path.write_text(json.dumps({"n": 4, "data": np.eye(4).ravel().tolist()}))
+        parse, run = cli.matrix_from_json, cli.run_simulation
+        parsed, alive_at_run = [], []
+
+        def recorded_parse(obj):
+            sigma = parse(obj)
+            parsed.append(weakref.ref(sigma))
+            return sigma
+
+        def checked_run(config):
+            alive_at_run.append(parsed[0]() is not None)
+            return run(config)
+
+        monkeypatch.setattr(cli, "matrix_from_json", recorded_parse)
+        monkeypatch.setattr(cli, "run_simulation", checked_run)
+        code, _, _ = run_cli(capsys, [
+            "ellipsoid", "--n", "4", "--k", "2", "--rho", "0.3", "--nux", "0.5", "--nuy", "0.5",
+            "--delta", "0.01", "--trials", "3", "--sigma-file", str(sigma_path),
+        ])
+        assert code == 0
+        assert alive_at_run == [False]
 
     def test_bad_sigma_file_exits_two(self, capsys, tmp_path):
         sigma_path = tmp_path / "sigma.json"

@@ -1,14 +1,17 @@
+import dataclasses
+import json
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from gauss_extremal import ellipsoid_codec
+from gauss_extremal import cli, ellipsoid_codec
 from gauss_extremal.errors import DegenerateShrinkage, DomainError, Infeasible, NotPositiveDefinite
 from gauss_extremal.ellipsoid_codec import (
     CodecConfig,
     Ellipsoid,
+    TrialReport,
     build_shrunk_matrix,
     ellipsoid_volume,
     implied_rates,
@@ -527,17 +530,32 @@ class TestRunSimulation:
         assert all(max(tr.logdet_residual_x, tr.logdet_residual_y) <= 1e-9 for tr in rep.trials)
 
     @pytest.mark.parametrize("chunk", [1, 3, 7])
-    def test_chunk_size_changes_no_trial(self, chunk, monkeypatch):
+    def test_chunk_size_changes_no_trial(self, chunk, monkeypatch, capsys, tmp_path):
         sigma = random_pd(np.random.default_rng(66), 16)
+        sigma_path = tmp_path / "sigma.json"
+        sigma_path.write_text(json.dumps({"n": 16, "data": sigma.ravel().tolist()}))
+        csv_path = tmp_path / "trials.csv"
+
+        def cli_output(rho, nu_x):
+            """Exit code, stdout and trials CSV bytes of the same run through the CLI."""
+            code = cli.main([
+                "ellipsoid", "--n", "16", "--k", "3", "--rho", repr(rho), "--nux", repr(nu_x),
+                "--nuy", "0.4", "--delta", "0.005", "--trials", "17", "--seed", "4",
+                "--sigma-file", str(sigma_path), "--precision", "17", "--trials-csv", str(csv_path),
+            ])
+            return code, capsys.readouterr().out, csv_path.read_bytes()
+
         for rho, nu_x in ((0.5, 0.3), (-0.6, 0.3), (0.0, 1.0)):  # nu_x = 1: X is not sent
             cfg = CodecConfig(n=16, k=3, rho=rho, sigma=sigma, nu_x=nu_x, nu_y=0.4,
                               delta=0.005, trials=17, seed=4)
-            whole = run_simulation(cfg)
+            whole, whole_printed = run_simulation(cfg), cli_output(rho, nu_x)
             monkeypatch.setattr(ellipsoid_codec, "_STACK_ENTRIES", chunk * cfg.n * cfg.n)
-            chunked = run_simulation(cfg)
+            chunked, chunked_printed = run_simulation(cfg), cli_output(rho, nu_x)
             monkeypatch.undo()
             assert chunked.trials == whole.trials
             assert report_to_dict(chunked) == report_to_dict(whole)
+            assert whole_printed[0] == 0
+            assert chunked_printed == whole_printed
 
     def test_one_deflation_per_stack_and_source(self, monkeypatch):
         cfg = CodecConfig(n=16, k=3, rho=0.5, sigma=np.eye(16), nu_x=0.3, nu_y=0.4,
@@ -574,9 +592,23 @@ class TestRunSimulation:
         cfg = CodecConfig(n=8, k=2, rho=0.2, sigma=np.eye(8), nu_x=0.5, nu_y=0.5,
                           delta=0.01, trials=2, seed=1)
         d = report_to_dict(run_simulation(cfg))
-        for key in ("config", "coverage_x", "coverage_y", "mean_norm_vol_x",
-                    "mean_norm_vol_y", "implied_rates", "region_inside", "residual_max"):
-            assert key in d
+        assert set(d) == {
+            "config", "coverage_x", "coverage_y", "per_point_failure_max_x", "per_point_failure_max_y",
+            "mean_norm_vol_x", "mean_norm_vol_y", "mean_norm_vol_x_corrected", "mean_norm_vol_y_corrected",
+            "implied_rates", "noise_levels", "region_inside", "residual_max", "whitening_frobenius_error",
+            "center_norm_exceed_frac_x", "center_norm_exceed_frac_y",
+        }
+        assert set(d["config"]) == {"n", "k", "rho", "nu_x", "nu_y", "delta", "trials", "seed", "sigma"}
+        assert set(d["config"]["sigma"]) == {"n", "trace", "log_det"}
+        assert set(d["implied_rates"]) == {"r_x", "r_y"}
+        assert set(d["noise_levels"]) == {"q_x", "q_y"}
+
+    def test_trial_report_fields_are_the_per_trial_ones(self):
+        assert [f.name for f in dataclasses.fields(TrialReport)] == [
+            "trial", "covered_x", "covered_y", "norm_volume_x", "norm_volume_y",
+            "norm_volume_x_corrected", "norm_volume_y_corrected",
+            "logdet_residual_x", "logdet_residual_y", "rank_x", "rank_y",
+        ]
 
     def test_report_dict_reuses_the_run_log_det(self, monkeypatch):
         # log|sigma| comes from the whitening eigenvalues; printing the

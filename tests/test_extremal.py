@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from gauss_extremal import extremal
+from gauss_extremal.ellipsoid_codec import build_shrunk_matrix
 from gauss_extremal.errors import CrossCheckFailed, DomainError
 from gauss_extremal.extremal import (
     alpha_family_channel,
@@ -32,6 +33,7 @@ from gauss_extremal.gauss_model import (
     log_det,
     mutual_information,
 )
+from gauss_extremal.rate_region import beta, distortion_of_sum_rate
 from gauss_extremal.rng import random_pd
 
 from conftest import make_scalar_triple, make_vector_triple
@@ -797,3 +799,28 @@ class TestDualityConsistency:
             info = mutual_information(model, u, v)
             bound = vector_dual_lower(lam, model.sigma_x, model.sigma_z).value_bits
             assert dual_functional(info, lam) >= bound - 1e-9
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("func, args, message", [
+    pytest.param(distortion_of_sum_rate, (1.5, 1.0), "rho must lie in", id="distortion-rho-1.5"),
+    pytest.param(distortion_of_sum_rate, (NAN, 1.0), "rho must lie in", id="distortion-rho-nan"),
+    pytest.param(distortion_of_sum_rate, (0.5, -1.0), "r must be nonnegative", id="distortion-r-negative"),
+    pytest.param(distortion_of_sum_rate, (0.5, NAN), "r must be nonnegative", id="distortion-r-nan"),
+    pytest.param(beta, (0.5, NAN), "z must be nonnegative", id="beta-z-nan"),
+    pytest.param(nondegenerate_minimizers, (NAN, 0.5), "lam must be nonnegative", id="minimizers-lam-nan"),
+    pytest.param(scalar_dual_closed, (NAN, 0.5), "lam must be nonnegative", id="closed-lam-nan"),
+    pytest.param(scalar_dual_oracle, (NAN, 0.5), "lam must be nonnegative", id="oracle-lam-nan"),
+    pytest.param(scalar_dual_oracle_argmin, (NAN, 0.5), "lam must be nonnegative", id="oracle-argmin-lam-nan"),
+    pytest.param(vector_dual_lower, (NAN, np.eye(2), np.eye(2)), "lam must be nonnegative", id="vector-lam-nan"),
+    pytest.param(exponent_tradeoff_min, (0.3, 0.5, NAN), "lam must be nonnegative", id="tradeoff-lam-nan"),
+    pytest.param(exponent_tradeoff_min, (NAN, 0.5, 1.0), "a1 and a2 must be positive", id="tradeoff-a1-nan"),
+    pytest.param(build_shrunk_matrix, (np.eye(3), np.ones((1, 3)), NAN), "delta must be positive", id="shrunk-delta-nan"),
+])
+def test_out_of_domain_and_nan_inputs_are_domain_errors(func, args, message):
+    # Each used to return a number (a NaN, a negative distortion, an empty
+    # list, a NaN matrix) or to blame lam as too large.
+    with pytest.raises(DomainError, match=message):
+        func(*args)
