@@ -1,9 +1,10 @@
 """Command-line surface: region queries, dual-function tables, inequality
 falsification sweeps, and covering-ellipsoid simulations.
 
-Data goes to stdout, diagnostics to stderr. All randomized commands are
-deterministic under a fixed seed (--seed, else GAUSS_EXTREMAL_SEED, else
-0), and outputs are canonically ordered, so repeated runs are
+Data goes to stdout, diagnostics to stderr. The two commands that draw,
+verify and ellipsoid, are deterministic under a fixed seed (--seed, else
+GAUSS_EXTREMAL_SEED, else 0); region and dual draw nothing and take no
+seed. Outputs are canonically ordered, so repeated runs are
 byte-identical. Exit codes: 0 success (region: inside; verify: no
 violations; ellipsoid: region ok and identity residual small), 1 checked
 condition failed, 2 bad input.
@@ -71,12 +72,14 @@ def _emit_csv(header: list[str], rows: list, precision: int) -> None:
 
 
 def _check_args(args) -> None:
-    """Input checks shared by every subcommand; fills in the default seed."""
+    """Input checks shared by every subcommand; fills in a drawing command's default seed."""
     for key, value in vars(args).items():
         if isinstance(value, float) and not math.isfinite(value):
             raise DomainError(f"--{key.replace('_', '-')} must be finite, got {value}")
     if args.precision < 1:
         raise DomainError(f"--precision must be at least 1, got {args.precision}")
+    if not hasattr(args, "seed"):
+        return
     source = "--seed"
     if args.seed is None:
         source, raw = "GAUSS_EXTREMAL_SEED", os.environ.get("GAUSS_EXTREMAL_SEED", "0")
@@ -144,10 +147,8 @@ def _cmd_ellipsoid(args) -> int:
             sigma = matrix_from_json(json.load(fh))
         if sigma.shape[0] != args.n:
             raise GaussExtremalError("sigma file dimension does not match --n")
-    elif args.sigma == "identity":
-        sigma = np.eye(args.n)
     else:
-        raise GaussExtremalError('--sigma accepts only "identity" (or use --sigma-file)')
+        sigma = np.eye(args.n)
     config = CodecConfig(sigma=sigma, **params)
     del sigma  # the config holds its own read-only copy: not two through the run (8 MB each at n = 1024)
     report = run_simulation(config)
@@ -164,40 +165,32 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="gauss-extremal",
         description="Gaussian information-inequality and rate-region toolkit",
     )
+    # Options match by full name only: as a prefix, --sigma would read as --sigma-file.
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=None,
-                       help="random seed (default: GAUSS_EXTREMAL_SEED or 0)")
-        p.add_argument("--precision", type=int, default=12,
-                       help="significant digits in printed numbers")
-
-    p_region = sub.add_parser("region", help="rate-region membership query")
+    p_region = sub.add_parser("region", help="rate-region membership query", allow_abbrev=False)
     p_region.add_argument("--rho", type=float, required=True)
     p_region.add_argument("--rx", type=float, required=True)
     p_region.add_argument("--ry", type=float, required=True)
     p_region.add_argument("--nux", type=float, required=True)
     p_region.add_argument("--nuy", type=float, required=True)
     p_region.add_argument("--output", choices=("json", "csv"), default="json")
-    common(p_region)
 
-    p_dual = sub.add_parser("dual", help="dual-function table: closed form vs grid oracle")
+    p_dual = sub.add_parser("dual", help="dual-function table: closed form vs grid oracle", allow_abbrev=False)
     p_dual.add_argument("--rho", type=float, required=True)
     p_dual.add_argument("--lambdas", type=str, required=True,
                         help="comma-separated lambda values")
     p_dual.add_argument("--grid", type=int, default=500)
     p_dual.add_argument("--output", choices=("json", "csv"), default="csv")
-    common(p_dual)
 
-    p_verify = sub.add_parser("verify", help="randomized inequality falsification sweep")
+    p_verify = sub.add_parser("verify", help="randomized inequality falsification sweep", allow_abbrev=False)
     p_verify.add_argument("--mode", choices=VERIFY_MODES, required=True)
     p_verify.add_argument("--trials", type=int, default=1000)
     p_verify.add_argument("--dim", type=int, default=4)
     p_verify.add_argument("--samples-csv", type=str, default=None,
                           help="write per-sample gaps to this file")
-    common(p_verify)
 
-    p_ell = sub.add_parser("ellipsoid", help="covering-ellipsoid Monte Carlo simulation")
+    p_ell = sub.add_parser("ellipsoid", help="covering-ellipsoid Monte Carlo simulation", allow_abbrev=False)
     p_ell.add_argument("--n", type=int, required=True)
     p_ell.add_argument("--k", type=int, required=True)
     p_ell.add_argument("--rho", type=float, required=True)
@@ -205,11 +198,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ell.add_argument("--nuy", type=float, required=True)
     p_ell.add_argument("--delta", type=float, default=0.0025)
     p_ell.add_argument("--trials", type=int, default=100)
-    p_ell.add_argument("--sigma", type=str, default="identity")
-    p_ell.add_argument("--sigma-file", type=str, default=None)
+    p_ell.add_argument("--sigma-file", type=str, default=None,
+                       help="source covariance as JSON (default: the identity)")
     p_ell.add_argument("--trials-csv", type=str, default=None,
                        help="write per-trial rows to this file")
-    common(p_ell)
+
+    for p in (p_verify, p_ell):  # the commands that draw
+        p.add_argument("--seed", type=int, default=None,
+                       help="random seed (default: GAUSS_EXTREMAL_SEED or 0)")
+    for p in (p_region, p_dual, p_verify, p_ell):
+        p.add_argument("--precision", type=int, default=12,
+                       help="significant digits in printed numbers")
     return parser
 
 

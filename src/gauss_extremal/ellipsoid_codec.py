@@ -42,6 +42,7 @@ matrix, and sums run in trial order, so the stack size changes no result.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -75,8 +76,8 @@ _STACK_ENTRIES = 1 << 18
 
 def log_unit_ball_volume(n: int) -> float:
     """log c_n = (n/2) log pi - log Gamma(n/2 + 1), in nats."""
-    if n < 1:
-        raise DomainError("n must be at least 1")
+    if not (isinstance(n, numbers.Integral) and n >= 1):  # NaN and 2.5 included
+        raise DomainError(f"n must be an integer of at least 1, got {n!r}")
     return 0.5 * n * math.log(math.pi) - math.lgamma(0.5 * n + 1.0)
 
 
@@ -107,6 +108,8 @@ class Ellipsoid:
     def contains(self, x) -> np.ndarray | bool:
         """Membership test; accepts one point (n,) or a batch (m, n)."""
         pts = np.asarray(x, dtype=float)
+        if pts.ndim not in (1, 2) or pts.shape[-1] != self.b_center.size:
+            raise DomainError(f"points must have shape (n,) or (m, n) with n = {self.b_center.size}, got {pts.shape}")
         single = pts.ndim == 1
         pts = np.atleast_2d(pts)
         inside = np.linalg.norm(pts @ self.a_matrix.T - self.b_center, axis=1) <= 1.0
@@ -156,11 +159,7 @@ def check_scalar_params(n: int, k: int, rho: float, nu_x: float, nu_y: float,
         raise DomainError("n must be at least 1")
     if not 1 <= k <= n:
         raise DomainError("k must satisfy 1 <= k <= n")
-    if not -1.0 < rho < 1.0:
-        raise DomainError("rho must lie in (-1, 1)")
-    for name, v in (("nu_x", nu_x), ("nu_y", nu_y)):
-        if not 0.0 < v <= 1.0:
-            raise DomainError(f"{name} must lie in (0, 1]")
+    _check_targets(rho, nu_x, nu_y)
     if not 0.0 < delta < 0.25:
         raise DomainError("delta must lie in (0, 0.25) so the shrinkage factor stays positive")
     _shrinkage(delta)
@@ -169,6 +168,15 @@ def check_scalar_params(n: int, k: int, rho: float, nu_x: float, nu_y: float,
     if trials < 1:
         raise DomainError("trials must be at least 1")
     check_seed(seed)
+
+
+def _check_targets(rho: float, nu_x: float, nu_y: float) -> None:
+    """Raise DomainError unless rho lies in (-1, 1) and both targets in (0, 1]; NaN fails."""
+    if not -1.0 < rho < 1.0:
+        raise DomainError("rho must lie in (-1, 1)")
+    for name, v in (("nu_x", nu_x), ("nu_y", nu_y)):
+        if not 0.0 < v <= 1.0:
+            raise DomainError(f"{name} must lie in (0, 1]")
 
 
 def _shrinkage(delta: float) -> tuple[float, float]:
@@ -195,10 +203,7 @@ def solve_noise_levels(rho: float, nu_x: float, nu_y: float) -> tuple[float, flo
     what the other description alone achieves. A zero margin at rho = 0
     (nu = 1) is a description that is not sent, q = inf.
     """
-    if not -1.0 < rho < 1.0:
-        raise DomainError("rho must lie in (-1, 1)")
-    if not (0.0 < nu_x <= 1.0 and 0.0 < nu_y <= 1.0):
-        raise DomainError("targets must lie in (0, 1]")
+    _check_targets(rho, nu_x, nu_y)
     r2 = rho * rho
     if nu_x == 1.0 and nu_y == 1.0:
         return math.inf, math.inf
@@ -256,8 +261,11 @@ def implied_rates(rho: float, nu_x: float, nu_y: float, q_x: float, q_y: float) 
     description plus half the shared information I(U;V); the pair then sits
     on the dominant face of the achievable region (the sum equals the joint
     information exactly) with a small slack pushing a sent description
-    strictly inside. A description that is not sent has rate 0.
+    strictly inside. A description that is not sent (q = inf) has rate 0.
     """
+    _check_targets(rho, nu_x, nu_y)
+    if not (q_x > 0.0 and q_y > 0.0):  # NaN included
+        raise DomainError("noise levels must be positive (inf for a description that is not sent)")
     (s_x, _, v_x), (s_y, _, v_y), d = _test_channel(rho, q_x, q_y)
     shared = -0.5 * math.log2(d)  # I(U;V)
     # I(X;U|V) = (1/2) log2(Var(X|V) / nu_x), and likewise for Y.

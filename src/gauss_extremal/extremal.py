@@ -40,6 +40,7 @@ from __future__ import annotations
 import collections
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -394,6 +395,8 @@ def scalar_dual_oracle_argmin(
     lam: float, rho: float, grid_resolution: int = 500
 ) -> tuple[float, float, float]:
     """Oracle value together with the minimizing (rho_u^2, rho_v^2) cell."""
+    if not isinstance(grid_resolution, numbers.Integral):
+        raise DomainError(f"grid_resolution must be an integer, got {grid_resolution!r}")
     if not 100 <= grid_resolution <= _ORACLE_MAX_GRID:
         raise DomainError(f"grid_resolution must lie in [100, {_ORACLE_MAX_GRID}], got {grid_resolution}")
     if not lam >= 0.0:  # NaN included
@@ -428,8 +431,8 @@ def nondegenerate_minimizers(lam: float, rho: float, count: int = 20) -> list[Mi
         raise DomainError("rho must be nonzero")
     if not -1.0 < rho < 1.0:
         raise DomainError("rho must lie in (-1, 1)")
-    if count < 1:
-        raise DomainError("count must be positive")
+    if not (isinstance(count, numbers.Integral) and count >= 1):
+        raise DomainError(f"count must be a positive integer, got {count!r}")
     r2 = rho * rho
     if lam * r2 < 1.0:
         return []

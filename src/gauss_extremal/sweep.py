@@ -13,8 +13,10 @@ then stacks the joint covariances of its pairs Y = rho X + Z (the
 unit-variance pair, sigma_z = 1 - rho^2, in the scalar modes; rho = 1 in
 the vector modes) and evaluates all of them in one call of the batched
 information kernel, whose log-determinants also give the volume ratio.
-Every value equals the one drawn with a call per value. Chunks only
-bound memory: every sample's gap is the same whatever the chunk size.
+The kernel alone checks a drawn covariance: sigma_x is its X block and
+sigma_z the Schur complement of X in its XY block. Every value equals
+the one drawn with a call per value. Chunks only bound memory: every
+sample's gap is the same whatever the chunk size.
 
 Gap conventions per mode: thm3 and thm1-scalar use two descriptions on a
 unit-variance pair, thm1-vector uses random covariances and channels,
@@ -136,9 +138,6 @@ def _vector_samples(mode: str, samples: range, n: int, streams: Streams) -> tupl
     """(sigma_x, sigma_z, rho = 1, gain_u, noise_u, gain_v, noise_v), the
     arrays stacked over the samples, and their params."""
     sigma_x, sigma_z, gain_u, noise_u, gain_v, noise_v, inject_draw = _draw_vector(mode, samples, n, streams)
-    lower_x = cholesky_pd(sigma_x, "sigma_x")
-    cholesky_pd(sigma_z, "sigma_z")
-
     params = [{"sample": t, "n": n} for t in samples]
     if mode == "vec-epi":
         # Equality family on even samples: conditional covariance
@@ -146,7 +145,7 @@ def _vector_samples(mode: str, samples: range, n: int, streams: Streams) -> tupl
         for p in params:
             p["injected"] = p["sample"] % 2 == 0
         inj = np.array([i for i, p in enumerate(params) if p["injected"]], dtype=int)
-        white = np.linalg.inv(lower_x[inj])
+        white = np.linalg.inv(cholesky_pd(sigma_x[inj], "sigma_x"))
         top = np.linalg.eigvalsh(white @ sigma_z[inj] @ white.transpose(0, 2, 1)).max(axis=1)
         lam = 1.0 + 1.0 / (inject_draw[inj] / top)
         alpha = 1.0 / (lam - 1.0)

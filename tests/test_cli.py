@@ -427,7 +427,7 @@ class TestBadInputExitsTwo:
         assert err == "error: out of memory: Unable to allocate 284. GiB for an array\n"
 
     @pytest.mark.parametrize("seed", ["-3", str(2**64)])
-    @pytest.mark.parametrize("command", [VERIFY, ELLIPSOID, REGION])
+    @pytest.mark.parametrize("command", [VERIFY, ELLIPSOID])
     def test_seed_outside_domain(self, capsys, command, seed):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -443,8 +443,24 @@ class TestBadInputExitsTwo:
         assert "GAUSS_EXTREMAL_SEED" in err
 
     def test_largest_seed_is_accepted(self, capsys):
-        code, out, _ = run_cli(capsys, REGION + ["--seed", str(2**64 - 1)])
-        assert code == 0 and json.loads(out)["inside"] in (True, False)
+        code, out, _ = run_cli(capsys, VERIFY + ["--seed", str(2**64 - 1)])
+        assert code == 0 and json.loads(out)["seed"] == 2**64 - 1
+
+    @pytest.mark.parametrize("command", [REGION, DUAL])
+    def test_commands_that_draw_nothing_ignore_the_env_seed(self, capsys, monkeypatch, command):
+        monkeypatch.delenv("GAUSS_EXTREMAL_SEED", raising=False)
+        unset = run_cli(capsys, command)
+        monkeypatch.setenv("GAUSS_EXTREMAL_SEED", "junk")
+        assert run_cli(capsys, command) == unset and unset[0] == 0
+
+    @pytest.mark.parametrize("command,option", [
+        (REGION, ["--seed", "1"]), (DUAL, ["--seed", "1"]), (ELLIPSOID, ["--sigma", "identity"]),
+    ])
+    def test_options_a_command_does_not_read_are_unrecognized(self, capsys, command, option):
+        with pytest.raises(SystemExit) as exc:
+            main(command + option)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestStrictJson:

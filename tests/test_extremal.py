@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from gauss_extremal import extremal
-from gauss_extremal.ellipsoid_codec import build_shrunk_matrix
+from gauss_extremal.ellipsoid_codec import (
+    Ellipsoid, build_shrunk_matrix, implied_rates, log_unit_ball_volume, unit_ball_volume,
+)
 from gauss_extremal.errors import CrossCheckFailed, DomainError
 from gauss_extremal.extremal import (
     alpha_family_channel,
@@ -818,9 +820,20 @@ NAN = float("nan")
     pytest.param(exponent_tradeoff_min, (0.3, 0.5, NAN), "lam must be nonnegative", id="tradeoff-lam-nan"),
     pytest.param(exponent_tradeoff_min, (NAN, 0.5, 1.0), "a1 and a2 must be positive", id="tradeoff-a1-nan"),
     pytest.param(build_shrunk_matrix, (np.eye(3), np.ones((1, 3)), NAN), "delta must be positive", id="shrunk-delta-nan"),
+    pytest.param(implied_rates, (NAN, 0.3, 0.3, 1.0, 1.0), "rho must lie in", id="rates-rho-nan"),
+    pytest.param(implied_rates, (0.5, NAN, 0.3, 1.0, 1.0), "nu_x must lie in", id="rates-nu-nan"),
+    pytest.param(implied_rates, (0.5, 0.3, 0.3, 1.0, NAN), "noise levels must be positive", id="rates-q-nan"),
+    pytest.param(log_unit_ball_volume, (NAN,), "n must be an integer", id="log-ball-n-nan"),
+    pytest.param(unit_ball_volume, (NAN,), "n must be an integer", id="ball-n-nan"),
+    pytest.param(log_unit_ball_volume, (2.5,), "n must be an integer", id="log-ball-n-2.5"),
+    pytest.param(scalar_dual_oracle, (2.0, 0.6, 500.7), "grid_resolution must be an integer", id="oracle-grid-500.7"),
+    pytest.param(nondegenerate_minimizers, (3.0, 0.8, 2.5), "count must be a positive integer", id="minimizers-count-2.5"),
+    pytest.param(Ellipsoid(np.eye(2), np.zeros(2)).contains, ([1.0, 2.0, 3.0],), "points must have shape",
+                 id="ellipsoid-point-dim-3"),
 ])
 def test_out_of_domain_and_nan_inputs_are_domain_errors(func, args, message):
     # Each used to return a number (a NaN, a negative distortion, an empty
-    # list, a NaN matrix) or to blame lam as too large.
+    # list, a NaN matrix, a grid-500 value for grid 500.7), to blame lam as
+    # too large, or to escape as a numpy TypeError or ValueError.
     with pytest.raises(DomainError, match=message):
         func(*args)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from gauss_extremal import sweep
-from gauss_extremal.errors import GaussExtremalError
+from gauss_extremal.cli import main
+from gauss_extremal.errors import GaussExtremalError, NotPositiveDefinite
 from gauss_extremal.extremal import (
     alpha_family_channel,
     oohama_gap,
@@ -199,3 +200,38 @@ def test_stacked_covariances_equal_random_pd(n):
             if gen.uniform() >= sweep.DEGENERATE_PROB:
                 gen.standard_normal((n, n))
                 assert np.array_equal(noise[t], random_pd(gen, n))
+
+
+@pytest.mark.parametrize("mode,dim,calls", [("thm1-vector", 2, 4), ("thm1-vector", 8, 9), ("vec-epi", 4, 9)])
+def test_drawn_covariances_are_factorized_only_by_the_kernel(mode, dim, calls, monkeypatch):
+    # The kernel makes one batched factorization per subset size and group
+    # of samples: 4 at dim 2, 9 at dim 8, 6 for vec-epi at dim 4, whose
+    # injected samples add one of sigma_x and two in conditional_cov_noise.
+    # A pre-check of the drawn sigma_x and sigma_z would add two more.
+    cholesky, count = np.linalg.cholesky, []
+
+    def counted(a):
+        count.append(a.shape)
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    sweep.run_verify_sweep(mode, 30, dim, 0)
+    assert len(count) == calls, count
+
+
+def test_singular_drawn_sigma_z_is_named_by_the_kernel(monkeypatch, capsys):
+    # Sigma_z is the Schur complement of X in the XY block of the joint, so
+    # the kernel's pivot test on XY catches a singular sigma_z.
+    draw = sweep._draw_vector
+
+    def singular_at_2(mode, samples, n, streams):
+        drawn = draw(mode, samples, n, streams)
+        drawn[1][2 - samples.start] = np.ones((n, n))  # rank one
+        return drawn
+
+    monkeypatch.setattr(sweep, "_draw_vector", singular_at_2)
+    with pytest.raises(NotPositiveDefinite, match=r"joint covariance block XY \(sample 2\)"):
+        sweep.run_verify_sweep("thm1-vector", 30, 3, 0)
+    assert main(["verify", "--mode", "thm1-vector", "--trials", "30", "--dim", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "joint covariance block XY (sample 2)" in captured.err
