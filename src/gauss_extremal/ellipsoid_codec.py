@@ -110,10 +110,8 @@ class Ellipsoid:
         pts = np.asarray(x, dtype=float)
         if pts.ndim not in (1, 2) or pts.shape[-1] != self.b_center.size:
             raise DomainError(f"points must have shape (n,) or (m, n) with n = {self.b_center.size}, got {pts.shape}")
-        single = pts.ndim == 1
-        pts = np.atleast_2d(pts)
-        inside = np.linalg.norm(pts @ self.a_matrix.T - self.b_center, axis=1) <= 1.0
-        return bool(inside[0]) if single else inside
+        inside = np.linalg.norm(pts @ self.a_matrix.T - self.b_center, axis=-1) <= 1.0
+        return bool(inside) if pts.ndim == 1 else inside
 
 
 def ellipsoid_volume(e: Ellipsoid) -> float:
