@@ -22,6 +22,12 @@ singular vectors of the k x n center matrix),
     B = (tau I - gamma sum_j u_j u_j^T) A,
 
 whose determinant satisfies |B| = |A| tau^(n-k') (tau - gamma)^k' exactly.
+B is formed as its transpose B^T = tau A^T - (V A)^T (gamma V), with V
+the basis rows: A = Lambda^(-1/2) U^T is the transpose of a C-ordered
+array, so tau A^T and the product are both C-ordered and the subtraction
+reads them in one memory order, and the transposed view B is column-major
+per matrix, the order that slogdet copies it into for LAPACK's LU. At
+n = 1024 each layout the other way costs a strided pass over 8 MB.
 Each trial factorizes B once per source (one LU, through slogdet); that
 log|B| gives the normalized volume and is checked against the identity.
 A = s Lambda^(-1/2) U^T is fixed for the run, so log|A| = n log s -
@@ -153,6 +159,9 @@ class CodecConfig:
 def check_scalar_params(n: int, k: int, rho: float, nu_x: float, nu_y: float,
                         delta: float, trials: int, seed: int) -> None:
     """CodecConfig's O(1) checks, of every field but sigma: a caller can run them before it reads sigma."""
+    for name, value in (("n", n), ("k", k), ("trials", trials)):
+        if not isinstance(value, numbers.Integral):  # 2.5 would fail later, as a shape or a range bound
+            raise DomainError(f"{name} must be an integer, got {value!r}")
     if n < 1:
         raise DomainError("n must be at least 1")
     if not 1 <= k <= n:
@@ -289,22 +298,36 @@ def _deflate(a: np.ndarray, centers: np.ndarray, delta: float, logdet_a: float):
     times its largest center norm; the other rows of vt are zeroed, so the
     bases stay one (T, k, n) stack. Each B is factorized once (slogdet
     does one LU per matrix of the stack) and its log-determinant compared
-    with the identity's value. Returns the (T, ...) stacks of B, log |det
-    B|, the residual, the rank and the zero-padded basis.
+    with the identity's value.
+
+    B is formed as its transpose, B^T = tau a^T - (vt a)^T (gamma vt), a
+    C-contiguous stack: for the F-ordered whitening map of run_simulation,
+    tau a^T is C-ordered too, so the subtraction reads both operands in
+    one memory order, and B, the returned transposed view, is F-ordered
+    per matrix, the layout that slogdet copies without a strided read for
+    LAPACK's LU. Each entry sums the same k products as gamma vt^T (vt a)
+    does, with the operands of the product exchanged. With OpenBLAS the
+    two orders agree bit for bit when n is a multiple of 8; at other n
+    (from about 250 up) some entries differ, by at most about 2 eps times
+    the magnitudes summed.
+
+    Returns the (T, ...) stacks of B, log |det B|, the residual, the rank,
+    the zero-padded basis and the center norms.
     """
     tau, gamma = _shrinkage(delta)
     _, singular, vt = np.linalg.svd(centers, full_matrices=False)
-    cutoff = 1e-10 * np.max(np.linalg.norm(centers, axis=2), axis=1, initial=0.0)
-    kept = singular > cutoff[:, None]
+    norms = np.linalg.norm(centers, axis=2)
+    kept = singular > 1e-10 * np.max(norms, axis=1, initial=0.0)[:, None]
     vt[~kept] = 0.0
     rank = np.count_nonzero(kept, axis=1)
 
-    b = gamma * vt.transpose(0, 2, 1) @ (vt @ a)
-    np.subtract(tau * a, b, out=b)
+    bt = (vt @ a).transpose(0, 2, 1) @ (gamma * vt)
+    np.subtract(tau * a.T, bt, out=bt)
+    b = bt.transpose(0, 2, 1)
     _, ld_b = np.linalg.slogdet(b)
     n = a.shape[0]
     expected = logdet_a + (n - rank) * math.log(tau) + rank * math.log(tau - gamma)
-    return b, ld_b, np.abs(ld_b - expected), rank, vt
+    return b, ld_b, np.abs(ld_b - expected), rank, vt, norms
 
 
 def build_shrunk_matrix(a_x: np.ndarray, centers, delta: float) -> ShrunkMatrix:
@@ -324,7 +347,7 @@ def build_shrunk_matrix(a_x: np.ndarray, centers, delta: float) -> ShrunkMatrix:
     if not delta > 0.0:  # NaN included
         raise DomainError("delta must be positive")
     _, ld_a = np.linalg.slogdet(a)
-    b, ld_b, residual, rank, basis = _deflate(a, c[None], delta, float(ld_a))
+    b, ld_b, residual, rank, basis, _ = _deflate(a, c[None], delta, float(ld_a))
     rank = int(rank[0])
     return ShrunkMatrix(
         b_matrix=b[0], logdet_b=float(ld_b[0]), logdet_residual=float(residual[0]), rank=rank,
@@ -411,20 +434,18 @@ class _Setup:
         cfg = self.config
         k, n, rho = cfg.k, cfg.n, cfg.rho
         shape = (len(trials), k, n)
-        g1, g2 = np.empty(shape), np.empty(shape)
+        source = np.empty((len(trials), 2, k, n))  # g1 then g2: a trial's source stream in draw order
         noises = {
             stream_id: np.empty(shape)
             for stream_id, q in ((STREAM_NOISE_X, self.q_x), (STREAM_NOISE_Y, self.q_y))
             if math.isfinite(q)  # an infinite noise level: the description is not sent
         }
         for i, t in enumerate(trials):
-            src = self.streams(t, STREAM_SOURCE)
-            src.standard_normal(out=g1[i])
-            src.standard_normal(out=g2[i])
+            self.streams(t, STREAM_SOURCE).standard_normal(out=source[i])
             for stream_id, noise in noises.items():
                 self.streams(t, stream_id).standard_normal(out=noise[i])
-        xw = g1
-        yw = rho * g1 + math.sqrt(1.0 - rho * rho) * g2
+        xw = source[:, 0]
+        yw = rho * xw + math.sqrt(1.0 - rho * rho) * source[:, 1]
         w_xu, w_xv, w_yu, w_yv = self.weights
         xhat_w = np.zeros(shape)
         yhat_w = np.zeros(shape)
@@ -488,13 +509,13 @@ def run_simulation(config: CodecConfig) -> SimulationReport:
         # Each trial's X^T X, added in trial order as a running sum would.
         grams = xw.transpose(0, 2, 1) @ xw
         grams[0] += white_cov_sum
-        white_cov_sum = grams.sum(axis=0)
+        np.sum(grams, axis=0, out=white_cov_sum)
         del grams  # n x n per trial: no stack stays alive through the deflation
         for i, source in enumerate(stacks):  # source 0 is X, source 1 is Y
             centers = estimates[i] @ a_mats[i].T
-            b, logdet_b, residual, rank, _ = _deflate(a_mats[i], centers, delta, logdet_as[i])
+            b, logdet_b, residual, rank, _, norms = _deflate(a_mats[i], centers, delta, logdet_as[i])
             covered = np.linalg.norm(points[i] @ b.transpose(0, 2, 1), axis=2) <= 1.0
-            source.append((covered, logdet_b, residual, rank, np.linalg.norm(centers, axis=2) >= norm_bound))
+            source.append((covered, logdet_b, residual, rank, norms >= norm_bound))
 
     per_trial = {}  # TrialReport field -> its value in each trial
     summary = {}  # the per-source SimulationReport fields

@@ -18,6 +18,8 @@ no state.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from .errors import DomainError
@@ -31,8 +33,10 @@ STREAM_NOISE_Y = 2
 
 
 def check_seed(seed: int, name: str = "seed") -> int:
-    """Return seed if it lies in [0, 2^64), the first Philox key word;
-    raise DomainError otherwise."""
+    """Return seed if it is an integer in [0, 2^64), the first Philox key
+    word; raise DomainError otherwise."""
+    if not isinstance(seed, numbers.Integral):
+        raise DomainError(f"{name} must be an integer, got {seed!r}")
     if not 0 <= seed <= _MASK64:
         raise DomainError(f"{name} must lie in [0, 2^64), got {seed}")
     return seed

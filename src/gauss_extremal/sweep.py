@@ -28,9 +28,11 @@ attained).
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
-from .errors import GaussExtremalError
+from .errors import DomainError, GaussExtremalError
 from .extremal import vector_gap_forms, volume_ratio
 from .gauss_model import _source_covariance, cholesky_pd, conditional_cov_noise, information_batch
 from .rng import Streams
@@ -166,6 +168,9 @@ def run_verify_sweep(mode: str, trials: int, dim: int, seed: int) -> dict:
     """
     if mode not in VERIFY_MODES:
         raise GaussExtremalError(f"unknown mode {mode!r}")
+    for name, value in (("trials", trials), ("dim", dim)):
+        if not isinstance(value, numbers.Integral):  # 2.5 would fail later, as a shape or a range bound
+            raise DomainError(f"{name} must be an integer, got {value!r}")
     if trials < 1:
         raise GaussExtremalError("trials must be at least 1")
     if not 1 <= dim <= 64:

@@ -13,6 +13,7 @@ from gauss_extremal.ellipsoid_codec import (
     Ellipsoid,
     TrialReport,
     build_shrunk_matrix,
+    check_scalar_params,
     ellipsoid_volume,
     implied_rates,
     log_unit_ball_volume,
@@ -374,8 +375,9 @@ class TestBuildShrunkMatrix:
             np.stack([row, row + 1e-13, -row]),
         ])
         logdet_a = float(np.linalg.slogdet(a)[1])
-        b, logdet_b, residual, rank, basis = ellipsoid_codec._deflate(a, centers, 0.01, logdet_a)
+        b, logdet_b, residual, rank, basis, norms = ellipsoid_codec._deflate(a, centers, 0.01, logdet_a)
         assert rank.tolist() == [3, 2, 0, 1]
+        assert np.array_equal(norms, np.linalg.norm(centers, axis=2))
         for t in range(len(centers)):
             alone = build_shrunk_matrix(a, centers[t], 0.01)
             assert alone.rank == rank[t]
@@ -393,6 +395,52 @@ class TestBuildShrunkMatrix:
             a = random_pd(gen, n)
             out = build_shrunk_matrix(a, gen.standard_normal((k, n)), 0.0025)
             assert out.logdet_residual < 1e-9
+
+    def test_b_is_formed_as_its_transpose(self, monkeypatch):
+        # run_simulation's whitening map A is F-ordered, so tau A^T and the
+        # stack B^T are both C-ordered, and each B handed to slogdet is
+        # F-ordered: the layout its LU copy reads contiguously.
+        cfg = CodecConfig(n=24, k=3, rho=0.5, sigma=random_pd(np.random.default_rng(69), 24),
+                          nu_x=0.3, nu_y=0.4, delta=0.005, trials=5, seed=6)
+        deflate, slogdet = ellipsoid_codec._deflate, np.linalg.slogdet
+        seen = []
+
+        def recorded(a, centers, delta, logdet_a):
+            out = deflate(a, centers, delta, logdet_a)
+            seen.append((a.flags.f_contiguous, out[0].transpose(0, 2, 1).flags.c_contiguous))
+            return out
+
+        def f_ordered(mat):
+            assert all(m.flags.f_contiguous for m in mat)
+            return slogdet(mat)
+
+        monkeypatch.setattr(ellipsoid_codec, "_deflate", recorded)
+        monkeypatch.setattr(np.linalg, "slogdet", f_ordered)
+        run_simulation(cfg)
+        assert seen == [(True, True)] * 2
+
+    @pytest.mark.parametrize("n,k,trials", [(48, 5, 6), (40, 40, 2), (255, 16, 2)])
+    def test_b_matches_the_untransposed_product(self, n, k, trials):
+        # Each entry of B^T sums the same k products gamma v_lj (V A)_li as
+        # gamma V^T (V A) does, possibly in another order, then subtracts
+        # it from tau a_ij: the two differ by at most (k + 1) eps times the
+        # sum of the magnitudes involved. With OpenBLAS they are equal when
+        # n is a multiple of 8; at n = 255 some entries differ, by up to
+        # 1.65 eps times that sum.
+        sigma = random_pd(np.random.default_rng(70), n)
+        cfg = CodecConfig(n=n, k=k, rho=0.5, sigma=sigma, nu_x=0.3, nu_y=0.4, delta=0.005, trials=trials)
+        setup = ellipsoid_codec._Setup(cfg)
+        scale = 1.0 / math.sqrt(n * cfg.nu_x)
+        a = scale * setup.white
+        logdet_a = n * math.log(scale) - 0.5 * setup.log_det_sigma
+        _, _, (x_hat, _) = setup.draw(range(trials))
+        b, _, residual, _, vt, _ = ellipsoid_codec._deflate(a, x_hat @ a.T, cfg.delta, logdet_a)
+        tau, gamma = ellipsoid_codec._shrinkage(cfg.delta)
+        vta = vt @ a
+        reference = tau * a - gamma * vt.transpose(0, 2, 1) @ vta
+        magnitude = tau * np.abs(a) + gamma * np.abs(vt.transpose(0, 2, 1)) @ np.abs(vta)
+        assert np.all(np.abs(b - reference) <= (k + 1) * np.finfo(float).eps * magnitude)
+        assert np.all(residual < ellipsoid_codec.IDENTITY_TOL)
 
     def test_degenerate_shrinkage(self):
         with pytest.raises(DegenerateShrinkage):
@@ -435,6 +483,14 @@ class TestCodecConfigValidation:
     def test_nu_range(self):
         with pytest.raises(DomainError):
             CodecConfig(n=2, k=1, rho=0.5, sigma=np.eye(2), nu_x=0.0, nu_y=0.5)
+
+    @pytest.mark.parametrize("name,value", [("n", 4.0), ("k", 1.5), ("trials", 2.5), ("seed", 1.5)])
+    def test_non_integral_sizes_and_seed(self, name, value):
+        # Each was accepted and failed later inside numpy or the streams.
+        params = dict(n=4, k=2, rho=0.5, nu_x=0.5, nu_y=0.5, delta=0.0025, trials=3, seed=0) | {name: value}
+        for build in (check_scalar_params, lambda **p: CodecConfig(sigma=np.eye(4), **p)):
+            with pytest.raises(DomainError, match=f"^{name} must be an integer, got {value!r}$"):
+                build(**params)
 
 
 def reference_trial(cfg, t):

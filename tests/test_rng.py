@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gauss_extremal import rng
+from gauss_extremal.errors import DomainError
 
 SEEDS = [0, 2**53 + 1, 2**63 - 1, 2**63, 2**63 + 1, 2**64 - 3, 2**64 - 1]
 TRIALS = [0, 1, 2**47 - 1, 2**47, 2**48 - 1]
@@ -60,3 +61,11 @@ def test_rekeying_reuses_one_generator():
 def test_rejects_key_parts_out_of_range(trial, stream_id):
     with pytest.raises(ValueError):
         rng.Streams(0)(trial, stream_id)
+
+
+@pytest.mark.parametrize("seed", [1.5, 2.0])
+def test_non_integral_seed_is_a_domain_error(seed):
+    with pytest.raises(DomainError, match="^seed must be an integer"):
+        rng.check_seed(seed)
+    with pytest.raises(DomainError, match="^seed must be an integer"):
+        rng.Streams(seed)

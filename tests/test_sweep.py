@@ -3,7 +3,7 @@ import pytest
 
 from gauss_extremal import sweep
 from gauss_extremal.cli import main
-from gauss_extremal.errors import GaussExtremalError, NotPositiveDefinite
+from gauss_extremal.errors import DomainError, GaussExtremalError, NotPositiveDefinite
 from gauss_extremal.extremal import (
     alpha_family_channel,
     oohama_gap,
@@ -155,6 +155,16 @@ def test_vec_epi_parameters_are_recorded_per_sample():
 def test_rejects_bad_arguments(mode, trials, dim):
     with pytest.raises(GaussExtremalError):
         sweep.run_verify_sweep(mode, trials, dim, 0)
+
+
+@pytest.mark.parametrize("mode,trials,dim,seed,name", [
+    ("thm3", 2.5, 1, 0, "trials"), ("thm1-vector", 3, 2.5, 0, "dim"), ("thm3", 3, 1, 1.5, "seed"),
+])
+def test_non_integral_arguments_are_domain_errors(mode, trials, dim, seed, name):
+    # Each failed inside numpy or the streams with a TypeError.
+    value = {"trials": trials, "dim": dim, "seed": seed}[name]
+    with pytest.raises(DomainError, match=f"^{name} must be an integer, got {value!r}$"):
+        sweep.run_verify_sweep(mode, trials, dim, seed)
 
 
 @pytest.mark.parametrize("degenerate_prob", [sweep.DEGENERATE_PROB, 0.5])
