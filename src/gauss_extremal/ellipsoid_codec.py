@@ -22,12 +22,10 @@ singular vectors of the k x n center matrix),
     B = (tau I - gamma sum_j u_j u_j^T) A,
 
 whose determinant satisfies |B| = |A| tau^(n-k') (tau - gamma)^k' exactly.
-B is formed as its transpose B^T = tau A^T - (V A)^T (gamma V), with V
-the basis rows: A = Lambda^(-1/2) U^T is the transpose of a C-ordered
-array, so tau A^T and the product are both C-ordered and the subtraction
-reads them in one memory order, and the transposed view B is column-major
-per matrix, the order that slogdet copies it into for LAPACK's LU. At
-n = 1024 each layout the other way costs a strided pass over 8 MB.
+B is formed as its transpose B^T = tau A^T - (V A)^T (gamma V), V the
+basis rows: A is stored column-major, so both operands of the subtraction
+are row-major, and the column-major view B is what slogdet copies for
+LAPACK's LU without a strided read (8 MB per matrix at n = 1024).
 Each trial factorizes B once per source (one LU, through slogdet); that
 log|B| gives the normalized volume and is checked against the identity.
 A = s Lambda^(-1/2) U^T is fixed for the run, so log|A| = n log s -

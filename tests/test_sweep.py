@@ -157,14 +157,12 @@ def test_rejects_bad_arguments(mode, trials, dim):
         sweep.run_verify_sweep(mode, trials, dim, 0)
 
 
-@pytest.mark.parametrize("mode,trials,dim,seed,name", [
-    ("thm3", 2.5, 1, 0, "trials"), ("thm1-vector", 3, 2.5, 0, "dim"), ("thm3", 3, 1, 1.5, "seed"),
-])
-def test_non_integral_arguments_are_domain_errors(mode, trials, dim, seed, name):
+@pytest.mark.parametrize("name,value", [("trials", 2.5), ("dim", 2.5), ("seed", 1.5)])
+def test_non_integral_arguments_are_domain_errors(name, value):
     # Each failed inside numpy or the streams with a TypeError.
-    value = {"trials": trials, "dim": dim, "seed": seed}[name]
+    args = {"trials": 3, "dim": 2, "seed": 0} | {name: value}
     with pytest.raises(DomainError, match=f"^{name} must be an integer, got {value!r}$"):
-        sweep.run_verify_sweep(mode, trials, dim, seed)
+        sweep.run_verify_sweep("thm1-vector", **args)
 
 
 @pytest.mark.parametrize("degenerate_prob", [sweep.DEGENERATE_PROB, 0.5])
