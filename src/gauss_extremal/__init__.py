@@ -18,7 +18,6 @@ from .gauss_model import (
     information_batch,
     log_det,
     matrix_from_json,
-    matrix_to_json,
     mutual_information,
     schur_conditional_cov,
 )
@@ -54,20 +53,15 @@ from .rate_region import (
 )
 from .ellipsoid_codec import (
     CodecConfig,
-    DescriptionSet,
-    Ellipsoid,
     SimulationReport,
     TrialReport,
     build_shrunk_matrix,
-    ellipsoid_volume,
     implied_rates,
     log_unit_ball_volume,
     report_to_dict,
     run_simulation,
-    simulate_descriptions,
     solve_noise_levels,
     trials_csv_rows,
-    unit_ball_volume,
 )
 
 __version__ = "0.1.0"

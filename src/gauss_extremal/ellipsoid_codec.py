@@ -52,10 +52,11 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import DegenerateShrinkage, DomainError, Infeasible
-from .gauss_model import cholesky_pd, log_det
+from .gauss_model import cholesky_pd
 from .rate_region import RegionQuery, RegionVerdict, region_verdict
 from .rng import STREAM_NOISE_X, STREAM_NOISE_Y, STREAM_SOURCE, Streams, check_seed
-# stream stays importable from this module: the benchmark's tracer tests name it here.
+# log_det and stream stay importable from this module: the benchmark's tracer tests name them here.
+from .gauss_model import log_det  # noqa: F401
 from .rng import stream  # noqa: F401
 
 # Implied rates sit on the dominant face of the achievable region; this
@@ -83,45 +84,6 @@ def log_unit_ball_volume(n: int) -> float:
     if not (isinstance(n, numbers.Integral) and n >= 1):  # NaN and 2.5 included
         raise DomainError(f"n must be an integer of at least 1, got {n!r}")
     return 0.5 * n * math.log(math.pi) - math.lgamma(0.5 * n + 1.0)
-
-
-def unit_ball_volume(n: int) -> float:
-    """Volume c_n of the n-dimensional unit ball (underflows to 0 for huge n)."""
-    return math.exp(log_unit_ball_volume(n))
-
-
-@dataclass(frozen=True)
-class Ellipsoid:
-    """The set {x : ||A x - b|| <= 1}."""
-
-    a_matrix: np.ndarray
-    b_center: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.a_matrix, dtype=float)
-        b = np.asarray(self.b_center, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise DomainError("a_matrix must be square")
-        if b.shape != (a.shape[0],):
-            raise DomainError("b_center length must match a_matrix")
-        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-            raise DomainError("ellipsoid parameters must be finite")
-        object.__setattr__(self, "a_matrix", a)
-        object.__setattr__(self, "b_center", b)
-
-    def contains(self, x) -> np.ndarray | bool:
-        """Membership test; accepts one point (n,) or a batch (m, n)."""
-        pts = np.asarray(x, dtype=float)
-        if pts.ndim not in (1, 2) or pts.shape[-1] != self.b_center.size:
-            raise DomainError(f"points must have shape (n,) or (m, n) with n = {self.b_center.size}, got {pts.shape}")
-        inside = np.linalg.norm(pts @ self.a_matrix.T - self.b_center, axis=-1) <= 1.0
-        return bool(inside) if pts.ndim == 1 else inside
-
-
-def ellipsoid_volume(e: Ellipsoid) -> float:
-    """c_n / |A| for a positive-definite shape matrix, via log domain."""
-    n = e.a_matrix.shape[0]
-    return math.exp(log_unit_ball_volume(n) - log_det(e.a_matrix, "a_matrix"))
 
 
 @dataclass(frozen=True)
@@ -354,37 +316,27 @@ def build_shrunk_matrix(a_x: np.ndarray, centers, delta: float) -> ShrunkMatrix:
 
 
 @dataclass(frozen=True)
-class DescriptionSet:
-    """One trial's conditional-mean estimates and the channel's rates."""
-
-    x_hat: np.ndarray  # k x n, original coordinates
-    y_hat: np.ndarray
-    r_x: float
-    r_y: float
-    q_x: float
-    q_y: float
-    region: RegionVerdict
-
-
-@dataclass(frozen=True)
 class TrialReport:
-    trial: int
-    covered_x: tuple[bool, ...]
-    covered_y: tuple[bool, ...]
-    norm_volume_x: float
-    norm_volume_y: float
-    norm_volume_x_corrected: float
-    norm_volume_y_corrected: float
-    logdet_residual_x: float
-    logdet_residual_y: float
-    rank_x: int
-    rank_y: int
+    """Per-trial results as read-only columns, row t for trial t: (T, k) bools for coverage, (T,) otherwise."""
+
+    covered_x: np.ndarray
+    covered_y: np.ndarray
+    norm_volume_x: np.ndarray
+    norm_volume_y: np.ndarray
+    norm_volume_x_corrected: np.ndarray
+    norm_volume_y_corrected: np.ndarray
+    logdet_residual_x: np.ndarray
+    logdet_residual_y: np.ndarray
+    rank_x: np.ndarray  # integer
+    rank_y: np.ndarray
 
 
 @dataclass(frozen=True)
 class SimulationReport:
+    """One run: its per-trial columns (trials), and their summary in the other fields."""
+
     config: CodecConfig
-    trials: tuple[TrialReport, ...]
+    trials: TrialReport
     coverage_x: float
     coverage_y: float
     per_point_failure_max_x: float
@@ -459,21 +411,6 @@ class _Setup:
         return xw, (xw @ unwhite_t, yw @ unwhite_t), (xhat_w @ unwhite_t, yhat_w @ unwhite_t)
 
 
-def simulate_descriptions(config: CodecConfig, trial: int = 0) -> DescriptionSet:
-    """One draw of the idealized description channel.
-
-    The implied rates together with the distortion targets are checked
-    against the closed-form region and the verdict is attached to the
-    result (the construction should always land inside).
-    """
-    setup = _Setup(config)
-    _, _, (x_hat, y_hat) = setup.draw(range(trial, trial + 1))
-    return DescriptionSet(
-        x_hat=x_hat[0], y_hat=y_hat[0], r_x=setup.r_x, r_y=setup.r_y, q_x=setup.q_x, q_y=setup.q_y,
-        region=setup.verdict,
-    )
-
-
 def run_simulation(config: CodecConfig) -> SimulationReport:
     """Run all trials and aggregate coverage, volume, and identity checks.
 
@@ -485,9 +422,9 @@ def run_simulation(config: CodecConfig) -> SimulationReport:
     tau delta^(k'/n) divided out (this ratio tends to 1 as n grows), and
     the determinant-identity residual. Each source's per-trial results are
     kept as columns over all trials (coverage, log|B|, residual, rank and
-    center norms past 1/sqrt(delta)); the TrialReports and the summary are
-    both read from those columns. Raises on any error; partial aggregates
-    are never returned.
+    center norms past 1/sqrt(delta)); the report's trials are those
+    columns, made read-only, and its summary is read from them. Raises on
+    any error; partial aggregates are never returned.
     """
     setup = _Setup(config)
     n, k, trials, delta, tau = config.n, config.k, config.trials, config.delta, config.tau
@@ -515,7 +452,7 @@ def run_simulation(config: CodecConfig) -> SimulationReport:
             covered = np.linalg.norm(points[i] @ b.transpose(0, 2, 1), axis=2) <= 1.0
             source.append((covered, logdet_b, residual, rank, norms >= norm_bound))
 
-    per_trial = {}  # TrialReport field -> its value in each trial
+    per_trial = {}  # TrialReport field -> its column over the trials
     summary = {}  # the per-source SimulationReport fields
     for s, nu, source in zip("xy", nus, stacks):
         covered, logdet_b, residual, rank, exceeds = (np.concatenate(column) for column in zip(*source))
@@ -523,14 +460,13 @@ def run_simulation(config: CodecConfig) -> SimulationReport:
             math.exp(log_cn / n - ld_b / n - 0.5 * (LOG_2PIE + math.log(nu) + setup.log_det_sigma / n))
             for ld_b in logdet_b.tolist()
         ]
-        rank = rank.tolist()
-        corrected = [vol * tau * delta ** (r / n) for vol, r in zip(vols, rank)]
+        corrected = [vol * tau * delta ** (r / n) for vol, r in zip(vols, rank.tolist())]
         per_point_cov = covered.sum(axis=0) / trials
         per_trial |= {
-            f"covered_{s}": [tuple(row) for row in covered.tolist()],
-            f"norm_volume_{s}": vols,
-            f"norm_volume_{s}_corrected": corrected,
-            f"logdet_residual_{s}": residual.tolist(),
+            f"covered_{s}": covered,
+            f"norm_volume_{s}": np.array(vols),
+            f"norm_volume_{s}_corrected": np.array(corrected),
+            f"logdet_residual_{s}": residual,
             f"rank_{s}": rank,
         }
         summary |= {
@@ -540,18 +476,19 @@ def run_simulation(config: CodecConfig) -> SimulationReport:
             f"mean_norm_vol_{s}_corrected": float(np.mean(corrected)),
             f"center_norm_exceed_frac_{s}": np.count_nonzero(exceeds) / (trials * k),
         }
+    for column in per_trial.values():
+        column.setflags(write=False)
 
+    white_cov_sum /= trials * k
+    white_cov_sum[np.diag_indices(n)] -= 1.0  # minus I in place: x - 0.0 = x off the diagonal
     return SimulationReport(
         config=config,
-        trials=tuple(
-            TrialReport(trial=t, **{name: column[t] for name, column in per_trial.items()})
-            for t in range(trials)
-        ),
+        trials=TrialReport(**per_trial),
         r_x=setup.r_x, r_y=setup.r_y, q_x=setup.q_x, q_y=setup.q_y,
         region=setup.verdict, region_inside=setup.verdict.inside,
-        residual_max=max(max(per_trial[f"logdet_residual_{s}"]) for s in "xy"),
+        residual_max=max(float(per_trial[f"logdet_residual_{s}"].max()) for s in "xy"),
         log_det_sigma=setup.log_det_sigma,
-        whitening_frobenius_error=float(np.linalg.norm(white_cov_sum / (trials * k) - np.eye(n))) / n,
+        whitening_frobenius_error=float(np.linalg.norm(white_cov_sum)) / n,
         **summary,
     )
 
@@ -578,11 +515,11 @@ def report_to_dict(report: SimulationReport) -> dict:
 
 
 def trials_csv_rows(report: SimulationReport, precision: int = 12) -> list[str]:
-    """Per-trial CSV lines with the canonical header, sorted by trial."""
+    """Per-trial CSV lines with the canonical header, sorted by trial; a
+    coverage fraction is the trial's count of covered points over k."""
     fmt = lambda v: format(v, f".{precision}g")
+    tr, k = report.trials, report.config.k
+    table = np.column_stack([np.count_nonzero(tr.covered_x, axis=1) / k, np.count_nonzero(tr.covered_y, axis=1) / k,
+                             tr.norm_volume_x, tr.norm_volume_y])
     rows = ["trial,covered_x_frac,covered_y_frac,normvol_x,normvol_y"]
-    for tr in report.trials:
-        values = (sum(tr.covered_x) / len(tr.covered_x), sum(tr.covered_y) / len(tr.covered_y),
-                  tr.norm_volume_x, tr.norm_volume_y)
-        rows.append(",".join([str(tr.trial), *map(fmt, values)]))
-    return rows
+    return rows + [",".join([str(t), *map(fmt, row)]) for t, row in enumerate(table.tolist())]

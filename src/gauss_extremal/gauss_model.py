@@ -195,11 +195,6 @@ def matrix_from_json(obj) -> np.ndarray:
     return a
 
 
-def matrix_to_json(mat) -> dict:
-    a = _as_square(mat)
-    return {"n": int(a.shape[0]), "data": [float(x) for x in a.reshape(-1)]}
-
-
 @dataclass(frozen=True)
 class GaussianPairModel:
     """Joint law of the source pair (X, Y): Y = rho X + Z, with

@@ -10,19 +10,15 @@ from gauss_extremal import cli, ellipsoid_codec
 from gauss_extremal.errors import DegenerateShrinkage, DomainError, Infeasible, NotPositiveDefinite
 from gauss_extremal.ellipsoid_codec import (
     CodecConfig,
-    Ellipsoid,
     TrialReport,
     build_shrunk_matrix,
     check_scalar_params,
-    ellipsoid_volume,
     implied_rates,
     log_unit_ball_volume,
     report_to_dict,
     run_simulation,
-    simulate_descriptions,
     solve_noise_levels,
     trials_csv_rows,
-    unit_ball_volume,
 )
 from gauss_extremal.gauss_model import log_det
 from gauss_extremal.rng import STREAM_NOISE_X, STREAM_NOISE_Y, STREAM_SOURCE, random_pd, stream
@@ -30,12 +26,15 @@ from gauss_extremal.rng import STREAM_NOISE_X, STREAM_NOISE_Y, STREAM_SOURCE, ra
 
 class TestUnitBallVolume:
     def test_disk_and_ball(self):
-        assert abs(unit_ball_volume(2) - math.pi) < 1e-14
-        assert abs(unit_ball_volume(3) - 4.0 * math.pi / 3.0) < 1e-14
+        assert abs(math.exp(log_unit_ball_volume(2)) - math.pi) < 1e-14
+        assert abs(math.exp(log_unit_ball_volume(3)) - 4.0 * math.pi / 3.0) < 1e-14
 
     def test_log_form_is_consistent(self):
-        for n in (1, 2, 5, 10):
-            assert abs(math.exp(log_unit_ball_volume(n)) - unit_ball_volume(n)) < 1e-12
+        # c_1 = 2, c_2 = pi and c_n = c_(n-2) 2 pi / n.
+        assert abs(log_unit_ball_volume(1) - math.log(2.0)) < 1e-15
+        for n in (3, 4, 7, 10, 101):
+            step = log_unit_ball_volume(n) - log_unit_ball_volume(n - 2)
+            assert abs(step - math.log(2.0 * math.pi / n)) < 1e-12
 
     def test_stirling_limit(self):
         target = math.sqrt(2.0 * math.pi * math.e)
@@ -48,60 +47,7 @@ class TestUnitBallVolume:
 
     def test_rejects_zero_dimension(self):
         with pytest.raises(DomainError):
-            unit_ball_volume(0)
-
-
-class TestEllipsoidVolume:
-    def test_unit_disk(self):
-        e = Ellipsoid(np.eye(2), np.zeros(2))
-        assert abs(ellipsoid_volume(e) - math.pi) < 1e-14
-
-    def test_scaling(self):
-        e = Ellipsoid(2.0 * np.eye(2), np.zeros(2))
-        assert abs(ellipsoid_volume(e) - math.pi / 4.0) < 1e-14
-
-    def test_against_rejection_sampling(self):
-        gen = np.random.default_rng(40)
-        a = np.eye(5) + 0.3 * (lambda m: 0.5 * (m + m.T))(gen.standard_normal((5, 5)))
-        b = gen.standard_normal(5) * 0.2
-        e = Ellipsoid(a, b)
-        vol = ellipsoid_volume(e)
-        # Bounding box of the ellipsoid: center A^{-1} b, half-widths given
-        # by the row norms of A^{-1}.
-        a_inv = np.linalg.inv(a)
-        center = a_inv @ b
-        half = np.linalg.norm(a_inv, axis=1)
-        n_samples = 1_000_000
-        pts = center + (gen.uniform(-1.0, 1.0, size=(n_samples, 5)) * half)
-        frac = float(np.mean(e.contains(pts)))
-        box = float(np.prod(2.0 * half))
-        assert abs(frac * box - vol) / vol < 0.05
-
-    def test_rejects_indefinite_matrix(self):
-        e = Ellipsoid(np.array([[1.0, 2.0], [2.0, 1.0]]), np.zeros(2))
-        with pytest.raises(NotPositiveDefinite):
-            ellipsoid_volume(e)
-
-    def test_membership_is_exact_at_boundary(self):
-        e = Ellipsoid(np.eye(2), np.zeros(2))
-        assert e.contains([1.0, 0.0])
-        assert not e.contains([1.0 + 1e-12, 0.0])
-
-    def test_scaling_shrinks_volume_and_covered_set(self):
-        gen = np.random.default_rng(41)
-        a = random_pd(gen, 3)
-        s = 1.7
-        e1 = Ellipsoid(a, np.zeros(3))
-        e2 = Ellipsoid(s * a, np.zeros(3))
-        assert abs(ellipsoid_volume(e2) - ellipsoid_volume(e1) / s**3) < 1e-12
-        pts = gen.standard_normal((2000, 3))
-        inside2 = e2.contains(pts)
-        inside1 = e1.contains(pts)
-        assert np.all(inside1[inside2])
-
-    def test_shape_validation(self):
-        with pytest.raises(DomainError):
-            Ellipsoid(np.eye(2), np.zeros(3))
+            log_unit_ball_volume(0)
 
 
 class TestSolveNoiseLevels:
@@ -287,23 +233,25 @@ class TestImpliedRates:
             assert v.inside, (rho, nu_x, nu_y, v)
 
 
-class TestSimulateDescriptions:
+class TestDraw:
     def test_unit_targets_give_zero_information(self):
         cfg = CodecConfig(n=8, k=2, rho=0.5, sigma=np.eye(8), nu_x=1.0, nu_y=1.0,
                           delta=0.01, trials=1, seed=0)
-        out = simulate_descriptions(cfg)
-        assert np.all(out.x_hat == 0.0) and np.all(out.y_hat == 0.0)
-        assert out.r_x == 0.0 and out.r_y == 0.0
-        assert out.region.inside
+        setup = ellipsoid_codec._Setup(cfg)
+        _, _, (x_hat, y_hat) = setup.draw(range(1))
+        assert np.all(x_hat == 0.0) and np.all(y_hat == 0.0)
+        assert setup.r_x == 0.0 and setup.r_y == 0.0
+        assert setup.verdict.inside
 
     def test_deterministic_per_trial(self):
         cfg = CodecConfig(n=16, k=3, rho=0.4, sigma=np.eye(16), nu_x=0.3, nu_y=0.3,
                           delta=0.01, trials=1, seed=7)
-        a = simulate_descriptions(cfg, trial=5)
-        b = simulate_descriptions(cfg, trial=5)
-        assert np.array_equal(a.x_hat, b.x_hat)
-        c = simulate_descriptions(cfg, trial=6)
-        assert not np.array_equal(a.x_hat, c.x_hat)
+        x_hat = lambda trials: ellipsoid_codec._Setup(cfg).draw(trials)[2][0]
+        a = x_hat(range(5, 6))
+        assert np.array_equal(a, x_hat(range(5, 6)))
+        assert not np.array_equal(a, x_hat(range(6, 7)))
+        # A trial draws the same in a stack as alone.
+        assert np.array_equal(x_hat(range(4, 7)), np.concatenate([x_hat(range(t, t + 1)) for t in (4, 5, 6)]))
 
     def test_empirical_mse_matches_target(self):
         nu = 0.25
@@ -311,15 +259,13 @@ class TestSimulateDescriptions:
         for rho in (0.5, -0.5):
             cfg = CodecConfig(n=200, k=2, rho=rho, sigma=np.eye(200), nu_x=nu, nu_y=nu,
                               delta=0.01, trials=1, seed=3)
+            _, _, (x_hat, _) = ellipsoid_codec._Setup(cfg).draw(range(100))
             sq_err = 0.0
-            count = 0
             for t in range(100):
-                out = simulate_descriptions(cfg, trial=t)
                 src = stream(cfg.seed, t, STREAM_SOURCE)
                 x = src.standard_normal((cfg.k, cfg.n))  # sigma = I: whitened = raw
-                sq_err += float(np.sum((x - out.x_hat) ** 2))
-                count += x.size
-            mse = sq_err / count
+                sq_err += float(np.sum((x - x_hat[t]) ** 2))
+            mse = sq_err / x_hat.size
             assert abs(mse - nu) / nu < 0.02, rho
 
 
@@ -533,14 +479,14 @@ class TestRunSimulation:
                           delta=0.005, trials=9, seed=2**64 - 7)
         if stack is not None:
             monkeypatch.setattr(ellipsoid_codec, "_STACK_ENTRIES", stack * n * n)
-        rep = run_simulation(cfg)
-        for tr in rep.trials:
-            (cov_x, vol_x, rank_x), (cov_y, vol_y, rank_y) = reference_trial(cfg, tr.trial)
-            assert (tr.covered_x, tr.rank_x) == (cov_x, rank_x)
-            assert (tr.covered_y, tr.rank_y) == (cov_y, rank_y)
+        tr = run_simulation(cfg).trials
+        for t in range(cfg.trials):
+            (cov_x, vol_x, rank_x), (cov_y, vol_y, rank_y) = reference_trial(cfg, t)
+            assert np.array_equal(tr.covered_x[t], cov_x) and tr.rank_x[t] == rank_x
+            assert np.array_equal(tr.covered_y[t], cov_y) and tr.rank_y[t] == rank_y
             # The reference regroups the volume's logarithms: roundoff only.
-            assert abs(tr.norm_volume_x - vol_x) <= 1e-13 * vol_x
-            assert abs(tr.norm_volume_y - vol_y) <= 1e-13 * vol_y
+            assert abs(tr.norm_volume_x[t] - vol_x) <= 1e-13 * vol_x
+            assert abs(tr.norm_volume_y[t] - vol_y) <= 1e-13 * vol_y
 
     def test_loose_targets_cover_comfortably(self):
         cfg = CodecConfig(n=64, k=2, rho=0.0, sigma=np.eye(64), nu_x=0.99, nu_y=0.99,
@@ -560,14 +506,13 @@ class TestRunSimulation:
         assert rep.whitening_frobenius_error <= 0.1
         slack = math.sqrt(cfg.delta / cfg.nu_x)
         assert rep.center_norm_exceed_frac_x <= slack + 0.05
-        for tr in rep.trials:
-            assert tr.norm_volume_x > 0.0 and math.isfinite(tr.norm_volume_x)
-            assert tr.rank_x <= cfg.k
+        tr = rep.trials
+        assert np.all(tr.norm_volume_x > 0.0) and np.all(np.isfinite(tr.norm_volume_x))
+        assert np.all(tr.rank_x <= cfg.k)
         # Corrected volume equals the raw one with the deterministic
         # shrinkage factor divided out.
-        tr = rep.trials[0]
         factor = cfg.tau * cfg.delta ** (tr.rank_x / cfg.n)
-        assert abs(tr.norm_volume_x_corrected - tr.norm_volume_x * factor) < 1e-12
+        assert np.all(np.abs(tr.norm_volume_x_corrected - tr.norm_volume_x * factor) < 1e-12)
 
     def test_one_factorization_per_source_per_trial(self, monkeypatch):
         cfg = CodecConfig(n=16, k=3, rho=0.5, sigma=random_pd(np.random.default_rng(64), 16),
@@ -583,7 +528,7 @@ class TestRunSimulation:
         monkeypatch.setattr(np.linalg, "slogdet", counted)
         rep = run_simulation(cfg)
         assert sum(factorized) == 2 * cfg.trials
-        assert all(max(tr.logdet_residual_x, tr.logdet_residual_y) <= 1e-9 for tr in rep.trials)
+        assert max(rep.trials.logdet_residual_x.max(), rep.trials.logdet_residual_y.max()) <= 1e-9
 
     @pytest.mark.parametrize("chunk", [1, 3, 7])
     def test_chunk_size_changes_no_trial(self, chunk, monkeypatch, capsys, tmp_path):
@@ -608,7 +553,8 @@ class TestRunSimulation:
             monkeypatch.setattr(ellipsoid_codec, "_STACK_ENTRIES", chunk * cfg.n * cfg.n)
             chunked, chunked_printed = run_simulation(cfg), cli_output(rho, nu_x)
             monkeypatch.undo()
-            assert chunked.trials == whole.trials
+            for field in dataclasses.fields(TrialReport):
+                assert np.array_equal(getattr(chunked.trials, field.name), getattr(whole.trials, field.name))
             assert report_to_dict(chunked) == report_to_dict(whole)
             assert whole_printed[0] == 0
             assert chunked_printed == whole_printed
@@ -644,6 +590,55 @@ class TestRunSimulation:
         assert len(rows) == 4
         assert rows[1].split(",")[0] == "0"
 
+    @pytest.mark.parametrize("precision", [12, 17])
+    @pytest.mark.parametrize("k,rho,nu_x", [(3, 0.5, 0.3), (3, 0.0, 1.0), (8, -0.6, 0.3)])
+    def test_csv_rows_format_each_trial_alone(self, k, rho, nu_x, precision):
+        # Each row is the trial's own values formatted one by one, with a
+        # coverage fraction of sum(row) / k.
+        cfg = CodecConfig(n=8, k=k, rho=rho, sigma=random_pd(np.random.default_rng(71), 8), nu_x=nu_x, nu_y=0.4,
+                          delta=0.005, trials=13, seed=9)
+        rep = run_simulation(cfg)
+        tr = rep.trials
+        expect = ["trial,covered_x_frac,covered_y_frac,normvol_x,normvol_y"]
+        for t in range(cfg.trials):
+            values = (sum(tr.covered_x[t].tolist()) / k, sum(tr.covered_y[t].tolist()) / k,
+                      float(tr.norm_volume_x[t]), float(tr.norm_volume_y[t]))
+            expect.append(",".join([str(t), *(format(v, f".{precision}g") for v in values)]))
+        assert trials_csv_rows(rep, precision) == expect
+        if nu_x == 1.0:  # X is not sent: its centers are 0, so every trial is rank deficient
+            assert np.all(tr.rank_x == 0) and np.all(tr.rank_y == k)
+
+    def test_csv_rows_of_partial_coverage(self):
+        cfg = CodecConfig(n=8, k=3, rho=0.2, sigma=np.eye(8), nu_x=0.5, nu_y=0.5, delta=0.01, trials=4, seed=1)
+        rep = run_simulation(cfg)
+        covered = np.array([[True, True, True], [True, False, True], [False, False, True], [False, False, False]])
+        columns = {f.name: getattr(rep.trials, f.name) for f in dataclasses.fields(TrialReport)} | {
+            "covered_x": covered, "covered_y": covered[::-1],
+            "norm_volume_x": np.array([1.0, 0.5, 0.25, 3.0]), "norm_volume_y": np.array([2.0, 1.5, 0.125, 10.0]),
+        }
+        assert trials_csv_rows(dataclasses.replace(rep, trials=TrialReport(**columns)), 17)[1:] == [
+            "0,1,0,1,2",
+            "1,0.66666666666666663,0.33333333333333331,0.5,1.5",
+            "2,0.33333333333333331,0.66666666666666663,0.25,0.125",
+            "3,0,1,3,10",
+        ]
+
+    @pytest.mark.parametrize("k,trials,stack", [(1, 1, None), (3, 17, 5)])
+    def test_trial_columns_are_read_only(self, k, trials, stack, monkeypatch):
+        cfg = CodecConfig(n=8, k=k, rho=0.5, sigma=random_pd(np.random.default_rng(72), 8), nu_x=0.3, nu_y=0.4,
+                          delta=0.005, trials=trials, seed=10)
+        if stack is not None:
+            monkeypatch.setattr(ellipsoid_codec, "_STACK_ENTRIES", stack * cfg.n * cfg.n)
+        tr = run_simulation(cfg).trials
+        for field in dataclasses.fields(TrialReport):
+            column = getattr(tr, field.name)
+            coverage = field.name.startswith("covered_")
+            assert column.shape == ((trials, k) if coverage else (trials,)), field.name
+            assert column.dtype.kind == ("b" if coverage else "i" if field.name.startswith("rank_") else "f")
+            assert not column.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = column[0]
+
     def test_report_dict_has_interface_keys(self):
         cfg = CodecConfig(n=8, k=2, rho=0.2, sigma=np.eye(8), nu_x=0.5, nu_y=0.5,
                           delta=0.01, trials=2, seed=1)
@@ -661,7 +656,7 @@ class TestRunSimulation:
 
     def test_trial_report_fields_are_the_per_trial_ones(self):
         assert [f.name for f in dataclasses.fields(TrialReport)] == [
-            "trial", "covered_x", "covered_y", "norm_volume_x", "norm_volume_y",
+            "covered_x", "covered_y", "norm_volume_x", "norm_volume_y",
             "norm_volume_x_corrected", "norm_volume_y_corrected",
             "logdet_residual_x", "logdet_residual_y", "rank_x", "rank_y",
         ]

@@ -37,7 +37,7 @@ def test_stream_accepts_domain_ends():
 def test_names_the_benchmark_resolves_exist():
     # bench/tracing.py wraps its LAYERS by name and reports a missing one
     # instead of failing, and bench/tests names cli.run_verify_sweep and
-    # the stream re-exports: a rename or deletion must fail here.
+    # the log_det and stream re-exports: a rename or deletion must fail here.
     tree = ast.parse((ROOT / "bench" / "tracing.py").read_text())
     layers = next(
         ast.literal_eval(node.value) for node in tree.body
@@ -45,7 +45,7 @@ def test_names_the_benchmark_resolves_exist():
     )
     assert len(layers) > 20
     missing = []
-    for name in (*layers, "cli.run_verify_sweep", "cli.stream", "ellipsoid_codec.stream"):
+    for name in (*layers, "cli.run_verify_sweep", "cli.stream", "ellipsoid_codec.stream", "ellipsoid_codec.log_det"):
         if name.startswith("numpy.linalg."):
             module, path = "numpy.linalg", name[len("numpy.linalg."):].split(".")
         else:
