@@ -315,9 +315,12 @@ def build_shrunk_matrix(a_x: np.ndarray, centers, delta: float) -> ShrunkMatrix:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrialReport:
-    """Per-trial results as read-only columns, row t for trial t: (T, k) bools for coverage, (T,) otherwise."""
+    """Per-trial results as read-only columns, row t for trial t: (T, k) bools for coverage, (T,) otherwise.
+
+    == is identity; compare two reports column by column with np.array_equal.
+    """
 
     covered_x: np.ndarray
     covered_y: np.ndarray
@@ -519,7 +522,11 @@ def trials_csv_rows(report: SimulationReport, precision: int = 12) -> list[str]:
     coverage fraction is the trial's count of covered points over k."""
     fmt = lambda v: format(v, f".{precision}g")
     tr, k = report.trials, report.config.k
-    table = np.column_stack([np.count_nonzero(tr.covered_x, axis=1) / k, np.count_nonzero(tr.covered_y, axis=1) / k,
-                             tr.norm_volume_x, tr.norm_volume_y])
+    table = np.column_stack([
+        np.count_nonzero(tr.covered_x, axis=1) / k,
+        np.count_nonzero(tr.covered_y, axis=1) / k,
+        tr.norm_volume_x,
+        tr.norm_volume_y,
+    ])
     rows = ["trial,covered_x_frac,covered_y_frac,normvol_x,normvol_y"]
     return rows + [",".join([str(t), *map(fmt, row)]) for t, row in enumerate(table.tolist())]

@@ -638,6 +638,11 @@ class TestRunSimulation:
             assert not column.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 column[0] = column[0]
+        # == is identity and the report hashes: comparing the columns
+        # element-wise would raise for T > 1.
+        same_columns = dataclasses.replace(tr)
+        assert tr == tr and tr != same_columns
+        assert hash(tr) != hash(same_columns)
 
     def test_report_dict_has_interface_keys(self):
         cfg = CodecConfig(n=8, k=2, rho=0.2, sigma=np.eye(8), nu_x=0.5, nu_y=0.5,

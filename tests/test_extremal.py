@@ -822,7 +822,6 @@ NAN = float("nan")
     pytest.param(implied_rates, (0.5, NAN, 0.3, 1.0, 1.0), "nu_x must lie in", id="rates-nu-nan"),
     pytest.param(implied_rates, (0.5, 0.3, 0.3, 1.0, NAN), "noise levels must be positive", id="rates-q-nan"),
     pytest.param(log_unit_ball_volume, (NAN,), "n must be an integer", id="log-ball-n-nan"),
-    pytest.param(log_unit_ball_volume, (0,), "n must be an integer of at least 1", id="log-ball-n-0"),
     pytest.param(log_unit_ball_volume, (2.5,), "n must be an integer", id="log-ball-n-2.5"),
     pytest.param(scalar_dual_oracle, (2.0, 0.6, 500.7), "grid_resolution must be an integer", id="oracle-grid-500.7"),
     pytest.param(nondegenerate_minimizers, (3.0, 0.8, 2.5), "count must be a positive integer", id="minimizers-count-2.5"),
