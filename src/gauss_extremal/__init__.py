@@ -27,7 +27,6 @@ from .extremal import (
     alpha_family_channel,
     dual_functional,
     exponent_tradeoff_min,
-    minimizer_equation_residual,
     minkowski_gap,
     nondegenerate_minimizers,
     oohama_gap,

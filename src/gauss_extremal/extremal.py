@@ -406,16 +406,6 @@ def scalar_dual_oracle_argmin(
     return _oracle_scan(float(lam), float(rho), int(grid_resolution))
 
 
-def minimizer_equation_residual(rho: float, lam: float, rho_u: float, rho_v: float) -> float:
-    """Residual of the nondegenerate-minimizer equation
-
-    (1 - rho^2)(1 - rho^2 rho_u^2 rho_v^2)
-        - rho^2 (lam - 1)(1 - rho_u^2)(1 - rho_v^2).
-    """
-    r2, a, b = rho * rho, rho_u * rho_u, rho_v * rho_v
-    return (1.0 - r2) * (1.0 - r2 * a * b) - r2 * (lam - 1.0) * (1.0 - a) * (1.0 - b)
-
-
 def nondegenerate_minimizers(lam: float, rho: float, count: int = 20) -> list[MinimizerPair]:
     """Channel-correlation pairs that attain the scalar dual value with
     both descriptions active.

@@ -14,7 +14,6 @@ from gauss_extremal.extremal import (
     alpha_family_channel,
     dual_functional,
     exponent_tradeoff_min,
-    minimizer_equation_residual,
     minkowski_gap,
     nondegenerate_minimizers,
     oohama_gap,
@@ -71,6 +70,17 @@ def reference_scalar_dual(lam, rho):
         - lam * math.log2((lam - 1.0) / (lam * (1.0 - r2)))
     )
     return value, "active"
+
+
+def minimizer_equation_residual(rho: float, lam: float, rho_u: float, rho_v: float) -> float:
+    """Residual of the nondegenerate-minimizer equation that
+    nondegenerate_minimizers solves,
+
+    (1 - rho^2)(1 - rho^2 rho_u^2 rho_v^2)
+        - rho^2 (lam - 1)(1 - rho_u^2)(1 - rho_v^2).
+    """
+    r2, a, b = rho * rho, rho_u * rho_u, rho_v * rho_v
+    return (1.0 - r2) * (1.0 - r2 * a * b) - r2 * (lam - 1.0) * (1.0 - a) * (1.0 - b)
 
 
 def tradeoff_oracle(a1, a2, lam, points=20001, zooms=2):

@@ -1,7 +1,11 @@
+import argparse
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from gauss_extremal import sweep
+from gauss_extremal import cli, sweep
 from gauss_extremal.cli import main
 from gauss_extremal.errors import DomainError, GaussExtremalError, NotPositiveDefinite
 from gauss_extremal.extremal import (
@@ -111,10 +115,8 @@ def test_single_triple_gap_equals_sweep_gap_bit_for_bit(mode, dim):
     trials, seed = 40, 6
     gaps = sweep.run_verify_sweep(mode, trials, dim, seed)["gaps"]
     samples = range(trials)
-    if mode == "thm1-scalar":
-        (sigma_x, sigma_z, rho, *channels), _ = sweep._scalar_samples(mode, samples, Streams(seed))
-    else:
-        (sigma_x, sigma_z, rho, *channels), _ = sweep._vector_samples(mode, samples, dim, Streams(seed))
+    draw, _ = sweep._MODES[mode]
+    (sigma_x, sigma_z, rho, *channels), _ = draw(samples, dim, Streams(seed))
     for t in samples:
         if np.ndim(rho):
             model = GaussianPairModel.scalar(rho[t])
@@ -151,6 +153,32 @@ def test_vec_epi_parameters_are_recorded_per_sample():
     assert ("alpha" in argmin) is argmin["injected"]
 
 
+def test_first_sample_at_the_minimum_wins_across_chunks(monkeypatch):
+    # The minimum gap is attained exactly at samples 11, 118, 140, ...; in
+    # chunks of 7 samples these fall in different chunks.
+    gaps = sweep.run_verify_sweep("thm3", 300, 1, 1)["gaps"]
+    assert list(np.flatnonzero(gaps == gaps.min())[:3]) == [11, 118, 140]
+    monkeypatch.setattr(sweep, "_STACK_ENTRIES", 7 * 4**2)
+    assert sweep.run_verify_sweep("thm3", 300, 1, 1)["argmin"]["sample"] == 11
+
+
+def test_modes_are_named_only_as_table_keys():
+    # Each mode is declared once, as a key of sweep._MODES, in the order of
+    # the CLI's --mode choices; no other code in sweep.py reads a mode name.
+    tree = ast.parse(Path(sweep.__file__).read_text())
+    table = next((node.value for node in tree.body if isinstance(node, ast.Assign)
+                  and [getattr(t, "id", None) for t in node.targets] == ["_MODES"]), None)
+    assert isinstance(table, ast.Dict)
+    keys = [key.value for key in table.keys]
+    named = [(node.lineno, node.value) for node in ast.walk(tree)
+             if isinstance(node, ast.Constant) and node.value in keys and node not in table.keys]
+    assert named == []
+    subcommands = next(a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    choices = next(a.choices for a in subcommands.choices["verify"]._actions if "--mode" in a.option_strings)
+    assert tuple(keys) == sweep.VERIFY_MODES == tuple(choices)
+    assert keys == ["thm1-scalar", "thm1-vector", "thm3", "oohama", "vec-epi"]
+
+
 @pytest.mark.parametrize("mode,trials,dim", [("bogus", 5, 1), ("thm3", 0, 1), ("thm1-vector", 5, 65)])
 def test_rejects_bad_arguments(mode, trials, dim):
     with pytest.raises(GaussExtremalError):
@@ -165,21 +193,26 @@ def test_non_integral_arguments_are_domain_errors(name, value):
         sweep.run_verify_sweep("thm1-vector", **args)
 
 
+# The raw vector draw's (descriptions, inject_even) for each vector mode.
+RAW_VECTOR_DRAWS = {"thm1-vector": (2, False), "vec-epi": (1, True)}
+
+
 @pytest.mark.parametrize("degenerate_prob", [sweep.DEGENERATE_PROB, 0.5])
 @pytest.mark.parametrize("seed", [0, 2**63 + 5, 2**64 - 1])
 @pytest.mark.parametrize("mode", sweep.VERIFY_MODES)
 def test_stacked_draws_equal_per_sample_draws(mode, seed, degenerate_prob, monkeypatch):
     monkeypatch.setattr(sweep, "DEGENERATE_PROB", degenerate_prob)
     samples = range(5, 45)
-    if mode not in ("thm1-vector", "vec-epi"):
-        got = np.array(sweep._draw_scalar(mode, samples, Streams(seed))).T
+    if mode not in RAW_VECTOR_DRAWS:
+        (_, _, rho, gain_u, _, gain_v, _), _ = sweep._MODES[mode][0](samples, 1, Streams(seed))
+        got = np.array([rho, gain_u.ravel(), gain_v.ravel()]).T
         expect = np.array([reference_draw_scalar(mode, stream(seed, t, 0)) for t in samples])
         assert np.array_equal(got, expect)
         return
     degenerate = 0
     for n in (1, 2, 4, 8):
         sigma_x, sigma_z, gain_u, noise_u, gain_v, noise_v, inject = sweep._draw_vector(
-            mode, samples, n, Streams(seed))
+            samples, n, Streams(seed), *RAW_VECTOR_DRAWS[mode])
         for i, t in enumerate(samples):
             sx, sz, u, v, inject_draw = reference_draw_vector(mode, t, n, stream(seed, t, 0))
             assert np.array_equal(sigma_x[i], sx) and np.array_equal(sigma_z[i], sz)
@@ -199,7 +232,7 @@ def test_stacked_draws_equal_per_sample_draws(mode, seed, degenerate_prob, monke
 def test_stacked_covariances_equal_random_pd(n):
     """One stacked A A^T + 0.1 I gives each matrix rng.random_pd gives on
     its own; a BLAS whose batched and single products differ fails here."""
-    sigma_x, sigma_z, _, noise_u, _, noise_v, _ = sweep._draw_vector("thm1-vector", range(6), n, Streams(44))
+    sigma_x, sigma_z, _, noise_u, _, noise_v, _ = sweep._draw_vector(range(6), n, Streams(44), 2, inject_even=False)
     for t in range(6):
         gen = stream(44, t, 0)
         assert np.array_equal(sigma_x[t], random_pd(gen, n))
@@ -230,14 +263,14 @@ def test_drawn_covariances_are_factorized_only_by_the_kernel(mode, dim, calls, m
 def test_singular_drawn_sigma_z_is_named_by_the_kernel(monkeypatch, capsys):
     # Sigma_z is the Schur complement of X in the XY block of the joint, so
     # the kernel's pivot test on XY catches a singular sigma_z.
-    draw = sweep._draw_vector
+    draw, runs_at_dim = sweep._MODES["thm1-vector"]
 
-    def singular_at_2(mode, samples, n, streams):
-        drawn = draw(mode, samples, n, streams)
+    def singular_at_2(samples, n, streams):
+        drawn, params = draw(samples, n, streams)
         drawn[1][2 - samples.start] = np.ones((n, n))  # rank one
-        return drawn
+        return drawn, params
 
-    monkeypatch.setattr(sweep, "_draw_vector", singular_at_2)
+    monkeypatch.setitem(sweep._MODES, "thm1-vector", (singular_at_2, runs_at_dim))
     with pytest.raises(NotPositiveDefinite, match=r"joint covariance block XY \(sample 2\)"):
         sweep.run_verify_sweep("thm1-vector", 30, 3, 0)
     assert main(["verify", "--mode", "thm1-vector", "--trials", "30", "--dim", "3"]) == 2
