@@ -19,7 +19,6 @@ from .gauss_model import (
     log_det,
     matrix_from_json,
     mutual_information,
-    schur_conditional_cov,
 )
 from .extremal import (
     DualValue,
@@ -33,7 +32,6 @@ from .extremal import (
     scalar_dual_closed,
     scalar_dual_oracle,
     scalar_dual_oracle_argmin,
-    scalar_extremal_gap,
     vector_dual_lower,
     vector_extremal_forms,
     vector_extremal_gap,
@@ -44,8 +42,6 @@ from .rate_region import (
     RegionVerdict,
     beta,
     distortion_of_sum_rate,
-    min_nu_boundary,
-    mmse_jensen_gap,
     region_verdict,
     sum_rate_bound,
     sum_rate_bound_raw,
@@ -54,7 +50,6 @@ from .ellipsoid_codec import (
     CodecConfig,
     SimulationReport,
     TrialReport,
-    build_shrunk_matrix,
     implied_rates,
     log_unit_ball_volume,
     report_to_dict,

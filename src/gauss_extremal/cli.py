@@ -143,8 +143,11 @@ def _cmd_ellipsoid(args) -> int:
     # Before sigma: parsing a --sigma-file takes about half a second at n = 1024.
     check_scalar_params(**params)
     if args.sigma_file is not None:
-        with open(args.sigma_file) as fh:
-            sigma = matrix_from_json(json.load(fh))
+        try:  # JSON text is UTF-8, and the decoder recurses once per level of nesting
+            with open(args.sigma_file, encoding="utf-8") as fh:
+                sigma = matrix_from_json(json.load(fh))
+        except (UnicodeDecodeError, RecursionError) as exc:
+            raise DomainError(f"--sigma-file is not readable JSON: {exc}") from None
         if sigma.shape[0] != args.n:
             raise GaussExtremalError("sigma file dimension does not match --n")
     else:

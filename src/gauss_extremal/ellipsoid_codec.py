@@ -241,15 +241,6 @@ def implied_rates(rho: float, nu_x: float, nu_y: float, q_x: float, q_y: float) 
     return r_x, r_y
 
 
-@dataclass(frozen=True)
-class ShrunkMatrix:
-    b_matrix: np.ndarray
-    logdet_b: float  # log |det B|, from the one LU of B
-    logdet_residual: float
-    rank: int
-    basis: np.ndarray  # rank x n orthonormal rows spanning the centers
-
-
 def _deflate(a: np.ndarray, centers: np.ndarray, delta: float, logdet_a: float):
     """Deflate a along the span of each trial's centers; logdet_a is log |det a|.
 
@@ -288,31 +279,6 @@ def _deflate(a: np.ndarray, centers: np.ndarray, delta: float, logdet_a: float):
     n = a.shape[0]
     expected = logdet_a + (n - rank) * math.log(tau) + rank * math.log(tau - gamma)
     return b, ld_b, np.abs(ld_b - expected), rank, vt, norms
-
-
-def build_shrunk_matrix(a_x: np.ndarray, centers, delta: float) -> ShrunkMatrix:
-    """Deflate a_x along the span of the description centers.
-
-    Returns the shrunk matrix, its log-determinant, the residual of the
-    determinant identity |B| = |A| tau^(n-k') (tau - gamma)^k', and the span
-    rank k'. Centers may be rank deficient; the identity uses the actual
-    rank.
-    """
-    a = np.asarray(a_x, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DomainError("a_x must be square")
-    c = np.atleast_2d(np.asarray(centers, dtype=float))
-    if c.shape[1] != a.shape[0]:
-        raise DomainError("centers must have the same dimension as a_x")
-    if not delta > 0.0:  # NaN included
-        raise DomainError("delta must be positive")
-    _, ld_a = np.linalg.slogdet(a)
-    b, ld_b, residual, rank, basis, _ = _deflate(a, c[None], delta, float(ld_a))
-    rank = int(rank[0])
-    return ShrunkMatrix(
-        b_matrix=b[0], logdet_b=float(ld_b[0]), logdet_residual=float(residual[0]), rank=rank,
-        basis=basis[0, :rank],
-    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -362,16 +328,23 @@ class SimulationReport:
 
 
 class _Setup:
-    """What every trial of a run shares: the whitening of sigma, the
-    solved description channel and the run's random streams."""
+    """What every trial of a run shares: the whitening of sigma, as each
+    source's scaled map A = s Lambda^{-1/2} U^T (s = 1/sqrt(n nu)) with
+    log |det A|, the solved description channel and the run's random
+    streams."""
 
     def __init__(self, config: CodecConfig):
         self.config = config
+        n, rho, nu_x, nu_y = config.n, config.rho, config.nu_x, config.nu_y
         eigvals, eigvecs = np.linalg.eigh(0.5 * (config.sigma + config.sigma.T))
-        self.white = (eigvecs / np.sqrt(eigvals)).T  # Lambda^{-1/2} U^T
         self.unwhite = eigvecs * np.sqrt(eigvals)  # U Lambda^{1/2}
         self.log_det_sigma = float(np.sum(np.log(eigvals)))
-        rho, nu_x, nu_y = config.rho, config.nu_x, config.nu_y
+        white = (eigvecs / np.sqrt(eigvals)).T  # Lambda^{-1/2} U^T, not kept once scaled
+        del eigvecs  # not alive beside white and the two maps (8 MB each at n = 1024)
+        scales = [1.0 / math.sqrt(n * nu) for nu in (nu_x, nu_y)]
+        self.a_mats = [s * white for s in scales]
+        # log |det (s Lambda^{-1/2} U^T)| = n log s - (1/2) log |sigma|.
+        self.logdet_as = [n * math.log(s) - 0.5 * self.log_det_sigma for s in scales]
         self.q_x, self.q_y = solve_noise_levels(rho, nu_x, nu_y)
         self.r_x, self.r_y = implied_rates(rho, nu_x, nu_y, self.q_x, self.q_y)
         self.verdict = region_verdict(
@@ -433,10 +406,6 @@ def run_simulation(config: CodecConfig) -> SimulationReport:
     n, k, trials, delta, tau = config.n, config.k, config.trials, config.delta, config.tau
     log_cn = log_unit_ball_volume(n)
     nus = (config.nu_x, config.nu_y)
-    scales = [1.0 / math.sqrt(n * nu) for nu in nus]
-    a_mats = [s * setup.white for s in scales]
-    # log |det (s Lambda^{-1/2} U^T)| = n log s - (1/2) log |sigma|.
-    logdet_as = [n * math.log(s) - 0.5 * setup.log_det_sigma for s in scales]
     norm_bound = 1.0 / math.sqrt(delta)
 
     stacks = ([], [])  # per source, one (covered, log|B|, residual, rank, exceeds) per trial stack
@@ -450,9 +419,10 @@ def run_simulation(config: CodecConfig) -> SimulationReport:
         np.sum(grams, axis=0, out=white_cov_sum)
         del grams  # n x n per trial: no stack stays alive through the deflation
         for i, source in enumerate(stacks):  # source 0 is X, source 1 is Y
-            centers = estimates[i] @ a_mats[i].T
-            b, logdet_b, residual, rank, _, norms = _deflate(a_mats[i], centers, delta, logdet_as[i])
+            a = setup.a_mats[i]
+            b, logdet_b, residual, rank, _, norms = _deflate(a, estimates[i] @ a.T, delta, setup.logdet_as[i])
             covered = np.linalg.norm(points[i] @ b.transpose(0, 2, 1), axis=2) <= 1.0
+            del b  # n x n per trial: the next _deflate's B is not allocated beside it
             source.append((covered, logdet_b, residual, rank, norms >= norm_bound))
 
     per_trial = {}  # TrialReport field -> its column over the trials

@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .gauss_model import InfoVector
 
 # Membership uses slack >= -BOUNDARY_TOL so exact-boundary constructions
 # count as inside: their slacks round to at most 8.9e-16 below 0.
@@ -128,26 +127,3 @@ def region_verdict(q: RegionQuery) -> RegionVerdict:
         inside=sat_rx and sat_ry and sat_sum,
     )
 
-
-def min_nu_boundary(rho: float, r_x: float, r_y: float) -> tuple[float, float, bool]:
-    """Smallest per-constraint distortions at the given rates, plus whether
-    that corner also meets the sum constraint."""
-    if r_x < 0.0 or r_y < 0.0:
-        raise DomainError("rates must be nonnegative")
-    r2 = rho * rho
-    nu_x_min = 2.0 ** (-2.0 * r_x) * (1.0 - r2 + r2 * 2.0 ** (-2.0 * r_y))
-    nu_y_min = 2.0 ** (-2.0 * r_y) * (1.0 - r2 + r2 * 2.0 ** (-2.0 * r_x))
-    verdict = region_verdict(RegionQuery(rho=rho, r_x=r_x, r_y=r_y, nu_x=nu_x_min, nu_y=nu_y_min))
-    return nu_x_min, nu_y_min, verdict.satisfies_sum
-
-
-def mmse_jensen_gap(info: InfoVector, mmse_x: float, mmse_y: float, n: int = 1) -> float:
-    """(I(X;U,V) + I(Y;U,V))/n - (1/2) log2(1/(mmse_x mmse_y)).
-
-    Nonnegative whenever the mmse arguments are the true normalized
-    conditional errors (Gaussian descriptions meet it with equality);
-    overstating an mmse pushes the gap positive.
-    """
-    if not (0.0 < mmse_x <= 1.0 and 0.0 < mmse_y <= 1.0):
-        raise DomainError("mmse values must lie in (0, 1]")
-    return (info.i_x_uv + info.i_y_uv) / n + 0.5 * math.log2(mmse_x * mmse_y)

@@ -4,11 +4,11 @@ Sample t of a sweep draws all its parameters from its own stream, the
 (seed, t, 0) key of the sweep's rng.Streams, in a fixed order, so it
 does not depend on the other samples or on the sweep length, and makes
 as few numpy calls as that order allows. The sweep first draws every
-sample of a chunk, forms all its covariances A A^T + 0.1 I, as
-rng.random_pd makes them, in one stacked product, then stacks the joint
-covariances of its pairs Y = rho X + Z (the unit-variance pair, sigma_z =
-1 - rho^2, in the scalar modes; rho = 1 in the vector modes) and
-evaluates all of them in one call of the batched information kernel,
+sample of a chunk, forms all its covariances A A^T + 0.1 I in one
+stacked product, then stacks the joint covariances of its pairs
+Y = rho X + Z (the unit-variance pair, sigma_z = 1 - rho^2, in the scalar
+modes; rho = 1 in the vector modes) and evaluates all of them in one call
+of the batched information kernel,
 whose log-determinants also give the volume ratio. The kernel alone
 checks a drawn covariance: sigma_x is its X block and sigma_z the Schur
 complement of X in its XY block. Every value equals the one drawn with a

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from gauss_extremal.gauss_model import GaussianAuxChannel, GaussianPairModel
-from gauss_extremal.rng import random_pd
+
+from matrix_helpers import random_pd
 
 
 @pytest.fixture

@@ -272,6 +272,20 @@ class TestEllipsoidCommand:
         ])
         assert code == 2 and "data" in err
 
+    @pytest.mark.parametrize("content", [b"\xff\xfe", b"[" * 100000 + b"]" * 100000], ids=["not-utf8", "deep"])
+    def test_unreadable_sigma_file_exits_two(self, capsys, tmp_path, content):
+        # Both used to end in a traceback and exit 1: a UnicodeDecodeError,
+        # and a RecursionError from the JSON decoder.
+        sigma_path = tmp_path / "sigma.json"
+        sigma_path.write_bytes(content)
+        code, out, err = run_cli(capsys, [
+            "ellipsoid", "--n", "2", "--k", "1", "--rho", "0.3",
+            "--nux", "0.5", "--nuy", "0.5", "--trials", "2",
+            "--sigma-file", str(sigma_path),
+        ])
+        assert code == 2 and out == ""
+        assert err.startswith("error: --sigma-file is not readable JSON: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("data", [[True, False, False, True], ["2.0", "0", "0", "2.0"]])
     def test_sigma_file_entries_must_be_numbers(self, capsys, tmp_path, data):
         # Both used to run (the booleans as the identity) and exit 0.

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +12,6 @@ from gauss_extremal.errors import DegenerateShrinkage, DomainError, Infeasible, 
 from gauss_extremal.ellipsoid_codec import (
     CodecConfig,
     TrialReport,
-    build_shrunk_matrix,
     check_scalar_params,
     implied_rates,
     log_unit_ball_volume,
@@ -21,7 +21,9 @@ from gauss_extremal.ellipsoid_codec import (
     trials_csv_rows,
 )
 from gauss_extremal.gauss_model import log_det
-from gauss_extremal.rng import STREAM_NOISE_X, STREAM_NOISE_Y, STREAM_SOURCE, random_pd, stream
+from gauss_extremal.rng import STREAM_NOISE_X, STREAM_NOISE_Y, STREAM_SOURCE, stream
+
+from matrix_helpers import random_pd
 
 
 class TestUnitBallVolume:
@@ -269,31 +271,40 @@ class TestDraw:
             assert abs(mse - nu) / nu < 0.02, rho
 
 
-class TestBuildShrunkMatrix:
+def deflate_one(a, centers, delta):
+    """One trial through _deflate, with log |det a| from slogdet:
+    (B, log |det B|, residual, rank, the rank basis rows of the center span)."""
+    centers = np.asarray(centers, dtype=float)[None]
+    b, logdet_b, residual, rank, basis, _ = ellipsoid_codec._deflate(a, centers, delta, float(np.linalg.slogdet(a)[1]))
+    rank = int(rank[0])
+    return b[0], float(logdet_b[0]), float(residual[0]), rank, basis[0, :rank]
+
+
+class TestDeflate:
     def test_zero_centers_pure_scaling(self):
         gen = np.random.default_rng(60)
         a = random_pd(gen, 4)
-        out = build_shrunk_matrix(a, np.zeros((2, 4)), 0.01)
+        b, _, residual, rank, _ = deflate_one(a, np.zeros((2, 4)), 0.01)
         tau = 1.0 - 2.0 * 0.1
-        assert out.rank == 0
-        assert np.allclose(out.b_matrix, tau * a, atol=1e-15)
-        assert out.logdet_residual < 1e-12
+        assert rank == 0
+        assert np.allclose(b, tau * a, atol=1e-15)
+        assert residual < 1e-12
 
     def test_rank_one_determinant_ratio(self):
         a = np.eye(3)
         centers = np.array([[2.0, 0.0, 0.0]])
-        out = build_shrunk_matrix(a, centers, 0.01)
-        assert out.rank == 1
-        ratio = abs(np.linalg.det(out.b_matrix)) / abs(np.linalg.det(a))
+        b, logdet_b, _, rank, _ = deflate_one(a, centers, 0.01)
+        assert rank == 1
+        ratio = abs(np.linalg.det(b)) / abs(np.linalg.det(a))
         assert abs(ratio - 0.8 * 0.8 * 0.008) < 1e-12
-        assert abs(out.logdet_b - math.log(0.8 * 0.8 * 0.008)) < 1e-12
+        assert abs(logdet_b - math.log(0.8 * 0.8 * 0.008)) < 1e-12
 
     def test_projector_is_idempotent(self):
         gen = np.random.default_rng(61)
         centers = gen.standard_normal((4, 16))
-        out = build_shrunk_matrix(np.eye(16), centers, 0.0025)
-        assert np.max(np.abs(out.basis @ out.basis.T - np.eye(out.rank))) < 1e-12
-        proj = out.basis.T @ out.basis
+        _, _, _, rank, basis = deflate_one(np.eye(16), centers, 0.0025)
+        assert np.max(np.abs(basis @ basis.T - np.eye(rank))) < 1e-12
+        proj = basis.T @ basis
         assert np.max(np.abs(proj @ proj - proj)) < 1e-12
 
     def test_rank_deficient_centers(self):
@@ -303,9 +314,9 @@ class TestBuildShrunkMatrix:
             (np.array([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0 + 1e-13]]), 1),
         )
         for c, rank in cases:
-            out = build_shrunk_matrix(np.eye(3), c, 0.01)
-            assert out.rank == rank
-            assert out.logdet_residual < 1e-12
+            _, _, residual, found, _ = deflate_one(np.eye(3), c, 0.01)
+            assert found == rank
+            assert residual < 1e-12
 
     def test_stack_with_different_ranks(self):
         # One stack whose trials have ranks 3, 2, 0 and 1: each trial gives
@@ -325,12 +336,12 @@ class TestBuildShrunkMatrix:
         assert rank.tolist() == [3, 2, 0, 1]
         assert np.array_equal(norms, np.linalg.norm(centers, axis=2))
         for t in range(len(centers)):
-            alone = build_shrunk_matrix(a, centers[t], 0.01)
-            assert alone.rank == rank[t]
-            assert np.array_equal(b[t], alone.b_matrix)
-            assert logdet_b[t] == alone.logdet_b and residual[t] == alone.logdet_residual
+            b_t, logdet_b_t, residual_t, rank_t, basis_t = deflate_one(a, centers[t], 0.01)
+            assert rank_t == rank[t]
+            assert np.array_equal(b[t], b_t)
+            assert logdet_b[t] == logdet_b_t and residual[t] == residual_t
             assert residual[t] < 1e-12
-            assert np.array_equal(basis[t, : rank[t]], alone.basis)
+            assert np.array_equal(basis[t, : rank[t]], basis_t)
             assert np.all(basis[t, rank[t]:] == 0.0)
 
     def test_residual_small_for_random_inputs(self):
@@ -339,8 +350,8 @@ class TestBuildShrunkMatrix:
             n = int(gen.integers(3, 30))
             k = int(gen.integers(1, min(n, 6)))
             a = random_pd(gen, n)
-            out = build_shrunk_matrix(a, gen.standard_normal((k, n)), 0.0025)
-            assert out.logdet_residual < 1e-9
+            _, _, residual, _, _ = deflate_one(a, gen.standard_normal((k, n)), 0.0025)
+            assert residual < 1e-9
 
     def test_b_is_formed_as_its_transpose(self, monkeypatch):
         # run_simulation's whitening map A is F-ordered, so tau A^T and the
@@ -365,6 +376,23 @@ class TestBuildShrunkMatrix:
         run_simulation(cfg)
         assert seen == [(True, True)] * 2
 
+    def test_each_b_is_released_before_the_next_deflation(self, monkeypatch):
+        # B is n x n per trial (8 MB at n = 1024): at most one stack of them is alive.
+        cfg = CodecConfig(n=8, k=2, rho=0.5, sigma=np.eye(8), nu_x=0.3, nu_y=0.4, trials=3, seed=4)
+        deflate = ellipsoid_codec._deflate
+        earlier, alive = [], []
+
+        def recorded(*args):
+            alive.append(sum(ref() is not None for ref in earlier))
+            out = deflate(*args)
+            earlier.append(weakref.ref(out[0]))
+            return out
+
+        monkeypatch.setattr(ellipsoid_codec, "_STACK_ENTRIES", cfg.n * cfg.n)  # one trial per stack
+        monkeypatch.setattr(ellipsoid_codec, "_deflate", recorded)
+        run_simulation(cfg)
+        assert alive == [0] * 6
+
     @pytest.mark.parametrize("n,k,trials", [(48, 5, 6), (40, 40, 2), (255, 16, 2)])
     def test_b_matches_the_untransposed_product(self, n, k, trials):
         # Each entry of B^T sums the same k products gamma v_lj (V A)_li as
@@ -376,11 +404,9 @@ class TestBuildShrunkMatrix:
         sigma = random_pd(np.random.default_rng(70), n)
         cfg = CodecConfig(n=n, k=k, rho=0.5, sigma=sigma, nu_x=0.3, nu_y=0.4, delta=0.005, trials=trials)
         setup = ellipsoid_codec._Setup(cfg)
-        scale = 1.0 / math.sqrt(n * cfg.nu_x)
-        a = scale * setup.white
-        logdet_a = n * math.log(scale) - 0.5 * setup.log_det_sigma
+        a = setup.a_mats[0]
         _, _, (x_hat, _) = setup.draw(range(trials))
-        b, _, residual, _, vt, _ = ellipsoid_codec._deflate(a, x_hat @ a.T, cfg.delta, logdet_a)
+        b, _, residual, _, vt, _ = ellipsoid_codec._deflate(a, x_hat @ a.T, cfg.delta, setup.logdet_as[0])
         tau, gamma = ellipsoid_codec._shrinkage(cfg.delta)
         vta = vt @ a
         reference = tau * a - gamma * vt.transpose(0, 2, 1) @ vta
@@ -390,12 +416,11 @@ class TestBuildShrunkMatrix:
 
     def test_degenerate_shrinkage(self):
         with pytest.raises(DegenerateShrinkage):
-            build_shrunk_matrix(np.eye(3), np.zeros((1, 3)), 0.3)
-        with pytest.raises(DomainError):
-            build_shrunk_matrix(np.eye(3), np.zeros((1, 3)), 0.0)
-        # 1 - delta rounds to 1: tau - gamma = 0 and log(tau - gamma) is undefined.
-        with pytest.raises(DegenerateShrinkage, match="tau - gamma"):
-            build_shrunk_matrix(np.eye(4), np.ones((2, 4)), 1e-17)
+            deflate_one(np.eye(3), np.zeros((1, 3)), 0.3)
+        # 1 - delta is 1, or rounds to 1: tau - gamma = 0 and log(tau - gamma) is undefined.
+        for delta in (0.0, 1e-17):
+            with pytest.raises(DegenerateShrinkage, match="tau - gamma"):
+                deflate_one(np.eye(4), np.ones((2, 4)), delta)
 
 
 class TestCodecConfigValidation:
@@ -440,8 +465,8 @@ class TestCodecConfigValidation:
 
 
 def reference_trial(cfg, t):
-    """Trial t one at a time, from fresh per-trial streams and the public
-    one-trial build_shrunk_matrix: (coverage, volume, rank) per source."""
+    """Trial t one at a time, from fresh per-trial streams and a one-trial
+    deflation: (coverage, volume, rank) per source."""
     eigvals, eigvecs = np.linalg.eigh(cfg.sigma)
     white, unwhite = (eigvecs / np.sqrt(eigvals)).T, eigvecs * np.sqrt(eigvals)
     q = solve_noise_levels(cfg.rho, cfg.nu_x, cfg.nu_y)
@@ -459,13 +484,13 @@ def reference_trial(cfg, t):
     out = []
     for sample, est, nu in ((xw, x_hat, cfg.nu_x), (yw, y_hat, cfg.nu_y)):
         a = white / math.sqrt(cfg.n * nu)
-        shrunk = build_shrunk_matrix(a, (est @ unwhite.T) @ a.T, cfg.delta)
-        covered = tuple(np.linalg.norm((sample @ unwhite.T) @ shrunk.b_matrix.T, axis=1) <= 1.0)
-        log_vol = log_unit_ball_volume(cfg.n) - shrunk.logdet_b
+        b, logdet_b, _, rank, _ = deflate_one(a, (est @ unwhite.T) @ a.T, cfg.delta)
+        covered = tuple(np.linalg.norm((sample @ unwhite.T) @ b.T, axis=1) <= 1.0)
+        log_vol = log_unit_ball_volume(cfg.n) - logdet_b
         norm_vol = math.exp(log_vol / cfg.n) / math.sqrt(2.0 * math.pi * math.e * nu) * math.exp(
             -float(np.sum(np.log(eigvals))) / (2 * cfg.n)
         )
-        out.append((covered, norm_vol, shrunk.rank))
+        out.append((covered, norm_vol, rank))
     return out
 
 

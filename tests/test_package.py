@@ -34,10 +34,22 @@ def test_stream_accepts_domain_ends():
     rng.check_seed(2**64 - 1)
 
 
+# Layers that bench/tracing.py still names but the package deleted, as
+# functions that no command, acceptance criterion or other package
+# function used; the tracer reports them missing and counts 0 calls.
+DELETED_LAYERS = [
+    "rng.random_pd",
+    "gauss_model.schur_conditional_cov",
+    "extremal.scalar_extremal_gap",
+    "ellipsoid_codec.build_shrunk_matrix",
+]
+
+
 def test_names_the_benchmark_resolves_exist():
     # bench/tracing.py wraps its LAYERS by name and reports a missing one
     # instead of failing, and bench/tests names cli.run_verify_sweep and
-    # the log_det and stream re-exports: a rename or deletion must fail here.
+    # the log_det and stream re-exports: any other rename or deletion must
+    # fail here.
     tree = ast.parse((ROOT / "bench" / "tracing.py").read_text())
     layers = next(
         ast.literal_eval(node.value) for node in tree.body
@@ -56,4 +68,34 @@ def test_names_the_benchmark_resolves_exist():
             obj = getattr(obj, part, None)
         if not callable(obj):
             missing.append(name)
-    assert missing == []
+    assert missing == DELETED_LAYERS
+
+
+def _names_used(path: Path) -> set[str]:
+    """Names and attributes read in a module, each outside any definition of that name."""
+    used = set()
+
+    def visit(node, defining):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defining = defining | {node.name}
+        name = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+        if name is not None and name not in defining:
+            used.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, defining)
+
+    visit(ast.parse(path.read_text(), str(path)), frozenset())
+    return used
+
+
+def test_every_export_has_a_user():
+    # A name the package exports is kept only if a package module, outside
+    # the name's own definition, or an acceptance criterion uses it. Import
+    # lines bind names without reading them, so they count as no use.
+    init = ast.parse((SRC / "__init__.py").read_text())
+    exports = [alias.asname or alias.name for node in init.body if isinstance(node, ast.ImportFrom)
+               for alias in node.names]
+    users = [path for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"]
+    used = set().union(*map(_names_used, users + [ROOT / "tests" / "test_acceptance.py"]))
+    assert len(exports) > 40
+    assert [name for name in exports if name not in used] == []
