@@ -280,7 +280,7 @@ def deflate_one(a, centers, delta):
     return b[0], float(logdet_b[0]), float(residual[0]), rank, basis[0, :rank]
 
 
-class TestDeflate:
+class TestBuildShrunkMatrix:
     def test_zero_centers_pure_scaling(self):
         gen = np.random.default_rng(60)
         a = random_pd(gen, 4)
