@@ -143,10 +143,10 @@ def _cmd_ellipsoid(args) -> int:
     # Before sigma: parsing a --sigma-file takes about half a second at n = 1024.
     check_scalar_params(**params)
     if args.sigma_file is not None:
-        try:  # JSON text is UTF-8, and the decoder recurses once per level of nesting
+        try:  # every way the file fails to decode as JSON (UTF-8 text, one recursion per nesting level)
             with open(args.sigma_file, encoding="utf-8") as fh:
                 sigma = matrix_from_json(json.load(fh))
-        except (UnicodeDecodeError, RecursionError) as exc:
+        except (UnicodeDecodeError, RecursionError, json.JSONDecodeError) as exc:
             raise DomainError(f"--sigma-file is not readable JSON: {exc}") from None
         if sigma.shape[0] != args.n:
             raise GaussExtremalError("sigma file dimension does not match --n")
@@ -228,7 +228,7 @@ def main(argv=None) -> int:
     try:
         _check_args(args)
         return _COMMANDS[args.command](args)
-    except (GaussExtremalError, OSError, json.JSONDecodeError) as exc:
+    except (GaussExtremalError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:  # an input too large for the memory at hand, such as ellipsoid --n 10^6

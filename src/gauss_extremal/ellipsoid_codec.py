@@ -241,6 +241,15 @@ def implied_rates(rho: float, nu_x: float, nu_y: float, q_x: float, q_y: float) 
     return r_x, r_y
 
 
+@dataclass(frozen=True)
+class ShrunkMatrix:
+    b_matrix: np.ndarray
+    logdet_b: float  # log |det B|, from the one LU of B
+    logdet_residual: float
+    rank: int
+    basis: np.ndarray  # rank x n orthonormal rows spanning the centers
+
+
 def _deflate(a: np.ndarray, centers: np.ndarray, delta: float, logdet_a: float):
     """Deflate a along the span of each trial's centers; logdet_a is log |det a|.
 
@@ -279,6 +288,31 @@ def _deflate(a: np.ndarray, centers: np.ndarray, delta: float, logdet_a: float):
     n = a.shape[0]
     expected = logdet_a + (n - rank) * math.log(tau) + rank * math.log(tau - gamma)
     return b, ld_b, np.abs(ld_b - expected), rank, vt, norms
+
+
+def build_shrunk_matrix(a_x: np.ndarray, centers, delta: float) -> ShrunkMatrix:
+    """Deflate a_x along the span of the description centers.
+
+    Returns the shrunk matrix, its log-determinant, the residual of the
+    determinant identity |B| = |A| tau^(n-k') (tau - gamma)^k', and the span
+    rank k'. Centers may be rank deficient; the identity uses the actual
+    rank.
+    """
+    a = np.asarray(a_x, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise DomainError("a_x must be square")
+    c = np.atleast_2d(np.asarray(centers, dtype=float))
+    if c.shape[1] != a.shape[0]:
+        raise DomainError("centers must have the same dimension as a_x")
+    if not delta > 0.0:  # NaN included
+        raise DomainError("delta must be positive")
+    _, ld_a = np.linalg.slogdet(a)
+    b, ld_b, residual, rank, basis, _ = _deflate(a, c[None], delta, float(ld_a))
+    rank = int(rank[0])
+    return ShrunkMatrix(
+        b_matrix=b[0], logdet_b=float(ld_b[0]), logdet_residual=float(residual[0]), rank=rank,
+        basis=basis[0, :rank],
+    )
 
 
 @dataclass(frozen=True, eq=False)

@@ -140,6 +140,11 @@ def vector_extremal_gap(
     return gap_cond
 
 
+def scalar_extremal_gap(rho: float, u: GaussianAuxChannel, v: GaussianAuxChannel) -> float:
+    """LHS - RHS of the unit-variance scalar inequality: the n = 1 vector gap."""
+    return vector_extremal_gap(GaussianPairModel.scalar(rho), u, v)
+
+
 def oohama_gap(model: GaussianPairModel, u: GaussianAuxChannel) -> float:
     """Gap of the single-description bound: the two-description gap with
     V degenerate, whose informations all vanish. Zero iff the conditional

@@ -152,6 +152,24 @@ def log_det(mat, name: str = "matrix") -> float:
     return 2.0 * float(np.sum(np.log(np.diagonal(lower))))
 
 
+def schur_conditional_cov(joint, target, given) -> np.ndarray:
+    """Conditional covariance S_T - S_TG S_G^{-1} S_GT of Gaussian blocks.
+
+    target and given are index sequences into the joint covariance. The
+    result is symmetrized. Raises NotPositiveDefinite when the given block
+    cannot be factorized.
+    """
+    a = _as_square(joint, "joint")
+    t = np.asarray(target, dtype=int)
+    g = np.asarray(given, dtype=int)
+    s_g = a[np.ix_(g, g)]
+    lower = cholesky_pd(s_g, "given block")
+    s_gt = a[np.ix_(g, t)]
+    w = np.linalg.solve(lower, s_gt)
+    out = a[np.ix_(t, t)] - w.T @ w
+    return 0.5 * (out + out.T)
+
+
 def matrix_from_json(obj) -> np.ndarray:
     """Parse {"n": int, "data": row-major n^2 numbers} with strict checks."""
     if isinstance(obj, str):

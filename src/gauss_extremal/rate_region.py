@@ -126,4 +126,3 @@ def region_verdict(q: RegionQuery) -> RegionVerdict:
         slack_sum=slack_sum,
         inside=sat_rx and sat_ry and sat_sum,
     )
-

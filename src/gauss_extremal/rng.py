@@ -100,3 +100,8 @@ def stream(seed: int, trial: int, stream_id: int) -> np.random.Generator:
     """
     return Streams(seed)(trial, stream_id)
 
+
+def random_pd(gen: np.random.Generator, n: int, ridge: float = 0.1) -> np.ndarray:
+    """Random positive-definite matrix A @ A.T + ridge * I."""
+    a = gen.standard_normal((n, n))
+    return a @ a.T + ridge * np.eye(n)

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from gauss_extremal.gauss_model import GaussianAuxChannel, GaussianPairModel
-
-from matrix_helpers import random_pd
+from gauss_extremal.rng import random_pd
 
 
 @pytest.fixture

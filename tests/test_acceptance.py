@@ -30,8 +30,8 @@ from gauss_extremal.gauss_model import (
     mutual_information,
 )
 from gauss_extremal.rate_region import distortion_of_sum_rate, sum_rate_bound
+from gauss_extremal.rng import random_pd
 
-from matrix_helpers import random_pd
 from test_extremal import tradeoff_oracle
 
 

@@ -272,10 +272,12 @@ class TestEllipsoidCommand:
         ])
         assert code == 2 and "data" in err
 
-    @pytest.mark.parametrize("content", [b"\xff\xfe", b"[" * 100000 + b"]" * 100000], ids=["not-utf8", "deep"])
+    @pytest.mark.parametrize(
+        "content", [b"{", b"\xff\xfe", b"[" * 100000 + b"]" * 100000], ids=["not-json", "not-utf8", "deep"]
+    )
     def test_unreadable_sigma_file_exits_two(self, capsys, tmp_path, content):
-        # Both used to end in a traceback and exit 1: a UnicodeDecodeError,
-        # and a RecursionError from the JSON decoder.
+        # The last two used to end in a traceback and exit 1: a
+        # UnicodeDecodeError, and a RecursionError from the JSON decoder.
         sigma_path = tmp_path / "sigma.json"
         sigma_path.write_bytes(content)
         code, out, err = run_cli(capsys, [

@@ -12,6 +12,7 @@ from gauss_extremal.errors import DegenerateShrinkage, DomainError, Infeasible, 
 from gauss_extremal.ellipsoid_codec import (
     CodecConfig,
     TrialReport,
+    build_shrunk_matrix,
     check_scalar_params,
     implied_rates,
     log_unit_ball_volume,
@@ -21,9 +22,7 @@ from gauss_extremal.ellipsoid_codec import (
     trials_csv_rows,
 )
 from gauss_extremal.gauss_model import log_det
-from gauss_extremal.rng import STREAM_NOISE_X, STREAM_NOISE_Y, STREAM_SOURCE, stream
-
-from matrix_helpers import random_pd
+from gauss_extremal.rng import STREAM_NOISE_X, STREAM_NOISE_Y, STREAM_SOURCE, random_pd, stream
 
 
 class TestUnitBallVolume:
@@ -271,40 +270,31 @@ class TestDraw:
             assert abs(mse - nu) / nu < 0.02, rho
 
 
-def deflate_one(a, centers, delta):
-    """One trial through _deflate, with log |det a| from slogdet:
-    (B, log |det B|, residual, rank, the rank basis rows of the center span)."""
-    centers = np.asarray(centers, dtype=float)[None]
-    b, logdet_b, residual, rank, basis, _ = ellipsoid_codec._deflate(a, centers, delta, float(np.linalg.slogdet(a)[1]))
-    rank = int(rank[0])
-    return b[0], float(logdet_b[0]), float(residual[0]), rank, basis[0, :rank]
-
-
 class TestBuildShrunkMatrix:
     def test_zero_centers_pure_scaling(self):
         gen = np.random.default_rng(60)
         a = random_pd(gen, 4)
-        b, _, residual, rank, _ = deflate_one(a, np.zeros((2, 4)), 0.01)
+        out = build_shrunk_matrix(a, np.zeros((2, 4)), 0.01)
         tau = 1.0 - 2.0 * 0.1
-        assert rank == 0
-        assert np.allclose(b, tau * a, atol=1e-15)
-        assert residual < 1e-12
+        assert out.rank == 0
+        assert np.allclose(out.b_matrix, tau * a, atol=1e-15)
+        assert out.logdet_residual < 1e-12
 
     def test_rank_one_determinant_ratio(self):
         a = np.eye(3)
         centers = np.array([[2.0, 0.0, 0.0]])
-        b, logdet_b, _, rank, _ = deflate_one(a, centers, 0.01)
-        assert rank == 1
-        ratio = abs(np.linalg.det(b)) / abs(np.linalg.det(a))
+        out = build_shrunk_matrix(a, centers, 0.01)
+        assert out.rank == 1
+        ratio = abs(np.linalg.det(out.b_matrix)) / abs(np.linalg.det(a))
         assert abs(ratio - 0.8 * 0.8 * 0.008) < 1e-12
-        assert abs(logdet_b - math.log(0.8 * 0.8 * 0.008)) < 1e-12
+        assert abs(out.logdet_b - math.log(0.8 * 0.8 * 0.008)) < 1e-12
 
     def test_projector_is_idempotent(self):
         gen = np.random.default_rng(61)
         centers = gen.standard_normal((4, 16))
-        _, _, _, rank, basis = deflate_one(np.eye(16), centers, 0.0025)
-        assert np.max(np.abs(basis @ basis.T - np.eye(rank))) < 1e-12
-        proj = basis.T @ basis
+        out = build_shrunk_matrix(np.eye(16), centers, 0.0025)
+        assert np.max(np.abs(out.basis @ out.basis.T - np.eye(out.rank))) < 1e-12
+        proj = out.basis.T @ out.basis
         assert np.max(np.abs(proj @ proj - proj)) < 1e-12
 
     def test_rank_deficient_centers(self):
@@ -314,9 +304,9 @@ class TestBuildShrunkMatrix:
             (np.array([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0 + 1e-13]]), 1),
         )
         for c, rank in cases:
-            _, _, residual, found, _ = deflate_one(np.eye(3), c, 0.01)
-            assert found == rank
-            assert residual < 1e-12
+            out = build_shrunk_matrix(np.eye(3), c, 0.01)
+            assert out.rank == rank
+            assert out.logdet_residual < 1e-12
 
     def test_stack_with_different_ranks(self):
         # One stack whose trials have ranks 3, 2, 0 and 1: each trial gives
@@ -336,12 +326,12 @@ class TestBuildShrunkMatrix:
         assert rank.tolist() == [3, 2, 0, 1]
         assert np.array_equal(norms, np.linalg.norm(centers, axis=2))
         for t in range(len(centers)):
-            b_t, logdet_b_t, residual_t, rank_t, basis_t = deflate_one(a, centers[t], 0.01)
-            assert rank_t == rank[t]
-            assert np.array_equal(b[t], b_t)
-            assert logdet_b[t] == logdet_b_t and residual[t] == residual_t
+            alone = build_shrunk_matrix(a, centers[t], 0.01)
+            assert alone.rank == rank[t]
+            assert np.array_equal(b[t], alone.b_matrix)
+            assert logdet_b[t] == alone.logdet_b and residual[t] == alone.logdet_residual
             assert residual[t] < 1e-12
-            assert np.array_equal(basis[t, : rank[t]], basis_t)
+            assert np.array_equal(basis[t, : rank[t]], alone.basis)
             assert np.all(basis[t, rank[t]:] == 0.0)
 
     def test_residual_small_for_random_inputs(self):
@@ -350,8 +340,8 @@ class TestBuildShrunkMatrix:
             n = int(gen.integers(3, 30))
             k = int(gen.integers(1, min(n, 6)))
             a = random_pd(gen, n)
-            _, _, residual, _, _ = deflate_one(a, gen.standard_normal((k, n)), 0.0025)
-            assert residual < 1e-9
+            out = build_shrunk_matrix(a, gen.standard_normal((k, n)), 0.0025)
+            assert out.logdet_residual < 1e-9
 
     def test_b_is_formed_as_its_transpose(self, monkeypatch):
         # run_simulation's whitening map A is F-ordered, so tau A^T and the
@@ -416,11 +406,12 @@ class TestBuildShrunkMatrix:
 
     def test_degenerate_shrinkage(self):
         with pytest.raises(DegenerateShrinkage):
-            deflate_one(np.eye(3), np.zeros((1, 3)), 0.3)
-        # 1 - delta is 1, or rounds to 1: tau - gamma = 0 and log(tau - gamma) is undefined.
-        for delta in (0.0, 1e-17):
-            with pytest.raises(DegenerateShrinkage, match="tau - gamma"):
-                deflate_one(np.eye(4), np.ones((2, 4)), delta)
+            build_shrunk_matrix(np.eye(3), np.zeros((1, 3)), 0.3)
+        with pytest.raises(DomainError):
+            build_shrunk_matrix(np.eye(3), np.zeros((1, 3)), 0.0)
+        # 1 - delta rounds to 1: tau - gamma = 0 and log(tau - gamma) is undefined.
+        with pytest.raises(DegenerateShrinkage, match="tau - gamma"):
+            build_shrunk_matrix(np.eye(4), np.ones((2, 4)), 1e-17)
 
 
 class TestCodecConfigValidation:
@@ -465,8 +456,8 @@ class TestCodecConfigValidation:
 
 
 def reference_trial(cfg, t):
-    """Trial t one at a time, from fresh per-trial streams and a one-trial
-    deflation: (coverage, volume, rank) per source."""
+    """Trial t one at a time, from fresh per-trial streams and the public
+    one-trial build_shrunk_matrix: (coverage, volume, rank) per source."""
     eigvals, eigvecs = np.linalg.eigh(cfg.sigma)
     white, unwhite = (eigvecs / np.sqrt(eigvals)).T, eigvecs * np.sqrt(eigvals)
     q = solve_noise_levels(cfg.rho, cfg.nu_x, cfg.nu_y)
@@ -484,13 +475,13 @@ def reference_trial(cfg, t):
     out = []
     for sample, est, nu in ((xw, x_hat, cfg.nu_x), (yw, y_hat, cfg.nu_y)):
         a = white / math.sqrt(cfg.n * nu)
-        b, logdet_b, _, rank, _ = deflate_one(a, (est @ unwhite.T) @ a.T, cfg.delta)
-        covered = tuple(np.linalg.norm((sample @ unwhite.T) @ b.T, axis=1) <= 1.0)
-        log_vol = log_unit_ball_volume(cfg.n) - logdet_b
+        shrunk = build_shrunk_matrix(a, (est @ unwhite.T) @ a.T, cfg.delta)
+        covered = tuple(np.linalg.norm((sample @ unwhite.T) @ shrunk.b_matrix.T, axis=1) <= 1.0)
+        log_vol = log_unit_ball_volume(cfg.n) - shrunk.logdet_b
         norm_vol = math.exp(log_vol / cfg.n) / math.sqrt(2.0 * math.pi * math.e * nu) * math.exp(
             -float(np.sum(np.log(eigvals))) / (2 * cfg.n)
         )
-        out.append((covered, norm_vol, rank))
+        out.append((covered, norm_vol, shrunk.rank))
     return out
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from gauss_extremal import extremal
-from gauss_extremal.ellipsoid_codec import check_scalar_params, implied_rates, log_unit_ball_volume
+from gauss_extremal.ellipsoid_codec import build_shrunk_matrix, implied_rates, log_unit_ball_volume
 from gauss_extremal.errors import CrossCheckFailed, DomainError
 from gauss_extremal.extremal import (
     alpha_family_channel,
@@ -20,6 +20,7 @@ from gauss_extremal.extremal import (
     scalar_dual_closed,
     scalar_dual_oracle,
     scalar_dual_oracle_argmin,
+    scalar_extremal_gap,
     vector_dual_lower,
     vector_extremal_forms,
     vector_extremal_gap,
@@ -32,9 +33,9 @@ from gauss_extremal.gauss_model import (
     mutual_information,
 )
 from gauss_extremal.rate_region import beta, distortion_of_sum_rate
+from gauss_extremal.rng import random_pd
 
 from conftest import make_scalar_triple, make_vector_triple
-from matrix_helpers import random_pd
 
 
 def scalar_channels(cu, cv):
@@ -681,16 +682,16 @@ class TestGapFunctionals:
     def test_scalar_gap_degenerate_is_zero(self):
         u = GaussianAuxChannel.degenerate_on("x")
         v = GaussianAuxChannel.degenerate_on("y")
-        assert abs(vector_extremal_gap(GaussianPairModel.scalar(0.5), u, v)) < 1e-15
+        assert abs(scalar_extremal_gap(0.5, u, v)) < 1e-15
 
     def test_scalar_gap_independent_sources(self):
         u, v = scalar_channels(0.7, 0.4)
-        assert abs(vector_extremal_gap(GaussianPairModel.scalar(0.0), u, v)) < 1e-12
+        assert abs(scalar_extremal_gap(0.0, u, v)) < 1e-12
 
     def test_scalar_gap_direct_evaluation(self):
         rho, cu, cv = 0.7, 0.6, 0.3
         u, v = scalar_channels(cu, cv)
-        gap = vector_extremal_gap(GaussianPairModel.scalar(rho), u, v)
+        gap = scalar_extremal_gap(rho, u, v)
         r2 = rho * rho
         i_yu = -0.5 * math.log2(1.0 - r2 * cu * cu)
         i_xu = -0.5 * math.log2(1.0 - cu * cu)
@@ -758,7 +759,7 @@ class TestGapFunctionals:
         for _ in range(200):
             model, u, v = make_scalar_triple(gen)
             expect = reference_scalar_gap(mutual_information(model, u, v), model.rho * model.rho)
-            assert abs(vector_extremal_gap(model, u, v) - expect) <= 1e-15
+            assert abs(scalar_extremal_gap(model.rho, u, v) - expect) <= 1e-15
             no_v = GaussianAuxChannel.degenerate_on("y")
             expect = reference_scalar_gap(mutual_information(model, u, no_v), model.rho * model.rho)
             assert abs(oohama_gap(model, u) - expect) <= 1e-15
@@ -767,7 +768,7 @@ class TestGapFunctionals:
         model = GaussianPairModel.scalar(0.6)
         assert abs(oohama_gap(model, GaussianAuxChannel.degenerate_on("x"))) < 1e-15
         u = GaussianAuxChannel.scalar_corr(0.7, "x")
-        sg = vector_extremal_gap(model, u, GaussianAuxChannel.degenerate_on("y"))
+        sg = scalar_extremal_gap(0.6, u, GaussianAuxChannel.degenerate_on("y"))
         assert abs(oohama_gap(model, u) - sg) < 1e-12
 
     def test_oohama_gap_independent_sources_is_zero(self):
@@ -826,7 +827,7 @@ NAN = float("nan")
     pytest.param(vector_dual_lower, (NAN, np.eye(2), np.eye(2)), "lam must be nonnegative", id="vector-lam-nan"),
     pytest.param(exponent_tradeoff_min, (0.3, 0.5, NAN), "lam must be nonnegative", id="tradeoff-lam-nan"),
     pytest.param(exponent_tradeoff_min, (NAN, 0.5, 1.0), "a1 and a2 must be positive", id="tradeoff-a1-nan"),
-    pytest.param(check_scalar_params, (4, 2, 0.5, 0.5, 0.5, NAN, 3, 0), "delta must lie in", id="config-delta-nan"),
+    pytest.param(build_shrunk_matrix, (np.eye(3), np.ones((1, 3)), NAN), "delta must be positive", id="shrunk-delta-nan"),
     pytest.param(implied_rates, (NAN, 0.3, 0.3, 1.0, 1.0), "rho must lie in", id="rates-rho-nan"),
     pytest.param(implied_rates, (0.5, NAN, 0.3, 1.0, 1.0), "nu_x must lie in", id="rates-nu-nan"),
     pytest.param(implied_rates, (0.5, 0.3, 0.3, 1.0, NAN), "noise levels must be positive", id="rates-q-nan"),

@@ -16,11 +16,11 @@ from gauss_extremal.gauss_model import (
     log_det,
     matrix_from_json,
     mutual_information,
+    schur_conditional_cov,
 )
-from gauss_extremal.rng import stream
+from gauss_extremal.rng import random_pd, stream
 
 from conftest import make_scalar_triple, make_vector_triple
-from matrix_helpers import random_pd, schur_conditional_cov
 
 
 class TestLogDet:

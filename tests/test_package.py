@@ -34,22 +34,10 @@ def test_stream_accepts_domain_ends():
     rng.check_seed(2**64 - 1)
 
 
-# Layers that bench/tracing.py still names but the package deleted, as
-# functions that no command, acceptance criterion or other package
-# function used; the tracer reports them missing and counts 0 calls.
-DELETED_LAYERS = [
-    "rng.random_pd",
-    "gauss_model.schur_conditional_cov",
-    "extremal.scalar_extremal_gap",
-    "ellipsoid_codec.build_shrunk_matrix",
-]
-
-
 def test_names_the_benchmark_resolves_exist():
     # bench/tracing.py wraps its LAYERS by name and reports a missing one
     # instead of failing, and bench/tests names cli.run_verify_sweep and
-    # the log_det and stream re-exports: any other rename or deletion must
-    # fail here.
+    # the log_det and stream re-exports: a rename or deletion must fail here.
     tree = ast.parse((ROOT / "bench" / "tracing.py").read_text())
     layers = next(
         ast.literal_eval(node.value) for node in tree.body
@@ -68,7 +56,7 @@ def test_names_the_benchmark_resolves_exist():
             obj = getattr(obj, part, None)
         if not callable(obj):
             missing.append(name)
-    assert missing == DELETED_LAYERS
+    assert missing == []
 
 
 def _names_used(path: Path) -> set[str]:

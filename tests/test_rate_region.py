@@ -9,6 +9,7 @@ from gauss_extremal.gauss_model import (
     GaussianAuxChannel,
     GaussianPairModel,
     mutual_information,
+    schur_conditional_cov,
 )
 from gauss_extremal.rate_region import (
     RegionQuery,
@@ -18,8 +19,6 @@ from gauss_extremal.rate_region import (
     sum_rate_bound,
     sum_rate_bound_raw,
 )
-
-from matrix_helpers import schur_conditional_cov
 
 getcontext().prec = 50
 
@@ -207,18 +206,15 @@ def min_nu_corner(rho, r_x, r_y):
 
 class TestMinNuBoundary:
     def test_independent_sources_decouple(self):
-        nu_x, nu_y = min_nu_corner(0.0, 1.0, 2.0)
-        assert abs(nu_x - 0.25) < 1e-15
-        assert abs(nu_y - 2.0 ** (-4.0)) < 1e-15
-        v = region_verdict(RegionQuery(rho=0.0, r_x=1.0, r_y=2.0, nu_x=nu_x, nu_y=nu_y))
-        assert v.satisfies_sum  # redundant at zero correlation
+        # At rho = 0 the corner is (2^(-2 r_x), 2^(-2 r_y)) and the sum constraint is redundant.
+        v = region_verdict(RegionQuery(rho=0.0, r_x=1.0, r_y=2.0, nu_x=0.25, nu_y=2.0 ** (-4.0)))
+        assert abs(v.slack_rx) < 1e-15 and abs(v.slack_ry) < 1e-15
+        assert v.satisfies_sum
 
     def test_infinite_partner_rate_limit(self):
         # As r_y grows, the R_x bound tends to (1/2) log2((1 - rho^2) / nu_x).
         rho = 0.8
-        nu_x = 0.25 * (1.0 - rho * rho)
-        assert abs(min_nu_corner(rho, 1.0, 60.0)[0] - nu_x) < 1e-9
-        v = region_verdict(RegionQuery(rho=rho, r_x=1.0, r_y=60.0, nu_x=nu_x, nu_y=0.5))
+        v = region_verdict(RegionQuery(rho=rho, r_x=1.0, r_y=60.0, nu_x=0.25 * (1.0 - rho * rho), nu_y=0.5))
         assert abs(v.slack_rx) < 1e-9
 
     def test_reported_point_sits_on_boundary(self):
@@ -242,18 +238,13 @@ def _scalar_joint(rho, cu, cv):
     ])
 
 
-def mmse_jensen_gap(info, mmse_x, mmse_y):
-    """I(X;U,V) + I(Y;U,V) - (1/2) log2(1/(mmse_x mmse_y)) for scalar X, Y."""
-    return info.i_x_uv + info.i_y_uv + 0.5 * math.log2(mmse_x * mmse_y)
-
-
 class TestMmseJensenGap:
     def test_degenerate_descriptions(self):
         model = GaussianPairModel.scalar(0.5)
         info = mutual_information(
             model, GaussianAuxChannel.degenerate_on("x"), GaussianAuxChannel.degenerate_on("y")
         )
-        assert mmse_jensen_gap(info, 1.0, 1.0) == 0.0
+        assert info.i_x_uv == 0.0 and info.i_y_uv == 0.0
 
     def test_gaussian_descriptions_attain_equality(self):
         """I(X;U,V) = (1/2) log2(1 / Var(X|U,V)) for unit-variance X, and
@@ -272,17 +263,8 @@ class TestMmseJensenGap:
             joint = _scalar_joint(rho, cu, cv)
             m_x = schur_conditional_cov(joint, [0], [2, 3])[0, 0]
             m_y = schur_conditional_cov(joint, [1], [2, 3])[0, 0]
-            assert abs(mmse_jensen_gap(info, m_x, m_y)) < 1e-12
-
-    def test_overstated_mmse_opens_gap(self):
-        model = GaussianPairModel.scalar(0.5)
-        info = mutual_information(
-            model,
-            GaussianAuxChannel.scalar_corr(0.9, "x"),
-            GaussianAuxChannel.degenerate_on("y"),
-        )
-        true_m = 1.0 - 0.81
-        assert mmse_jensen_gap(info, min(1.0, 2.0 * true_m), 1.0) > 0.0
+            assert abs(info.i_x_uv + 0.5 * math.log2(m_x)) < 1e-12
+            assert abs(info.i_y_uv + 0.5 * math.log2(m_y)) < 1e-12
 
 
 def test_forward_replay_of_sum_rate_derivation():

@@ -11,12 +11,12 @@ from gauss_extremal.errors import DomainError, GaussExtremalError, NotPositiveDe
 from gauss_extremal.extremal import (
     alpha_family_channel,
     oohama_gap,
+    scalar_extremal_gap,
     vector_extremal_gap,
 )
 from gauss_extremal.gauss_model import GaussianAuxChannel, GaussianPairModel, mutual_information
-from gauss_extremal.rng import Streams, stream
+from gauss_extremal.rng import Streams, random_pd, stream
 
-from matrix_helpers import random_pd
 from test_extremal import reference_scalar_gap
 
 
@@ -72,8 +72,10 @@ def reference_sample(mode, t, dim, seed):
     gen = stream(seed, t, 0)
     if mode in ("thm3", "thm1-scalar", "oohama"):
         rho, u, v = reference_scalar_triple(mode, gen)
+        if mode == "thm3":
+            return scalar_extremal_gap(rho, u, v)
         model = GaussianPairModel.scalar(rho)
-        return oohama_gap(model, u) if mode == "oohama" else vector_extremal_gap(model, u, v)
+        return vector_extremal_gap(model, u, v) if mode == "thm1-scalar" else oohama_gap(model, u)
 
     def channel(drawn, side):
         gain, noise = drawn
@@ -228,7 +230,7 @@ def test_stacked_draws_equal_per_sample_draws(mode, seed, degenerate_prob, monke
 
 @pytest.mark.parametrize("n", range(1, 33))
 def test_stacked_covariances_equal_random_pd(n):
-    """One stacked A A^T + 0.1 I gives each matrix random_pd gives on
+    """One stacked A A^T + 0.1 I gives each matrix rng.random_pd gives on
     its own; a BLAS whose batched and single products differ fails here."""
     sigma_x, sigma_z, _, noise_u, _, noise_v, _ = sweep._draw_vector(range(6), n, Streams(44), 2, inject_even=False)
     for t in range(6):
