@@ -73,7 +73,6 @@ class MinimizerPair:
 
     rho_u: float
     rho_v: float
-    alpha: float | None = None
 
 
 def dual_functional(info: InfoVector, lam: float) -> float:
@@ -275,13 +274,38 @@ def _oracle_scan(lam: float, rho: float, resolution: int) -> tuple[float, float,
         # t is monotone in s_u s_v and vanishes at 0: its largest magnitude
         # is at the far corner of the grid.
         t_far = c * math.log2(1.0 - r2 * s[-1] * s[-1])
-        if not (np.all(np.isfinite(gu)) and math.isfinite(t_far)):
+        top = float(np.max(np.abs(gu)))  # inf or NaN exactly when a term is
+        if not (math.isfinite(top) and math.isfinite(t_far)):
             raise DomainError(f"lam = {lam:g} is too large for the grid oracle: its terms overflow")
-        margin = _ORACLE_MARGIN * max(float(np.max(np.abs(gu))), abs(t_far))
+        margin = _ORACLE_MARGIN * max(top, abs(t_far))
         value, iu, iv = _oracle_search(gu, plan, r2, c, margin)
     if not math.isfinite(value):
         raise DomainError(f"lam = {lam:g} is too large for the grid oracle: its minimum overflows")
     return value, float(s[iu]), float(s[iv])
+
+
+def _tangent_bound(g_t, g_min, plan: _OraclePlan, a, b, r2: float, c: float, limit: float):
+    """(first, bound): two lower bounds on the cells of tile pairs (a, b), for
+    lam > 1 (c > 0), where the coupling -c log2(1 - r2 s_u s_v) is convex and
+    increasing in s_u s_v. Its tangent at the low corner p0 = lo_a lo_b, with
+    s_u s_v - p0 >= lo_b (s_u - lo_a) + lo_a (s_v - lo_b), splits into a row
+    term and a column term. first replaces the column term by the smallest
+    column value g_min[b]; each column term adds slope lo_a off_t[b, k] >= 0
+    to its value and rounding is monotone, so first <= bound in floating
+    point, and the column term is computed only where first is not above
+    limit (elsewhere bound is first). A slope that overflows gives a NaN
+    bound, which prunes nothing."""
+    lo, off_t = plan.lo, plan.off_t
+    p0 = lo[a] * lo[b]
+    slope = c * (r2 / ((1.0 - r2 * p0) * math.log(2.0)))
+    coupling = c * np.log2(1.0 - r2 * p0)
+    row = (g_t[a] + (slope * lo[b])[:, None] * off_t[a]).min(axis=1)
+    first = (row + g_min[b]) - coupling
+    bound = first.copy()
+    i = np.flatnonzero(~(first > limit))
+    col = (g_t[b[i]] + (slope[i] * lo[a[i]])[:, None] * off_t[b[i]]).min(axis=1)
+    bound[i] = (row[i] + col) - coupling[i]
+    return first, bound
 
 
 def _oracle_search(gu, plan: _OraclePlan, r2: float, c: float, margin: float) -> tuple[float, int, int]:
@@ -289,28 +313,38 @@ def _oracle_search(gu, plan: _OraclePlan, r2: float, c: float, margin: float) ->
     (i, j) holds gu[i] + gu[j] - c log2(1 - r2 s_i s_j), s and the tiles
     taken from the cached plan of the resolution.
 
-    Exact best-first branch and bound over 32 x 32 tiles of the grid. A
-    tile pair's lower bound is the smallest per-axis term over its rows
-    plus that over its columns plus the coupling term -c log2(1 - r2 s_u
-    s_v) at the tile corner where it is smallest, tightened for lam > 1
-    (c > 0) by the coupling's tangent there. The pair of the smallest bound
-    is evaluated first; then only the pairs whose bound is within the
-    margin of that minimum are sorted and evaluated, best bound first, in
-    batches of 64 tiles in one reused 1 MB work buffer (made only when a
-    batch is due), until a bound exceeds the best value by more than the
-    margin. The margin, 1e-10 times the largest term, absorbs the bounds'
-    own rounding, so every tile that could hold the minimum, or tie with
-    it, is evaluated. Cell (i, j) equals cell (j, i) bit for bit, so the
-    first minimum lies in a pair (a, b) with a <= b: only those pairs are
-    searched. Each evaluated cell is computed as a full scan computes it,
-    and ties go to the smallest (iu, iv), so the result is the full scan's
-    whatever the visiting order. At grid 2000 an active-branch row takes
-    0.2 to 1.2 ms and at most 1.34 MB (a chunked full scan: 110 to 135 ms
-    and 31 MB); a zero-branch row ends after its first tile, in 0.12 ms
-    and 0.24 MB.
+    Exact branch and bound over 32 x 32 tiles of the grid. A tile pair's
+    corner bound is the smallest per-axis term over its rows plus that
+    over its columns plus the coupling term -c log2(1 - r2 s_u s_v) at the
+    tile corner where it is smallest. The pair of the smallest corner bound
+    is evaluated first, and only the pairs whose corner bound is within the
+    margin of that minimum are kept. For lam > 1 (c > 0) each kept pair's
+    bound is then tightened once, by the coupling's tangent
+    (_tangent_bound). The pairs whose bound is still within the margin
+    survive and are evaluated in corner-bound order, in full batches of 64
+    tiles in one reused work buffer of at most 1 MB (made only when a pair
+    survives); after each batch the survivors whose bound now exceeds the
+    best value by more than the margin are dropped. The margin, 1e-10
+    times the largest term, absorbs the bounds' own rounding, so every
+    tile that could hold the minimum, or tie with it, is evaluated. Cell
+    (i, j) equals cell (j, i) bit for bit, so the first minimum lies in a
+    pair (a, b) with a <= b: only those pairs are searched. Each evaluated
+    cell is computed as a full scan computes it, and ties go to the
+    smallest (iu, iv), so the result is the full scan's whatever the
+    visiting order.
+
+    At grid 2000 (79 tiles; one thread of a 2 vCPU machine), on the rows
+    of the benchmark's dual tables: a zero-branch row ends after its first
+    tile, in 0.10 to 0.14 ms and 0.24 MB. An active row near the branch
+    point (lam rho^2 from 1.0 to 2.6) keeps 16 to 424 pairs, of which 6 to
+    73 survive, in 0.2 to 0.8 ms. A deep-active row (lam rho^2 from 4 to
+    22) keeps 455 to 669 pairs; about half pass the first stage of the
+    tangent bound and 88 to 102 survive, evaluated in two batches in 0.9
+    to 1.1 ms. A call takes at most 1.34 MB; a chunked full scan takes
+    110 to 135 ms and 31 MB.
     """
     size = _ORACLE_TILE
-    starts, s_t, lo, off_t = plan.starts, plan.s_t, plan.lo, plan.off_t
+    starts, s_t, lo = plan.starts, plan.s_t, plan.lo
     g_t = gu[plan.cells]
     g_min = g_t.min(axis=1)
     # t increases with s_u s_v for lam > 1 and decreases for lam < 1: bound
@@ -345,29 +379,19 @@ def _oracle_search(gu, plan: _OraclePlan, r2: float, c: float, margin: float) ->
     kept = np.flatnonzero(bound <= best[0] + margin)
     kept = kept[kept // starts.size <= kept % starts.size]
     order = kept[np.argsort(bound[kept], kind="stable")][1:]
-    sorted_bound = tight = bound[order]
+    if not order.size:
+        return best
     a, b = np.divmod(order, starts.size)
-    if c > 0.0 and order.size:
-        # Tighter bound for the convex, increasing t: its tangent at the
-        # low corner p0 = lo_a lo_b, with
-        # s_u s_v - p0 >= lo_b (s_u - lo_a) + lo_a (s_v - lo_b),
-        # splits into a row term and a column term. A slope that
-        # overflows gives a NaN bound, which prunes nothing.
-        p0 = lo[a] * lo[b]
-        slope = c * (r2 / ((1.0 - r2 * p0) * math.log(2.0)))
-        row = (g_t[a] + (slope * lo[b])[:, None] * off_t[a]).min(axis=1)
-        col = (g_t[b] + (slope * lo[a])[:, None] * off_t[b]).min(axis=1)
-        tight = (row + col) - c * np.log2(1.0 - r2 * p0)
-    work = None  # grown to a full batch once a second batch is due
-    done = 0
-    while done < order.size and sorted_bound[done] <= best[0] + margin:
-        stop = min(done + _ORACLE_BATCH, int(np.searchsorted(sorted_bound, best[0] + margin, side="right")))
-        keep = np.flatnonzero(~(tight[done:stop] > best[0] + margin)) + done
-        done = stop
-        if keep.size:
-            if work is None:
-                work = np.empty((2, _ORACLE_BATCH, size, size))
-            best = min(best, evaluate(a[keep], b[keep], work))
+    if c > 0.0:
+        _, tight = _tangent_bound(g_t, g_min, plan, a, b, r2, c, best[0] + margin)
+    else:
+        tight = bound[order]
+    live = np.flatnonzero(~(tight > best[0] + margin))
+    work = np.empty((2, min(live.size, _ORACLE_BATCH), size, size))
+    while live.size:
+        batch, live = live[:_ORACLE_BATCH], live[_ORACLE_BATCH:]
+        best = min(best, evaluate(a[batch], b[batch], work))
+        live = live[~(tight[live] > best[0] + margin)]
     return best
 
 

@@ -35,7 +35,6 @@ function of its inputs, so concurrent use needs no synchronization.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass
 
@@ -171,9 +170,8 @@ def schur_conditional_cov(joint, target, given) -> np.ndarray:
 
 
 def matrix_from_json(obj) -> np.ndarray:
-    """Parse {"n": int, "data": row-major n^2 numbers} with strict checks."""
-    if isinstance(obj, str):
-        obj = json.loads(obj)
+    """Check a decoded JSON object {"n": int, "data": row-major n^2 numbers}
+    strictly and return it as an n x n matrix."""
     if not isinstance(obj, dict) or set(obj) != {"n", "data"}:
         raise DomainError('matrix JSON must be an object with exactly "n" and "data"')
     n = obj["n"]

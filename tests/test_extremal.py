@@ -535,6 +535,36 @@ class TestOracleEqualsFullScan:
         assert math.isfinite(value) and value < 0.0
 
 
+class TestTangentBound:
+    """The two-stage bound that prunes tile pairs for lam > 1: the first stage
+    is below the tangent bound, which is below every cell of its pair."""
+
+    @pytest.mark.parametrize(
+        "lam,rho,grid",
+        [case for case in heavy_active_cases(2, 90) + bench_shaped_cases(3, 91) if case[0] > 1.0],
+    )
+    def test_first_stage_below_bound_below_cells(self, lam, rho, grid):
+        r2, c = rho * rho, (lam - 1.0) / 2.0
+        plan = extremal._oracle_plan(grid)
+        gu = plan.g0 + (lam / 2.0) * np.log2(1.0 - r2 * plan.s)
+        g_t = gu[plan.cells]
+        tiles = plan.starts.size
+        a, b = np.triu_indices(tiles)  # every pair the search can keep
+        first, bound = extremal._tangent_bound(g_t, g_t.min(axis=1), plan, a, b, r2, c, math.inf)
+        # Each pair's smallest cell, with the full scan's arithmetic.
+        cells = np.empty((tiles, tiles))
+        for k, rows in enumerate(plan.cells):
+            g = gu[rows, None] + gu[None, :] - c * np.log2(1.0 - r2 * np.outer(plan.s[rows], plan.s))
+            cells[k] = g.min(axis=0)[plan.cells].min(axis=1)
+        assert np.all(first <= bound)
+        assert np.all(bound <= cells[a, b])
+        # With a finite limit, the second stage runs only where the first is
+        # not above it; those bounds are unchanged and the others read first.
+        limit = float(np.median(first))
+        _, limited = extremal._tangent_bound(g_t, g_t.min(axis=1), plan, a, b, r2, c, limit)
+        assert np.array_equal(limited, np.where(first > limit, first, bound))
+
+
 # Cases of each kind, their resolutions interleaved so that the cache
 # holds other resolutions' plans between calls at 2000.
 INTERLEAVED_CASES = (

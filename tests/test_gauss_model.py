@@ -256,6 +256,11 @@ class TestMatrixJson:
         with pytest.raises(DomainError):
             matrix_from_json({"n": 0, "data": []})
 
+    def test_rejects_undecoded_json_text(self):
+        # The caller decodes; text, even text nested too deep to decode, is not a matrix object.
+        with pytest.raises(DomainError, match="must be an object"):
+            matrix_from_json("[" * 100000 + "]" * 100000)
+
 
 # Correlations for the scalar model's tests: 0, both signs, the doubles
 # closest to +-1, and one whose square underflows to 0.
