@@ -37,10 +37,12 @@ its whitening.
 
 Trials are independent; each draws from counter-based streams keyed by
 (seed, trial, stream), so the aggregate is bit-reproducible regardless of
-execution order. A run evaluates its trials in memory-bounded stacks,
-with one stacked SVD and one stacked slogdet (one LU per trial) per stack
-and source; numpy's stacked matmul, svd and slogdet work matrix by
-matrix, and sums run in trial order, so the stack size changes no result.
+execution order. A run evaluates its trials in memory-bounded stacks, with
+one build_shrunk_matrix call, the one deflation, per stack and source: one
+stacked SVD and one stacked slogdet (one LU per trial). numpy's stacked
+matmul, svd and slogdet work matrix by matrix, and sums run in trial
+order, so the stack size changes no result. The report is those per-trial
+columns, their summary, the implied rates, region membership and log|sigma|.
 """
 
 from __future__ import annotations
@@ -51,9 +53,9 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import DegenerateShrinkage, DomainError, Infeasible
-from .gauss_model import cholesky_pd
-from .rate_region import RegionQuery, RegionVerdict, region_verdict
+from .errors import DegenerateShrinkage, DomainError, Infeasible, NotPositiveDefinite
+from .gauss_model import _pivot_floor, cholesky_pd
+from .rate_region import RegionQuery, region_verdict
 from .rng import STREAM_NOISE_X, STREAM_NOISE_Y, STREAM_SOURCE, Streams, check_seed
 # log_det and stream stay importable from this module: the benchmark's tracer tests name them here.
 from .gauss_model import log_det  # noqa: F401
@@ -241,16 +243,7 @@ def implied_rates(rho: float, nu_x: float, nu_y: float, q_x: float, q_y: float) 
     return r_x, r_y
 
 
-@dataclass(frozen=True)
-class ShrunkMatrix:
-    b_matrix: np.ndarray
-    logdet_b: float  # log |det B|, from the one LU of B
-    logdet_residual: float
-    rank: int
-    basis: np.ndarray  # rank x n orthonormal rows spanning the centers
-
-
-def _deflate(a: np.ndarray, centers: np.ndarray, delta: float, logdet_a: float):
+def build_shrunk_matrix(a: np.ndarray, centers: np.ndarray, delta: float, logdet_a: float):
     """Deflate a along the span of each trial's centers; logdet_a is log |det a|.
 
     centers is a (T, k, n) stack. A trial's span basis is the right
@@ -258,7 +251,8 @@ def _deflate(a: np.ndarray, centers: np.ndarray, delta: float, logdet_a: float):
     times its largest center norm; the other rows of vt are zeroed, so the
     bases stay one (T, k, n) stack. Each B is factorized once (slogdet
     does one LU per matrix of the stack) and its log-determinant compared
-    with the identity's value.
+    with the value of the identity |B| = |A| tau^(n-k') (tau - gamma)^k',
+    k' the trial's rank: centers may be rank deficient.
 
     B is formed as its transpose, B^T = tau a^T - (vt a)^T (gamma vt), a
     C-contiguous stack: for the F-ordered whitening map of run_simulation,
@@ -274,6 +268,8 @@ def _deflate(a: np.ndarray, centers: np.ndarray, delta: float, logdet_a: float):
     Returns the (T, ...) stacks of B, log |det B|, the residual, the rank,
     the zero-padded basis and the center norms.
     """
+    if not delta > 0.0:  # NaN included: _shrinkage would pass it on as NaN results
+        raise DomainError("delta must be positive")
     tau, gamma = _shrinkage(delta)
     _, singular, vt = np.linalg.svd(centers, full_matrices=False)
     norms = np.linalg.norm(centers, axis=2)
@@ -288,31 +284,6 @@ def _deflate(a: np.ndarray, centers: np.ndarray, delta: float, logdet_a: float):
     n = a.shape[0]
     expected = logdet_a + (n - rank) * math.log(tau) + rank * math.log(tau - gamma)
     return b, ld_b, np.abs(ld_b - expected), rank, vt, norms
-
-
-def build_shrunk_matrix(a_x: np.ndarray, centers, delta: float) -> ShrunkMatrix:
-    """Deflate a_x along the span of the description centers.
-
-    Returns the shrunk matrix, its log-determinant, the residual of the
-    determinant identity |B| = |A| tau^(n-k') (tau - gamma)^k', and the span
-    rank k'. Centers may be rank deficient; the identity uses the actual
-    rank.
-    """
-    a = np.asarray(a_x, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DomainError("a_x must be square")
-    c = np.atleast_2d(np.asarray(centers, dtype=float))
-    if c.shape[1] != a.shape[0]:
-        raise DomainError("centers must have the same dimension as a_x")
-    if not delta > 0.0:  # NaN included
-        raise DomainError("delta must be positive")
-    _, ld_a = np.linalg.slogdet(a)
-    b, ld_b, residual, rank, basis, _ = _deflate(a, c[None], delta, float(ld_a))
-    rank = int(rank[0])
-    return ShrunkMatrix(
-        b_matrix=b[0], logdet_b=float(ld_b[0]), logdet_residual=float(residual[0]), rank=rank,
-        basis=basis[0, :rank],
-    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -352,11 +323,9 @@ class SimulationReport:
     r_y: float
     q_x: float
     q_y: float
-    region: RegionVerdict
     region_inside: bool
     residual_max: float
     log_det_sigma: float  # natural log, from the whitening eigenvalues
-    whitening_frobenius_error: float
     center_norm_exceed_frac_x: float
     center_norm_exceed_frac_y: float
 
@@ -370,7 +339,14 @@ class _Setup:
     def __init__(self, config: CodecConfig):
         self.config = config
         n, rho, nu_x, nu_y = config.n, config.rho, config.nu_x, config.nu_y
-        eigvals, eigvecs = np.linalg.eigh(0.5 * (config.sigma + config.sigma.T))
+        with np.errstate(over="ignore"):  # entries near the float64 limit overflow to inf, refused below
+            eigvals, eigvecs = np.linalg.eigh(0.5 * (config.sigma + config.sigma.T))
+        # The pivot test does not bound the eigenvalues: near condition number 1/eps
+        # eigh can return one below the pivot floor, even a negative one.
+        floor = _pivot_floor(config.sigma)
+        if not (np.all(np.isfinite(eigvals)) and eigvals[0] > floor):
+            span = f"[{eigvals[0]:.3e}, {eigvals[-1]:.3e}]"
+            raise NotPositiveDefinite(f"sigma: eigenvalues {span} must be finite and above the pivot floor {floor:.3e}")
         self.unwhite = eigvecs * np.sqrt(eigvals)  # U Lambda^{1/2}
         self.log_det_sigma = float(np.sum(np.log(eigvals)))
         white = (eigvecs / np.sqrt(eigvals)).T  # Lambda^{-1/2} U^T, not kept once scaled
@@ -388,9 +364,9 @@ class _Setup:
         self.streams = Streams(config.seed)
 
     def draw(self, trials: range):
-        """Some trials: their whitened X samples, their (x, y) samples and
-        the conditional-mean estimates (x_hat, y_hat) in original
-        coordinates, each a (len(trials), k, n) stack."""
+        """Some trials: their (x, y) samples and the conditional-mean
+        estimates (x_hat, y_hat) in original coordinates, each a
+        (len(trials), k, n) stack."""
         cfg = self.config
         k, n, rho = cfg.k, cfg.n, cfg.rho
         shape = (len(trials), k, n)
@@ -418,7 +394,7 @@ class _Setup:
                 xhat_w += w_x * desc
                 yhat_w += w_y * desc
         unwhite_t = self.unwhite.T
-        return xw, (xw @ unwhite_t, yw @ unwhite_t), (xhat_w @ unwhite_t, yhat_w @ unwhite_t)
+        return (xw @ unwhite_t, yw @ unwhite_t), (xhat_w @ unwhite_t, yhat_w @ unwhite_t)
 
 
 def run_simulation(config: CodecConfig) -> SimulationReport:
@@ -443,20 +419,14 @@ def run_simulation(config: CodecConfig) -> SimulationReport:
     norm_bound = 1.0 / math.sqrt(delta)
 
     stacks = ([], [])  # per source, one (covered, log|B|, residual, rank, exceeds) per trial stack
-    white_cov_sum = np.zeros((n, n))
     chunk = max(1, _STACK_ENTRIES // (n * n))
     for lo in range(0, trials, chunk):
-        xw, points, estimates = setup.draw(range(lo, min(trials, lo + chunk)))
-        # Each trial's X^T X, added in trial order as a running sum would.
-        grams = xw.transpose(0, 2, 1) @ xw
-        grams[0] += white_cov_sum
-        np.sum(grams, axis=0, out=white_cov_sum)
-        del grams  # n x n per trial: no stack stays alive through the deflation
+        points, estimates = setup.draw(range(lo, min(trials, lo + chunk)))
         for i, source in enumerate(stacks):  # source 0 is X, source 1 is Y
-            a = setup.a_mats[i]
-            b, logdet_b, residual, rank, _, norms = _deflate(a, estimates[i] @ a.T, delta, setup.logdet_as[i])
+            a, logdet_a = setup.a_mats[i], setup.logdet_as[i]
+            b, logdet_b, residual, rank, _, norms = build_shrunk_matrix(a, estimates[i] @ a.T, delta, logdet_a)
             covered = np.linalg.norm(points[i] @ b.transpose(0, 2, 1), axis=2) <= 1.0
-            del b  # n x n per trial: the next _deflate's B is not allocated beside it
+            del b  # n x n per trial: the next stack's B is not allocated beside it
             source.append((covered, logdet_b, residual, rank, norms >= norm_bound))
 
     per_trial = {}  # TrialReport field -> its column over the trials
@@ -486,16 +456,13 @@ def run_simulation(config: CodecConfig) -> SimulationReport:
     for column in per_trial.values():
         column.setflags(write=False)
 
-    white_cov_sum /= trials * k
-    white_cov_sum[np.diag_indices(n)] -= 1.0  # minus I in place: x - 0.0 = x off the diagonal
     return SimulationReport(
         config=config,
         trials=TrialReport(**per_trial),
         r_x=setup.r_x, r_y=setup.r_y, q_x=setup.q_x, q_y=setup.q_y,
-        region=setup.verdict, region_inside=setup.verdict.inside,
+        region_inside=setup.verdict.inside,
         residual_max=max(float(per_trial[f"logdet_residual_{s}"].max()) for s in "xy"),
         log_det_sigma=setup.log_det_sigma,
-        whitening_frobenius_error=float(np.linalg.norm(white_cov_sum)) / n,
         **summary,
     )
 
@@ -503,15 +470,15 @@ def run_simulation(config: CodecConfig) -> SimulationReport:
 def report_to_dict(report: SimulationReport) -> dict:
     """JSON-ready summary, read from the fields of the report.
 
-    Every SimulationReport field prints under its own name except trials
-    and region, which are left out, and three nested groups: config (the
+    Every SimulationReport field prints under its own name except trials,
+    which is left out, and three nested groups: config (the
     CodecConfig fields, with sigma summarized as {n, trace, log_det =
     log_det_sigma}), implied_rates {r_x, r_y} and noise_levels {q_x, q_y}.
     A new summary field therefore prints unless it is excluded here. An
     infinite noise level (nu = 1: that description is not sent) is
     reported as None, JSON null, since JSON has no infinity.
     """
-    out = {f.name: getattr(report, f.name) for f in fields(report) if f.name not in ("trials", "region")}
+    out = {f.name: getattr(report, f.name) for f in fields(report) if f.name != "trials"}
     cfg = out.pop("config")
     out["config"] = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
     out["config"]["sigma"] = {"n": cfg.n, "trace": float(np.trace(cfg.sigma)), "log_det": out.pop("log_det_sigma")}

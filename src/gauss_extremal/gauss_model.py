@@ -97,7 +97,10 @@ def _pivot_floor(a: np.ndarray):
 def _factor(a: np.ndarray, name: str) -> np.ndarray:
     """Lower Cholesky factor of a finite symmetric matrix or stack, with
     the pivot acceptance test applied to every matrix of the stack."""
-    floor = _pivot_floor(a)
+    with np.errstate(over="ignore"):
+        floor = _pivot_floor(a)
+    if not np.all(np.isfinite(floor)):
+        raise DomainError(f"{name}: its trace overflows")
     _reject(floor <= 0.0, name, "nonpositive trace")
     try:
         lower = np.linalg.cholesky(a)

@@ -11,6 +11,8 @@ import pytest
 from gauss_extremal import cli, extremal
 from gauss_extremal.cli import main
 
+from conftest import sigmas_the_simulator_cannot_whiten
+
 
 def run_cli(capsys, args):
     code = main(args)
@@ -300,6 +302,21 @@ class TestEllipsoidCommand:
         ])
         assert code == 2 and out == ""
         assert "entries must be numbers" in err
+
+    @pytest.mark.parametrize("name", sorted(sigmas_the_simulator_cannot_whiten()) + ["trace-overflow"])
+    def test_sigma_past_the_float_range_exits_two(self, capsys, tmp_path, name):
+        # Each used to end in a traceback and exit 1: a LinAlgError from the
+        # whitening, or a numpy RuntimeWarning under -W error.
+        sigma = sigmas_the_simulator_cannot_whiten().get(name, 1e308 * np.eye(4))
+        sigma_path = tmp_path / "sigma.json"
+        sigma_path.write_text(json.dumps({"n": len(sigma), "data": sigma.ravel().tolist()}))
+        code, out, err = run_cli(capsys, [
+            "ellipsoid", "--n", str(len(sigma)), "--k", "1", "--rho", "0.3",
+            "--nux", "0.5", "--nuy", "0.5", "--trials", "2",
+            "--sigma-file", str(sigma_path),
+        ])
+        assert code == 2 and out == ""
+        assert err.startswith("error: sigma: ") and err.count("\n") == 1
 
     def test_trials_csv_written(self, capsys, tmp_path):
         target = tmp_path / "trials.csv"

@@ -467,6 +467,13 @@ def test_cholesky_pd_checks_every_matrix_of_a_stack():
         cholesky_pd(stack)
 
 
+def test_cholesky_pd_refuses_a_trace_that_overflows():
+    # The pivot floor PIVOT_TOL * trace / n was inf, after a numpy overflow
+    # warning, and the error blamed the first pivot as below it.
+    with pytest.raises(DomainError, match="^big: its trace overflows$"):
+        cholesky_pd(np.diag([1e308] * 4), "big")
+
+
 def per_subset_log_dets(source, gu, wu, gv, wv):
     """The kernel's log-determinants with every index subset gathered and
     factorized on its own, in _SUBSETS order: the reference for the grouped
