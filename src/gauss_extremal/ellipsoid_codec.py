@@ -14,10 +14,21 @@ with the noise levels in closed form and the implied rates reported
 and checked against the closed-form rate region. This keeps the
 simulation honest at desk scale without implementing a quantizer.
 
-The covering matrix deflates the whitening map along the span of the k
-description centers: with tau = 1 - 2 sqrt(delta), gamma = (1 - delta) tau
-and an orthonormal basis u_1..u_k' of the center span (the leading right
-singular vectors of the k x n center matrix),
+Every trial runs in whitened coordinates. What it measures does not
+depend on the square root of sigma: for any W with W sigma W^T = I, the
+map s W sends a sample x = W^(-1) x_w to s x_w, so the centers, their
+span and rank, and each ||B x|| are those that s I gives on the whitened
+samples, and the volume of {||B x|| <= 1} is |sigma|^(1/2) times the
+whitened one, which the normalization by |sigma|^(1/2n) divides out. So
+the samples are drawn white and never mapped back, no square root of
+sigma is formed, and sigma enters the report only through log|sigma|,
+read from the Cholesky pivots of CodecConfig's validation: sigma is
+factorized once per run.
+
+The covering matrix deflates the scaled map A = s I (s = 1/sqrt(n nu))
+along the span of the k description centers: with tau = 1 - 2 sqrt(delta),
+gamma = (1 - delta) tau and an orthonormal basis u_1..u_k' of the center
+span (the leading right singular vectors of the k x n center matrix),
 
     B = (tau I - gamma sum_j u_j u_j^T) A,
 
@@ -27,13 +38,9 @@ basis rows: A is stored column-major, so both operands of the subtraction
 are row-major, and the column-major view B is what slogdet copies for
 LAPACK's LU without a strided read (8 MB per matrix at n = 1024).
 Each trial factorizes B once per source (one LU, through slogdet); that
-log|B| gives the normalized volume and is checked against the identity.
-A = s Lambda^(-1/2) U^T is fixed for the run, so log|A| = n log s -
-(1/2) log|sigma| comes once per run from the whitening eigenvalues, and the
-check compares an independent LU of B with a value the identity did not
-produce. Every trial reports its residual, and the report prints that same
-log|sigma|, so sigma is factorized once for its validation and once for
-its whitening.
+log|B| gives the normalized volume and is checked against the identity,
+with log|A| = n log s: the check compares an independent LU of B with a
+value the identity did not produce. Every trial reports its residual.
 
 Trials are independent; each draws from counter-based streams keyed by
 (seed, trial, stream), so the aggregate is bit-reproducible regardless of
@@ -49,12 +56,12 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import DegenerateShrinkage, DomainError, Infeasible, NotPositiveDefinite
-from .gauss_model import _pivot_floor, cholesky_pd
+from .errors import DegenerateShrinkage, DomainError, Infeasible
+from .gauss_model import cholesky_pd
 from .rate_region import RegionQuery, region_verdict
 from .rng import STREAM_NOISE_X, STREAM_NOISE_Y, STREAM_SOURCE, Streams, check_seed
 # log_det and stream stay importable from this module: the benchmark's tracer tests name them here.
@@ -69,8 +76,9 @@ RATE_SLACK = 1e-9
 # Largest determinant-identity residual that the ellipsoid command accepts.
 # It absorbs the LU roundoff of log |det B|: the largest residual measured
 # is 1.9e-12 over the 200 trials of the C7 acceptance run (n = 256, k = 4),
-# 2.3e-12 on the benchmark's ellipsoid-large shape (n = 1024, k = 8, dense
-# sigma) and 1.8e-12 on its ellipsoid-small shape (n = 32, k = 4).
+# 8.6e-12 on the benchmark's ellipsoid-large shape (n = 1024, k = 8, dense
+# sigma, 18 trials over 6 seeds) and 1.8e-12 on its ellipsoid-small shape
+# (n = 32, k = 4, 600 trials over 12 seeds).
 IDENTITY_TOL = 1e-9
 
 LOG_2PIE = math.log(2.0 * math.pi * math.e)
@@ -90,7 +98,7 @@ def log_unit_ball_volume(n: int) -> float:
 
 @dataclass(frozen=True)
 class CodecConfig:
-    """Parameters of one simulation run."""
+    """Parameters of one simulation run, and log|sigma| from the Cholesky that validates sigma."""
 
     n: int
     k: int
@@ -101,6 +109,7 @@ class CodecConfig:
     delta: float = 0.0025
     trials: int = 100
     seed: int = 0
+    log_det_sigma: float = field(init=False, repr=False, compare=False)  # natural log
 
     def __post_init__(self):
         check_scalar_params(self.n, self.k, self.rho, self.nu_x, self.nu_y, self.delta, self.trials, self.seed)
@@ -108,7 +117,9 @@ class CodecConfig:
         sigma = np.asarray(self.sigma, dtype=float)
         if sigma.shape != (self.n, self.n):
             raise DomainError("sigma must be n x n")
-        cholesky_pd(sigma, "sigma")
+        lower = cholesky_pd(sigma, "sigma")
+        object.__setattr__(self, "log_det_sigma", 2.0 * float(np.sum(np.log(np.diagonal(lower)))))
+        del lower  # n x n, not alive beside the copy below
         sigma = sigma.copy()
         sigma.setflags(write=False)
         object.__setattr__(self, "sigma", sigma)
@@ -325,36 +336,23 @@ class SimulationReport:
     q_y: float
     region_inside: bool
     residual_max: float
-    log_det_sigma: float  # natural log, from the whitening eigenvalues
+    log_det_sigma: float  # natural log, config.log_det_sigma
     center_norm_exceed_frac_x: float
     center_norm_exceed_frac_y: float
 
 
 class _Setup:
-    """What every trial of a run shares: the whitening of sigma, as each
-    source's scaled map A = s Lambda^{-1/2} U^T (s = 1/sqrt(n nu)) with
-    log |det A|, the solved description channel and the run's random
-    streams."""
+    """What every trial of a run shares: each source's scaled map A = s I
+    (s = 1/sqrt(n nu)) of whitened coordinates with log |det A| = n log s,
+    the solved description channel and the run's random streams."""
 
     def __init__(self, config: CodecConfig):
         self.config = config
         n, rho, nu_x, nu_y = config.n, config.rho, config.nu_x, config.nu_y
-        with np.errstate(over="ignore"):  # entries near the float64 limit overflow to inf, refused below
-            eigvals, eigvecs = np.linalg.eigh(0.5 * (config.sigma + config.sigma.T))
-        # The pivot test does not bound the eigenvalues: near condition number 1/eps
-        # eigh can return one below the pivot floor, even a negative one.
-        floor = _pivot_floor(config.sigma)
-        if not (np.all(np.isfinite(eigvals)) and eigvals[0] > floor):
-            span = f"[{eigvals[0]:.3e}, {eigvals[-1]:.3e}]"
-            raise NotPositiveDefinite(f"sigma: eigenvalues {span} must be finite and above the pivot floor {floor:.3e}")
-        self.unwhite = eigvecs * np.sqrt(eigvals)  # U Lambda^{1/2}
-        self.log_det_sigma = float(np.sum(np.log(eigvals)))
-        white = (eigvecs / np.sqrt(eigvals)).T  # Lambda^{-1/2} U^T, not kept once scaled
-        del eigvecs  # not alive beside white and the two maps (8 MB each at n = 1024)
         scales = [1.0 / math.sqrt(n * nu) for nu in (nu_x, nu_y)]
-        self.a_mats = [s * white for s in scales]
-        # log |det (s Lambda^{-1/2} U^T)| = n log s - (1/2) log |sigma|.
-        self.logdet_as = [n * math.log(s) - 0.5 * self.log_det_sigma for s in scales]
+        # Column-major, the layout build_shrunk_matrix forms B^T from.
+        self.a_mats = [s * np.eye(n, order="F") for s in scales]
+        self.logdet_as = [n * math.log(s) for s in scales]
         self.q_x, self.q_y = solve_noise_levels(rho, nu_x, nu_y)
         self.r_x, self.r_y = implied_rates(rho, nu_x, nu_y, self.q_x, self.q_y)
         self.verdict = region_verdict(
@@ -365,7 +363,7 @@ class _Setup:
 
     def draw(self, trials: range):
         """Some trials: their (x, y) samples and the conditional-mean
-        estimates (x_hat, y_hat) in original coordinates, each a
+        estimates (x_hat, y_hat) in whitened coordinates, each a
         (len(trials), k, n) stack."""
         cfg = self.config
         k, n, rho = cfg.k, cfg.n, cfg.rho
@@ -393,17 +391,18 @@ class _Setup:
                 desc = sample + math.sqrt(q) * noises[stream_id]
                 xhat_w += w_x * desc
                 yhat_w += w_y * desc
-        unwhite_t = self.unwhite.T
-        return (xw @ unwhite_t, yw @ unwhite_t), (xhat_w @ unwhite_t, yhat_w @ unwhite_t)
+        return (xw, yw), (xhat_w, yhat_w)
 
 
 def run_simulation(config: CodecConfig) -> SimulationReport:
     """Run all trials and aggregate coverage, volume, and identity checks.
 
-    Per trial and source: draw the k pairs, form conditional-mean centers
-    b_i = A x_hat_i with A the scaled whitening map, deflate A along the
-    center span, then record which points satisfy ||B X_i|| <= 1, the
-    vol^(1/n) of {||B x|| <= 1} normalized by sqrt(2 pi e nu |sigma|^(1/n)),
+    Per trial and source, in whitened coordinates: draw the k pairs, form
+    conditional-mean centers b_i = A x_hat_i with A = s I, deflate A along
+    the center span, then record which points satisfy ||B X_i|| <= 1, the
+    vol^(1/n) of {||B x|| <= 1} normalized by sqrt(2 pi e nu) (that of the
+    ellipsoid in original coordinates normalized by
+    sqrt(2 pi e nu |sigma|^(1/n)): the |sigma| factors cancel),
     the same volume with the deterministic shrinkage factor
     tau delta^(k'/n) divided out (this ratio tends to 1 as n grows), and
     the determinant-identity residual. Each source's per-trial results are
@@ -434,7 +433,7 @@ def run_simulation(config: CodecConfig) -> SimulationReport:
     for s, nu, source in zip("xy", nus, stacks):
         covered, logdet_b, residual, rank, exceeds = (np.concatenate(column) for column in zip(*source))
         vols = [
-            math.exp(log_cn / n - ld_b / n - 0.5 * (LOG_2PIE + math.log(nu) + setup.log_det_sigma / n))
+            math.exp(log_cn / n - ld_b / n - 0.5 * (LOG_2PIE + math.log(nu)))
             for ld_b in logdet_b.tolist()
         ]
         corrected = [vol * tau * delta ** (r / n) for vol, r in zip(vols, rank.tolist())]
@@ -462,7 +461,7 @@ def run_simulation(config: CodecConfig) -> SimulationReport:
         r_x=setup.r_x, r_y=setup.r_y, q_x=setup.q_x, q_y=setup.q_y,
         region_inside=setup.verdict.inside,
         residual_max=max(float(per_trial[f"logdet_residual_{s}"].max()) for s in "xy"),
-        log_det_sigma=setup.log_det_sigma,
+        log_det_sigma=config.log_det_sigma,
         **summary,
     )
 
@@ -472,7 +471,7 @@ def report_to_dict(report: SimulationReport) -> dict:
 
     Every SimulationReport field prints under its own name except trials,
     which is left out, and three nested groups: config (the
-    CodecConfig fields, with sigma summarized as {n, trace, log_det =
+    CodecConfig init fields, with sigma summarized as {n, trace, log_det =
     log_det_sigma}), implied_rates {r_x, r_y} and noise_levels {q_x, q_y}.
     A new summary field therefore prints unless it is excluded here. An
     infinite noise level (nu = 1: that description is not sent) is
@@ -480,7 +479,7 @@ def report_to_dict(report: SimulationReport) -> dict:
     """
     out = {f.name: getattr(report, f.name) for f in fields(report) if f.name != "trials"}
     cfg = out.pop("config")
-    out["config"] = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
+    out["config"] = {f.name: getattr(cfg, f.name) for f in fields(cfg) if f.init}
     out["config"]["sigma"] = {"n": cfg.n, "trace": float(np.trace(cfg.sigma)), "log_det": out.pop("log_det_sigma")}
     out["implied_rates"] = {name: out.pop(name) for name in ("r_x", "r_y")}
     finite_or_none = lambda q: q if math.isfinite(q) else None

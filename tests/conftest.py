@@ -38,15 +38,16 @@ def make_vector_triple(gen, n=None, allow_degenerate=True):
     return model, channel("x"), channel("y")
 
 
-def sigmas_the_simulator_cannot_whiten():
-    """{name: sigma} of matrices that pass the pivot test but whose
-    whitening eigenvalues are not all finite and above the pivot floor.
+def sigmas_eigh_cannot_whiten():
+    """{name: sigma} of matrices that pass the pivot test but that eigh
+    cannot whiten: it returns a negative or an infinite eigenvalue. The
+    simulator, which runs in whitened coordinates, simulates them.
 
     ill-conditioned: L L^T at n = 40 with L unit lower-triangular, -1
     below the diagonal. Every Cholesky pivot is 1 (the floor is 2.05e-9),
-    but the condition number is about 1.7e17 and eigh returns a negative
-    eigenvalue. near-float-max: [[1.7e308]], whose symmetrization
-    0.5 (S + S^T) overflows to inf.
+    so log|sigma| = 0 exactly, but the condition number is about 1.7e17
+    and eigh returns a negative eigenvalue. near-float-max: [[1.7e308]],
+    whose symmetrization 0.5 (S + S^T) overflows to inf.
     """
     lower = np.eye(40) - np.tril(np.ones((40, 40)), -1)
     return {"ill-conditioned": lower @ lower.T, "near-float-max": np.array([[1.7e308]])}

@@ -11,7 +11,7 @@ import pytest
 from gauss_extremal import cli, extremal
 from gauss_extremal.cli import main
 
-from conftest import sigmas_the_simulator_cannot_whiten
+from conftest import sigmas_eigh_cannot_whiten
 
 
 def run_cli(capsys, args):
@@ -303,20 +303,37 @@ class TestEllipsoidCommand:
         assert code == 2 and out == ""
         assert "entries must be numbers" in err
 
-    @pytest.mark.parametrize("name", sorted(sigmas_the_simulator_cannot_whiten()) + ["trace-overflow"])
-    def test_sigma_past_the_float_range_exits_two(self, capsys, tmp_path, name):
-        # Each used to end in a traceback and exit 1: a LinAlgError from the
-        # whitening, or a numpy RuntimeWarning under -W error.
-        sigma = sigmas_the_simulator_cannot_whiten().get(name, 1e308 * np.eye(4))
+    @staticmethod
+    def run_with_sigma(capsys, tmp_path, sigma):
+        """An ellipsoid command on sigma, read from a --sigma-file, with every warning an error."""
         sigma_path = tmp_path / "sigma.json"
         sigma_path.write_text(json.dumps({"n": len(sigma), "data": sigma.ravel().tolist()}))
-        code, out, err = run_cli(capsys, [
-            "ellipsoid", "--n", str(len(sigma)), "--k", "1", "--rho", "0.3",
-            "--nux", "0.5", "--nuy", "0.5", "--trials", "2",
-            "--sigma-file", str(sigma_path),
-        ])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return run_cli(capsys, [
+                "ellipsoid", "--n", str(len(sigma)), "--k", "1", "--rho", "0.3",
+                "--nux", "0.5", "--nuy", "0.5", "--trials", "2", "--precision", "17",
+                "--sigma-file", str(sigma_path),
+            ])
+
+    def test_sigma_past_the_float_range_exits_two(self, capsys, tmp_path):
+        # 1e308 I used to end in a traceback and exit 1: a numpy RuntimeWarning
+        # under -W error. Its trace overflows, which the pivot test refuses.
+        code, out, err = self.run_with_sigma(capsys, tmp_path, 1e308 * np.eye(4))
         assert code == 2 and out == ""
-        assert err.startswith("error: sigma: ") and err.count("\n") == 1
+        assert err == "error: sigma: its trace overflows\n"
+
+    @pytest.mark.parametrize("name,log_det", [("ill-conditioned", 0.0), ("near-float-max", math.log(1.7e308))],
+                             ids=["ill-conditioned", "near-float-max"])
+    def test_sigma_that_eigh_cannot_whiten_simulates(self, capsys, tmp_path, name, log_det):
+        # Both pass the pivot test and exited 2 while the simulator whitened
+        # through eigh. In whitened coordinates they run, log|sigma| is read
+        # off the validating Cholesky's pivots, and no warning is raised.
+        code, out, err = self.run_with_sigma(capsys, tmp_path, sigmas_eigh_cannot_whiten()[name])
+        assert code == 0 and err == ""
+        summary = json.loads(out)
+        assert summary["config"]["sigma"]["log_det"] == log_det
+        assert summary["residual_max"] <= 1e-12 and summary["region_inside"] is True
 
     def test_trials_csv_written(self, capsys, tmp_path):
         target = tmp_path / "trials.csv"

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import warnings
 import weakref
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from gauss_extremal import cli, ellipsoid_codec
 from gauss_extremal.errors import DegenerateShrinkage, DomainError, Infeasible, NotPositiveDefinite
 from gauss_extremal.ellipsoid_codec import (
     CodecConfig,
+    SimulationReport,
     TrialReport,
     build_shrunk_matrix,
     check_scalar_params,
@@ -24,7 +26,7 @@ from gauss_extremal.ellipsoid_codec import (
 from gauss_extremal.gauss_model import log_det
 from gauss_extremal.rng import STREAM_NOISE_X, STREAM_NOISE_Y, STREAM_SOURCE, random_pd, stream
 
-from conftest import sigmas_the_simulator_cannot_whiten
+from conftest import sigmas_eigh_cannot_whiten
 
 
 class TestUnitBallVolume:
@@ -453,15 +455,19 @@ class TestCodecConfigValidation:
         with pytest.raises(NotPositiveDefinite):
             CodecConfig(n=2, k=1, rho=0.5, sigma=bad, nu_x=0.5, nu_y=0.5)
 
-    @pytest.mark.parametrize("name", sorted(sigmas_the_simulator_cannot_whiten()))
-    def test_sigma_eigenvalues_must_clear_the_pivot_floor(self, name):
-        # Each passed the pivot test and then ended in LinAlgError ("SVD did
-        # not converge"), after the sqrt and log of a negative or infinite
-        # eigenvalue.
-        sigma = sigmas_the_simulator_cannot_whiten()[name]
-        cfg = CodecConfig(n=len(sigma), k=1, rho=0.3, sigma=sigma, nu_x=0.5, nu_y=0.5, trials=2)
-        with pytest.raises(NotPositiveDefinite, match=r"^sigma: eigenvalues \[.*\] must be finite and above the pivot floor"):
-            run_simulation(cfg)
+    @pytest.mark.parametrize("name,log_det_sigma", [("ill-conditioned", 0.0), ("near-float-max", math.log(1.7e308))],
+                             ids=["ill-conditioned", "near-float-max"])
+    def test_sigma_that_eigh_cannot_whiten_simulates(self, name, log_det_sigma):
+        # Each passes the pivot test, and was refused with NotPositiveDefinite
+        # while the simulator whitened through eigh. In whitened coordinates
+        # it runs without a warning; its residual measured 1.6e-13 at most.
+        sigma = sigmas_eigh_cannot_whiten()[name]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cfg = CodecConfig(n=len(sigma), k=1, rho=0.3, sigma=sigma, nu_x=0.5, nu_y=0.5, trials=2)
+            rep = run_simulation(cfg)
+        assert cfg.log_det_sigma == rep.log_det_sigma == log_det_sigma
+        assert rep.residual_max <= 1e-12 and rep.region_inside
 
     def test_nu_range(self):
         with pytest.raises(DomainError):
@@ -565,6 +571,41 @@ class TestRunSimulation:
         rep = run_simulation(cfg)
         assert sum(factorized) == 2 * cfg.trials
         assert max(rep.trials.logdet_residual_x.max(), rep.trials.logdet_residual_y.max()) <= 1e-9
+
+    def test_trials_do_not_depend_on_sigma(self):
+        # Every trial runs in whitened coordinates, so sigma reaches the
+        # report only as log|sigma|: a dense sigma gives the identity's
+        # trials bit for bit.
+        params = dict(n=24, k=3, rho=-0.4, nu_x=0.3, nu_y=0.4, delta=0.005, trials=6, seed=8)
+        dense = run_simulation(CodecConfig(sigma=random_pd(np.random.default_rng(72), 24), **params))
+        identity = run_simulation(CodecConfig(sigma=np.eye(24), **params))
+        for f in dataclasses.fields(TrialReport):
+            assert np.array_equal(getattr(dense.trials, f.name), getattr(identity.trials, f.name)), f.name
+        differ = [
+            f.name for f in dataclasses.fields(SimulationReport)
+            if f.name not in ("config", "trials") and getattr(dense, f.name) != getattr(identity, f.name)
+        ]
+        assert differ == ["log_det_sigma"]
+        assert identity.log_det_sigma == 0.0 and dense.log_det_sigma == dense.config.log_det_sigma
+
+    def test_an_ellipsoid_command_factorizes_sigma_once(self, capsys, tmp_path, monkeypatch):
+        # The Cholesky that validates sigma also gives log|sigma|; nothing
+        # decomposes sigma to whiten it.
+        sigma = random_pd(np.random.default_rng(73), 16)
+        sigma_path = tmp_path / "sigma.json"
+        sigma_path.write_text(json.dumps({"n": 16, "data": sigma.ravel().tolist()}))
+        calls = []
+        for name in ("eigh", "cholesky"):
+            def counted(mat, *args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+                calls.append((_name, np.shape(mat)))
+                return _original(mat, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        code = cli.main(["ellipsoid", "--n", "16", "--k", "3", "--rho", "0.5", "--nux", "0.3", "--nuy", "0.4",
+                         "--trials", "5", "--sigma-file", str(sigma_path)])
+        capsys.readouterr()
+        assert code == 0
+        assert calls == [("cholesky", (16, 16))]
 
     @pytest.mark.parametrize("chunk", [1, 3, 7])
     def test_chunk_size_changes_no_trial(self, chunk, monkeypatch, capsys, tmp_path):
@@ -704,10 +745,8 @@ class TestRunSimulation:
         ]
 
     def test_report_dict_reuses_the_run_log_det(self, monkeypatch):
-        # log|sigma| comes from the whitening eigenvalues; printing the
-        # report factorizes sigma no further. It agrees with the Cholesky
-        # value to rounding: 2.7e-15 relative at most over dense and
-        # identity matrices of n = 32 to 1024.
+        # log|sigma| comes from the Cholesky that validates sigma; printing
+        # the report factorizes sigma no further.
         sigma = random_pd(np.random.default_rng(65), 24)
         cfg = CodecConfig(n=24, k=3, rho=0.5, sigma=sigma, nu_x=0.3, nu_y=0.4,
                           delta=0.005, trials=2, seed=3)

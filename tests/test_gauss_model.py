@@ -1,12 +1,13 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from gauss_extremal import gauss_model
 from gauss_extremal.errors import DomainError, NotPositiveDefinite
-from gauss_extremal.extremal import volume_ratio
+from gauss_extremal.extremal import vector_dual_lower, volume_ratio
 from gauss_extremal.gauss_model import (
     GaussianAuxChannel,
     GaussianPairModel,
@@ -472,6 +473,18 @@ def test_cholesky_pd_refuses_a_trace_that_overflows():
     # warning, and the error blamed the first pivot as below it.
     with pytest.raises(DomainError, match="^big: its trace overflows$"):
         cholesky_pd(np.diag([1e308] * 4), "big")
+
+
+def test_log_det_refuses_a_diagonal_whose_trace_overflows():
+    # The diagonal fast path computed the pivot floor without the guard:
+    # a numpy overflow warning, then a pivot blamed. Under warnings-as-errors
+    # both callers get the DomainError of cholesky_pd.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="^m: its trace overflows$"):
+            log_det(1e308 * np.eye(4), "m")
+        with pytest.raises(DomainError, match="^sigma_x: its trace overflows$"):
+            vector_dual_lower(2.0, 1e308 * np.eye(3), np.eye(3))
 
 
 def per_subset_log_dets(source, gu, wu, gv, wv):
