@@ -21,26 +21,26 @@ span and rank, and each ||B x|| are those that s I gives on the whitened
 samples, and the volume of {||B x|| <= 1} is |sigma|^(1/2) times the
 whitened one, which the normalization by |sigma|^(1/2n) divides out. So
 the samples are drawn white and never mapped back, no square root of
-sigma is formed, and sigma enters the report only through log|sigma|,
-read from the Cholesky pivots of CodecConfig's validation: sigma is
-factorized once per run.
+sigma is formed, and sigma enters the report only as its trace and
+log|sigma|, both kept by CodecConfig's validation (log|sigma| from its
+Cholesky pivots): sigma is factorized once per run and not kept.
 
-The covering matrix deflates the scaled map A = s I (s = 1/sqrt(n nu))
-along the span of the k description centers: with tau = 1 - 2 sqrt(delta),
-gamma = (1 - delta) tau and an orthonormal basis u_1..u_k' of the center
-span (the leading right singular vectors of the k x n center matrix),
+The covering matrix deflates the scaled map A = s I (s = 1/sqrt(n nu)),
+one number per source, along the span of the k description centers: with
+tau = 1 - 2 sqrt(delta), gamma = (1 - delta) tau and an orthonormal basis
+u_1..u_k' of the center span (the leading right singular vectors of the
+k x n center matrix),
 
-    B = (tau I - gamma sum_j u_j u_j^T) A,
+    B = (tau I - gamma sum_j u_j u_j^T) s I,
 
-whose determinant satisfies |B| = |A| tau^(n-k') (tau - gamma)^k' exactly.
-B is formed as its transpose B^T = tau A^T - (V A)^T (gamma V), V the
-basis rows: A is stored column-major, so both operands of the subtraction
-are row-major, and the column-major view B is what slogdet copies for
-LAPACK's LU without a strided read (8 MB per matrix at n = 1024).
-Each trial factorizes B once per source (one LU, through slogdet); that
-log|B| gives the normalized volume and is checked against the identity,
-with log|A| = n log s: the check compares an independent LU of B with a
-value the identity did not produce. Every trial reports its residual.
+whose determinant satisfies |B| = s^n tau^(n-k') (tau - gamma)^k' exactly.
+B is formed as its transpose B^T = tau s I - (s V)^T (gamma V), V the
+basis rows, in one row-major stack, so the column-major view B is what
+slogdet copies for LAPACK's LU without a strided read (8 MB per matrix
+at n = 1024). Each trial factorizes B once per source (one LU, through
+slogdet); that log|B| gives the normalized volume and is checked against
+the identity: the check compares an independent LU of B with a value the
+identity did not produce. Every trial reports its residual.
 
 Trials are independent; each draws from counter-based streams keyed by
 (seed, trial, stream), so the aggregate is bit-reproducible regardless of
@@ -56,7 +56,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, fields
+from dataclasses import InitVar, dataclass, field, fields
 
 import numpy as np
 
@@ -98,31 +98,30 @@ def log_unit_ball_volume(n: int) -> float:
 
 @dataclass(frozen=True)
 class CodecConfig:
-    """Parameters of one simulation run, and log|sigma| from the Cholesky that validates sigma."""
+    """Parameters of one simulation run; sigma is validated (n x n, then the
+    Cholesky pivot test) and kept only as its trace and log|sigma|."""
 
     n: int
     k: int
     rho: float
-    sigma: np.ndarray
+    sigma: InitVar[np.ndarray]
     nu_x: float
     nu_y: float
     delta: float = 0.0025
     trials: int = 100
     seed: int = 0
+    trace_sigma: float = field(init=False, repr=False, compare=False)
     log_det_sigma: float = field(init=False, repr=False, compare=False)  # natural log
 
-    def __post_init__(self):
+    def __post_init__(self, sigma):
         check_scalar_params(self.n, self.k, self.rho, self.nu_x, self.nu_y, self.delta, self.trials, self.seed)
         # Sigma last: its Cholesky is the one check that costs O(n^3).
-        sigma = np.asarray(self.sigma, dtype=float)
+        sigma = np.asarray(sigma, dtype=float)
         if sigma.shape != (self.n, self.n):
             raise DomainError("sigma must be n x n")
         lower = cholesky_pd(sigma, "sigma")
+        object.__setattr__(self, "trace_sigma", float(np.trace(sigma)))
         object.__setattr__(self, "log_det_sigma", 2.0 * float(np.sum(np.log(np.diagonal(lower)))))
-        del lower  # n x n, not alive beside the copy below
-        sigma = sigma.copy()
-        sigma.setflags(write=False)
-        object.__setattr__(self, "sigma", sigma)
 
     @property
     def tau(self) -> float:
@@ -254,27 +253,22 @@ def implied_rates(rho: float, nu_x: float, nu_y: float, q_x: float, q_y: float) 
     return r_x, r_y
 
 
-def build_shrunk_matrix(a: np.ndarray, centers: np.ndarray, delta: float, logdet_a: float):
-    """Deflate a along the span of each trial's centers; logdet_a is log |det a|.
+def build_shrunk_matrix(scale: float, centers: np.ndarray, delta: float):
+    """Deflate the map scale * I along the span of each trial's centers.
 
     centers is a (T, k, n) stack. A trial's span basis is the right
     singular vectors of its centers whose singular values exceed 1e-10
     times its largest center norm; the other rows of vt are zeroed, so the
     bases stay one (T, k, n) stack. Each B is factorized once (slogdet
     does one LU per matrix of the stack) and its log-determinant compared
-    with the value of the identity |B| = |A| tau^(n-k') (tau - gamma)^k',
-    k' the trial's rank: centers may be rank deficient.
+    with the value of the identity |B| = s^n tau^(n-k') (tau - gamma)^k',
+    s = scale and k' the trial's rank: centers may be rank deficient.
 
-    B is formed as its transpose, B^T = tau a^T - (vt a)^T (gamma vt), a
-    C-contiguous stack: for the F-ordered whitening map of run_simulation,
-    tau a^T is C-ordered too, so the subtraction reads both operands in
-    one memory order, and B, the returned transposed view, is F-ordered
-    per matrix, the layout that slogdet copies without a strided read for
-    LAPACK's LU. Each entry sums the same k products as gamma vt^T (vt a)
-    does, with the operands of the product exchanged. With OpenBLAS the
-    two orders agree bit for bit when n is a multiple of 8; at other n
-    (from about 250 up) some entries differ, by at most about 2 eps times
-    the magnitudes summed.
+    B is formed as its transpose, B^T = tau s I - (s vt)^T (gamma vt): the
+    product, negated in place, with tau s added to its diagonal. That
+    stack is C-contiguous, so B, the returned transposed view, is
+    F-ordered per matrix, the layout that slogdet copies without a strided
+    read for LAPACK's LU.
 
     Returns the (T, ...) stacks of B, log |det B|, the residual, the rank,
     the zero-padded basis and the center norms.
@@ -288,12 +282,13 @@ def build_shrunk_matrix(a: np.ndarray, centers: np.ndarray, delta: float, logdet
     vt[~kept] = 0.0
     rank = np.count_nonzero(kept, axis=1)
 
-    bt = (vt @ a).transpose(0, 2, 1) @ (gamma * vt)
-    np.subtract(tau * a.T, bt, out=bt)
+    n = centers.shape[2]
+    bt = (scale * vt).transpose(0, 2, 1) @ (gamma * vt)
+    np.negative(bt, out=bt)
+    bt.reshape(len(bt), n * n)[:, :: n + 1] += tau * scale  # the diagonals
     b = bt.transpose(0, 2, 1)
     _, ld_b = np.linalg.slogdet(b)
-    n = a.shape[0]
-    expected = logdet_a + (n - rank) * math.log(tau) + rank * math.log(tau - gamma)
+    expected = n * math.log(scale) + (n - rank) * math.log(tau) + rank * math.log(tau - gamma)
     return b, ld_b, np.abs(ld_b - expected), rank, vt, norms
 
 
@@ -342,17 +337,14 @@ class SimulationReport:
 
 
 class _Setup:
-    """What every trial of a run shares: each source's scaled map A = s I
-    (s = 1/sqrt(n nu)) of whitened coordinates with log |det A| = n log s,
-    the solved description channel and the run's random streams."""
+    """What every trial of a run shares: each source's scale s = 1/sqrt(n nu),
+    the map A = s I of whitened coordinates as one number, the solved
+    description channel and the run's random streams."""
 
     def __init__(self, config: CodecConfig):
         self.config = config
         n, rho, nu_x, nu_y = config.n, config.rho, config.nu_x, config.nu_y
-        scales = [1.0 / math.sqrt(n * nu) for nu in (nu_x, nu_y)]
-        # Column-major, the layout build_shrunk_matrix forms B^T from.
-        self.a_mats = [s * np.eye(n, order="F") for s in scales]
-        self.logdet_as = [n * math.log(s) for s in scales]
+        self.scales = [1.0 / math.sqrt(n * nu) for nu in (nu_x, nu_y)]
         self.q_x, self.q_y = solve_noise_levels(rho, nu_x, nu_y)
         self.r_x, self.r_y = implied_rates(rho, nu_x, nu_y, self.q_x, self.q_y)
         self.verdict = region_verdict(
@@ -422,8 +414,8 @@ def run_simulation(config: CodecConfig) -> SimulationReport:
     for lo in range(0, trials, chunk):
         points, estimates = setup.draw(range(lo, min(trials, lo + chunk)))
         for i, source in enumerate(stacks):  # source 0 is X, source 1 is Y
-            a, logdet_a = setup.a_mats[i], setup.logdet_as[i]
-            b, logdet_b, residual, rank, _, norms = build_shrunk_matrix(a, estimates[i] @ a.T, delta, logdet_a)
+            scale = setup.scales[i]
+            b, logdet_b, residual, rank, _, norms = build_shrunk_matrix(scale, scale * estimates[i], delta)
             covered = np.linalg.norm(points[i] @ b.transpose(0, 2, 1), axis=2) <= 1.0
             del b  # n x n per trial: the next stack's B is not allocated beside it
             source.append((covered, logdet_b, residual, rank, norms >= norm_bound))
@@ -471,8 +463,9 @@ def report_to_dict(report: SimulationReport) -> dict:
 
     Every SimulationReport field prints under its own name except trials,
     which is left out, and three nested groups: config (the
-    CodecConfig init fields, with sigma summarized as {n, trace, log_det =
-    log_det_sigma}), implied_rates {r_x, r_y} and noise_levels {q_x, q_y}.
+    CodecConfig init fields, with sigma summarized as {n, trace =
+    trace_sigma, log_det = log_det_sigma}), implied_rates {r_x, r_y} and
+    noise_levels {q_x, q_y}.
     A new summary field therefore prints unless it is excluded here. An
     infinite noise level (nu = 1: that description is not sent) is
     reported as None, JSON null, since JSON has no infinity.
@@ -480,7 +473,7 @@ def report_to_dict(report: SimulationReport) -> dict:
     out = {f.name: getattr(report, f.name) for f in fields(report) if f.name != "trials"}
     cfg = out.pop("config")
     out["config"] = {f.name: getattr(cfg, f.name) for f in fields(cfg) if f.init}
-    out["config"]["sigma"] = {"n": cfg.n, "trace": float(np.trace(cfg.sigma)), "log_det": out.pop("log_det_sigma")}
+    out["config"]["sigma"] = {"n": cfg.n, "trace": cfg.trace_sigma, "log_det": out.pop("log_det_sigma")}
     out["implied_rates"] = {name: out.pop(name) for name in ("r_x", "r_y")}
     finite_or_none = lambda q: q if math.isfinite(q) else None
     out["noise_levels"] = {name: finite_or_none(out.pop(name)) for name in ("q_x", "q_y")}

@@ -91,13 +91,14 @@ def _check_symmetric(a: np.ndarray, name: str) -> None:
 
 
 def _pivot_floor(a: np.ndarray):
-    return PIVOT_TOL * np.trace(a, axis1=-2, axis2=-1) / a.shape[-1]
+    """PIVOT_TOL times the mean diagonal entry; inf, without a warning, where a trace overflows."""
+    with np.errstate(over="ignore"):
+        return PIVOT_TOL * np.trace(a, axis1=-2, axis2=-1) / a.shape[-1]
 
 
 def _checked_floor(a: np.ndarray, name: str):
     """_pivot_floor of a finite matrix or stack, refused when a trace overflows or is not positive."""
-    with np.errstate(over="ignore"):
-        floor = _pivot_floor(a)
+    floor = _pivot_floor(a)
     if not np.all(np.isfinite(floor)):
         raise DomainError(f"{name}: its trace overflows")
     _reject(floor <= 0.0, name, "nonpositive trace")
@@ -470,7 +471,8 @@ def _subset_groups(sizes: tuple) -> tuple:
 def _group_log_dets(joint: np.ndarray, idx: np.ndarray, cells: np.ndarray):
     """(T, g) natural-log determinants of the g index subsets in the rows
     of idx, all of one size s, whose entries sit at the flat positions
-    cells of each joint; None if any matrix fails the pivot test.
+    cells of each joint; None if any matrix fails the pivot test, as
+    every pivot does below the infinite floor of a trace that overflows.
 
     The subsets of a few samples at a time are gathered into one
     (samples, g, s, s) stack and factorized by one batched Cholesky; the

@@ -239,8 +239,8 @@ class TestEllipsoidCommand:
         assert abs(json.loads(out)["config"]["sigma"]["trace"] - 5.5) < 1e-12
 
     def test_parsed_sigma_is_freed_before_the_run(self, capsys, tmp_path, monkeypatch):
-        # The config holds its own read-only copy of sigma: the parsed array
-        # must not stay alive beside it through the run.
+        # The config keeps only sigma's trace and log-determinant: the parsed
+        # array (8 MB at n = 1024) must not stay alive through the run.
         sigma_path = tmp_path / "sigma.json"
         sigma_path.write_text(json.dumps({"n": 4, "data": np.eye(4).ravel().tolist()}))
         parse, run = cli.matrix_from_json, cli.run_simulation

@@ -274,37 +274,34 @@ class TestDraw:
             assert abs(mse - nu) / nu < 0.02, rho
 
 
-def shrink_one(a, centers, delta):
-    """build_shrunk_matrix on a one-trial stack, with log |det a| from
-    slogdet: row 0's (B, log |det B|, residual, rank, basis rows kept)."""
-    logdet_a = float(np.linalg.slogdet(a)[1])
-    b, logdet_b, residual, rank, basis, _ = build_shrunk_matrix(a, centers[None], delta, logdet_a)
+def shrink_one(scale, centers, delta):
+    """build_shrunk_matrix on a one-trial stack: row 0's (B, log |det B|,
+    residual, rank, basis rows kept)."""
+    b, logdet_b, residual, rank, basis, _ = build_shrunk_matrix(scale, centers[None], delta)
     return b[0], float(logdet_b[0]), float(residual[0]), int(rank[0]), basis[0, : rank[0]]
 
 
 class TestBuildShrunkMatrix:
     def test_zero_centers_pure_scaling(self):
-        gen = np.random.default_rng(60)
-        a = random_pd(gen, 4)
-        b, _, residual, rank, _ = shrink_one(a, np.zeros((2, 4)), 0.01)
+        b, logdet_b, residual, rank, _ = shrink_one(0.7, np.zeros((2, 4)), 0.01)
         tau = 1.0 - 2.0 * 0.1
         assert rank == 0
-        assert np.allclose(b, tau * a, atol=1e-15)
+        assert np.array_equal(b, tau * 0.7 * np.eye(4))
+        assert abs(logdet_b - 4.0 * math.log(tau * 0.7)) < 1e-12
         assert residual < 1e-12
 
     def test_rank_one_determinant_ratio(self):
-        a = np.eye(3)
         centers = np.array([[2.0, 0.0, 0.0]])
-        b, logdet_b, _, rank, _ = shrink_one(a, centers, 0.01)
+        b, logdet_b, _, rank, _ = shrink_one(0.5, centers, 0.01)
         assert rank == 1
-        ratio = abs(np.linalg.det(b)) / abs(np.linalg.det(a))
+        ratio = abs(np.linalg.det(b)) / 0.5**3
         assert abs(ratio - 0.8 * 0.8 * 0.008) < 1e-12
-        assert abs(logdet_b - math.log(0.8 * 0.8 * 0.008)) < 1e-12
+        assert abs(logdet_b - math.log(0.5**3 * 0.8 * 0.8 * 0.008)) < 1e-12
 
     def test_projector_is_idempotent(self):
         gen = np.random.default_rng(61)
         centers = gen.standard_normal((4, 16))
-        *_, rank, basis = shrink_one(np.eye(16), centers, 0.0025)
+        *_, rank, basis = shrink_one(1.0, centers, 0.0025)
         assert np.max(np.abs(basis @ basis.T - np.eye(rank))) < 1e-12
         proj = basis.T @ basis
         assert np.max(np.abs(proj @ proj - proj)) < 1e-12
@@ -316,7 +313,7 @@ class TestBuildShrunkMatrix:
             (np.array([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0 + 1e-13]]), 1),
         )
         for c, expected in cases:
-            _, _, residual, rank, _ = shrink_one(np.eye(3), c, 0.01)
+            _, _, residual, rank, _ = shrink_one(1.0, c, 0.01)
             assert rank == expected
             assert residual < 1e-12
 
@@ -325,8 +322,7 @@ class TestBuildShrunkMatrix:
         # what it gives alone, in a one-trial stack, and the rejected basis
         # rows are zero.
         gen = np.random.default_rng(67)
-        n = 6
-        a = random_pd(gen, n)
+        n, scale = 6, 0.37
         row = gen.standard_normal(n)
         centers = np.stack([
             gen.standard_normal((3, n)),
@@ -334,12 +330,11 @@ class TestBuildShrunkMatrix:
             np.zeros((3, n)),
             np.stack([row, row + 1e-13, -row]),
         ])
-        logdet_a = float(np.linalg.slogdet(a)[1])
-        b, logdet_b, residual, rank, basis, norms = build_shrunk_matrix(a, centers, 0.01, logdet_a)
+        b, logdet_b, residual, rank, basis, norms = build_shrunk_matrix(scale, centers, 0.01)
         assert rank.tolist() == [3, 2, 0, 1]
         assert np.array_equal(norms, np.linalg.norm(centers, axis=2))
         for t in range(len(centers)):
-            b_alone, logdet_b_alone, residual_alone, rank_alone, basis_alone = shrink_one(a, centers[t], 0.01)
+            b_alone, logdet_b_alone, residual_alone, rank_alone, basis_alone = shrink_one(scale, centers[t], 0.01)
             assert rank_alone == rank[t]
             assert np.array_equal(b[t], b_alone)
             assert logdet_b[t] == logdet_b_alone and residual[t] == residual_alone
@@ -352,32 +347,25 @@ class TestBuildShrunkMatrix:
         for _ in range(20):
             n = int(gen.integers(3, 30))
             k = int(gen.integers(1, min(n, 6)))
-            a = random_pd(gen, n)
-            _, _, residual, _, _ = shrink_one(a, gen.standard_normal((k, n)), 0.0025)
+            scale = 1.0 / math.sqrt(n * gen.uniform(0.01, 1.0))
+            _, _, residual, _, _ = shrink_one(scale, scale * gen.standard_normal((k, n)), 0.0025)
             assert residual < 1e-9
 
     def test_b_is_formed_as_its_transpose(self, monkeypatch):
-        # run_simulation's whitening map A is F-ordered, so tau A^T and the
-        # stack B^T are both C-ordered, and each B handed to slogdet is
+        # B^T is one C-ordered stack, so each B handed to slogdet is
         # F-ordered: the layout its LU copy reads contiguously.
         cfg = CodecConfig(n=24, k=3, rho=0.5, sigma=random_pd(np.random.default_rng(69), 24),
                           nu_x=0.3, nu_y=0.4, delta=0.005, trials=5, seed=6)
-        deflate, slogdet = ellipsoid_codec.build_shrunk_matrix, np.linalg.slogdet
+        slogdet = np.linalg.slogdet
         seen = []
 
-        def recorded(a, centers, delta, logdet_a):
-            out = deflate(a, centers, delta, logdet_a)
-            seen.append((a.flags.f_contiguous, out[0].transpose(0, 2, 1).flags.c_contiguous))
-            return out
-
         def f_ordered(mat):
-            assert all(m.flags.f_contiguous for m in mat)
+            seen.append(all(m.flags.f_contiguous for m in mat))
             return slogdet(mat)
 
-        monkeypatch.setattr(ellipsoid_codec, "build_shrunk_matrix", recorded)
         monkeypatch.setattr(np.linalg, "slogdet", f_ordered)
         run_simulation(cfg)
-        assert seen == [(True, True)] * 2
+        assert seen == [True] * 2
 
     def test_each_b_is_released_before_the_next_deflation(self, monkeypatch):
         # B is n x n per trial (8 MB at n = 1024): at most one stack of them is alive.
@@ -396,35 +384,32 @@ class TestBuildShrunkMatrix:
         run_simulation(cfg)
         assert alive == [0] * 6
 
-    @pytest.mark.parametrize("n,k,trials", [(48, 5, 6), (40, 40, 2), (255, 16, 2)])
-    def test_b_matches_the_untransposed_product(self, n, k, trials):
-        # Each entry of B^T sums the same k products gamma v_lj (V A)_li as
-        # gamma V^T (V A) does, possibly in another order, then subtracts
-        # it from tau a_ij: the two differ by at most (k + 1) eps times the
-        # sum of the magnitudes involved. With OpenBLAS they are equal when
-        # n is a multiple of 8; at n = 255 some entries differ, by up to
-        # 1.65 eps times that sum.
-        sigma = random_pd(np.random.default_rng(70), n)
-        cfg = CodecConfig(n=n, k=k, rho=0.5, sigma=sigma, nu_x=0.3, nu_y=0.4, delta=0.005, trials=trials)
+    @pytest.mark.parametrize("n,k,trials", [(8, 3, 6), (48, 5, 6), (40, 40, 2), (255, 16, 2)])
+    def test_b_matches_the_general_map_formula(self, n, k, trials):
+        # The deflation of A = s I taken as a general matrix, with centers
+        # X_hat A^T and B^T = tau A^T - (V A)^T (gamma V): scaling by s
+        # instead of multiplying by s I changes no bit, also at n = 255,
+        # where OpenBLAS has summed products in another order before.
+        cfg = CodecConfig(n=n, k=k, rho=0.5, sigma=np.eye(n), nu_x=0.3, nu_y=0.4, delta=0.005, trials=trials)
         setup = ellipsoid_codec._Setup(cfg)
-        a = setup.a_mats[0]
+        scale = setup.scales[0]
         _, (x_hat, _) = setup.draw(range(trials))
-        b, _, residual, _, vt, _ = build_shrunk_matrix(a, x_hat @ a.T, cfg.delta, setup.logdet_as[0])
+        a = scale * np.eye(n, order="F")
+        assert np.array_equal(scale * x_hat, x_hat @ a.T)
+        b, _, residual, _, vt, _ = build_shrunk_matrix(scale, scale * x_hat, cfg.delta)
         tau, gamma = ellipsoid_codec._shrinkage(cfg.delta)
-        vta = vt @ a
-        reference = tau * a - gamma * vt.transpose(0, 2, 1) @ vta
-        magnitude = tau * np.abs(a) + gamma * np.abs(vt.transpose(0, 2, 1)) @ np.abs(vta)
-        assert np.all(np.abs(b - reference) <= (k + 1) * np.finfo(float).eps * magnitude)
+        reference = tau * a.T - (vt @ a).transpose(0, 2, 1) @ (gamma * vt)
+        assert np.array_equal(b, reference.transpose(0, 2, 1))
         assert np.all(residual < ellipsoid_codec.IDENTITY_TOL)
 
     def test_degenerate_shrinkage(self):
         with pytest.raises(DegenerateShrinkage):
-            shrink_one(np.eye(3), np.zeros((1, 3)), 0.3)
+            shrink_one(1.0, np.zeros((1, 3)), 0.3)
         with pytest.raises(DomainError):
-            shrink_one(np.eye(3), np.zeros((1, 3)), 0.0)
+            shrink_one(1.0, np.zeros((1, 3)), 0.0)
         # 1 - delta rounds to 1: tau - gamma = 0 and log(tau - gamma) is undefined.
         with pytest.raises(DegenerateShrinkage, match="tau - gamma"):
-            shrink_one(np.eye(4), np.ones((2, 4)), 1e-17)
+            shrink_one(1.0, np.ones((2, 4)), 1e-17)
 
 
 class TestCodecConfigValidation:
@@ -455,6 +440,18 @@ class TestCodecConfigValidation:
         with pytest.raises(NotPositiveDefinite):
             CodecConfig(n=2, k=1, rho=0.5, sigma=bad, nu_x=0.5, nu_y=0.5)
 
+    def test_sigma_is_kept_as_two_numbers(self):
+        # A run reads sigma only as its trace and log|sigma|: neither the
+        # config nor the run's setup keeps an array of it.
+        sigma = random_pd(np.random.default_rng(74), 12)
+        cfg = CodecConfig(n=12, k=2, rho=0.5, sigma=sigma, nu_x=0.3, nu_y=0.4)
+        assert "sigma" not in {f.name for f in dataclasses.fields(cfg)}
+        assert cfg.trace_sigma == float(np.trace(sigma))
+        assert cfg.log_det_sigma == 2.0 * float(np.sum(np.log(np.diagonal(np.linalg.cholesky(sigma)))))
+        setup = ellipsoid_codec._Setup(cfg)
+        assert setup.scales == [1.0 / math.sqrt(12 * nu) for nu in (0.3, 0.4)]
+        assert not any(isinstance(v, np.ndarray) for obj in (cfg, setup) for v in vars(obj).values())
+
     @pytest.mark.parametrize("name,log_det_sigma", [("ill-conditioned", 0.0), ("near-float-max", math.log(1.7e308))],
                              ids=["ill-conditioned", "near-float-max"])
     def test_sigma_that_eigh_cannot_whiten_simulates(self, name, log_det_sigma):
@@ -482,11 +479,13 @@ class TestCodecConfigValidation:
                 build(**params)
 
 
-def reference_trial(cfg, t):
-    """Trial t one at a time, from fresh per-trial streams and
-    build_shrunk_matrix on a one-trial stack: (coverage, volume, rank) per source."""
-    eigvals, eigvecs = np.linalg.eigh(cfg.sigma)
+def reference_trial(cfg, sigma, t):
+    """Trial t one at a time, from fresh per-trial streams, in the original
+    coordinates of sigma with the eigh square root and a deflation of its
+    own: (coverage, volume, rank) per source."""
+    eigvals, eigvecs = np.linalg.eigh(sigma)
     white, unwhite = (eigvecs / np.sqrt(eigvals)).T, eigvecs * np.sqrt(eigvals)
+    tau, gamma = ellipsoid_codec._shrinkage(cfg.delta)
     q = solve_noise_levels(cfg.rho, cfg.nu_x, cfg.nu_y)
     src = stream(cfg.seed, t, STREAM_SOURCE)
     xw = src.standard_normal((cfg.k, cfg.n))
@@ -502,13 +501,17 @@ def reference_trial(cfg, t):
     out = []
     for sample, est, nu in ((xw, x_hat, cfg.nu_x), (yw, y_hat, cfg.nu_y)):
         a = white / math.sqrt(cfg.n * nu)
-        b, logdet_b, _, rank, _ = shrink_one(a, (est @ unwhite.T) @ a.T, cfg.delta)
+        centers = (est @ unwhite.T) @ a.T
+        _, singular, vt = np.linalg.svd(centers, full_matrices=False)
+        v = vt[singular > 1e-10 * np.linalg.norm(centers, axis=1).max()]
+        b = tau * a - gamma * v.T @ (v @ a)
+        logdet_b = np.linalg.slogdet(b)[1]
         covered = tuple(np.linalg.norm((sample @ unwhite.T) @ b.T, axis=1) <= 1.0)
         log_vol = log_unit_ball_volume(cfg.n) - logdet_b
         norm_vol = math.exp(log_vol / cfg.n) / math.sqrt(2.0 * math.pi * math.e * nu) * math.exp(
             -float(np.sum(np.log(eigvals))) / (2 * cfg.n)
         )
-        out.append((covered, norm_vol, rank))
+        out.append((covered, norm_vol, len(v)))
     return out
 
 
@@ -524,7 +527,7 @@ class TestRunSimulation:
             monkeypatch.setattr(ellipsoid_codec, "_STACK_ENTRIES", stack * n * n)
         tr = run_simulation(cfg).trials
         for t in range(cfg.trials):
-            (cov_x, vol_x, rank_x), (cov_y, vol_y, rank_y) = reference_trial(cfg, t)
+            (cov_x, vol_x, rank_x), (cov_y, vol_y, rank_y) = reference_trial(cfg, sigma, t)
             assert np.array_equal(tr.covered_x[t], cov_x) and tr.rank_x[t] == rank_x
             assert np.array_equal(tr.covered_y[t], cov_y) and tr.rank_y[t] == rank_y
             # The reference regroups the volume's logarithms: roundoff only.
@@ -643,9 +646,9 @@ class TestRunSimulation:
         stacks = []
         deflate = ellipsoid_codec.build_shrunk_matrix
 
-        def recorded(a, centers, delta, logdet_a):
+        def recorded(scale, centers, delta):
             stacks.append(centers.shape[0])
-            return deflate(a, centers, delta, logdet_a)
+            return deflate(scale, centers, delta)
 
         monkeypatch.setattr(ellipsoid_codec, "build_shrunk_matrix", recorded)
         run_simulation(cfg)

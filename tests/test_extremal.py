@@ -857,7 +857,7 @@ NAN = float("nan")
     pytest.param(vector_dual_lower, (NAN, np.eye(2), np.eye(2)), "lam must be nonnegative", id="vector-lam-nan"),
     pytest.param(exponent_tradeoff_min, (0.3, 0.5, NAN), "lam must be nonnegative", id="tradeoff-lam-nan"),
     pytest.param(exponent_tradeoff_min, (NAN, 0.5, 1.0), "a1 and a2 must be positive", id="tradeoff-a1-nan"),
-    pytest.param(build_shrunk_matrix, (np.eye(3), np.ones((1, 1, 3)), NAN, 0.0), "delta must be positive", id="shrunk-delta-nan"),
+    pytest.param(build_shrunk_matrix, (1.0, np.ones((1, 1, 3)), NAN), "delta must be positive", id="shrunk-delta-nan"),
     pytest.param(implied_rates, (NAN, 0.3, 0.3, 1.0, 1.0), "rho must lie in", id="rates-rho-nan"),
     pytest.param(implied_rates, (0.5, NAN, 0.3, 1.0, 1.0), "nu_x must lie in", id="rates-nu-nan"),
     pytest.param(implied_rates, (0.5, 0.3, 0.3, 1.0, NAN), "noise levels must be positive", id="rates-q-nan"),

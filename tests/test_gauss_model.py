@@ -487,6 +487,17 @@ def test_log_det_refuses_a_diagonal_whose_trace_overflows():
             vector_dual_lower(2.0, 1e308 * np.eye(3), np.eye(3))
 
 
+def test_grouped_kernel_refuses_a_joint_block_whose_trace_overflows():
+    # The grouped factorization computed its pivot floors without the
+    # guard: a numpy overflow warning before the per-subset fallback could
+    # name the block. Under warnings-as-errors the caller got the warning.
+    model = GaussianPairModel.vector(np.array([[1e308]]), np.array([[1.0]]))
+    u = GaussianAuxChannel.linear(np.eye(1), np.eye(1), "x")
+    v = GaussianAuxChannel.linear(np.eye(1), np.eye(1), "y")
+    with pytest.raises(DomainError, match="^joint covariance block XY: its trace overflows$"):
+        mutual_information(model, u, v)
+
+
 def per_subset_log_dets(source, gu, wu, gv, wv):
     """The kernel's log-determinants with every index subset gathered and
     factorized on its own, in _SUBSETS order: the reference for the grouped
