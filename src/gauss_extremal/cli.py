@@ -35,13 +35,9 @@ from .rng import check_seed, stream  # noqa: F401
 from .sweep import VERIFY_MODES, run_verify_sweep
 
 
-def _fmt(value: float, precision: int) -> str:
-    return format(value, f".{precision}g")
-
-
 def _round_floats(obj, precision: int):
     if isinstance(obj, float):
-        return float(_fmt(obj, precision))
+        return float(format(obj, f".{precision}g"))
     if isinstance(obj, dict):
         return {k: _round_floats(v, precision) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -59,16 +55,25 @@ def _emit_json(payload: dict, precision: int) -> None:
     print(text)
 
 
-def _emit_csv(header: list[str], rows: list, precision: int) -> None:
-    # As for JSON: a non-finite number is an error, not a printed inf or nan.
-    lines = [",".join(header)]
-    for row in rows:
-        if any(isinstance(v, float) and not math.isfinite(v) for v in row):
-            raise GaussExtremalError("a result is not finite and cannot be written as CSV")
-        lines.append(",".join(
-            _fmt(v, precision) if isinstance(v, float) else str(v).lower() for v in row
-        ))
-    print("\n".join(lines))
+def _emit_csv(header: list[str], rows: list, precision: int, path: str | None = None) -> None:
+    """Print a CSV table, or write it to the file at path: the header line, then one line per row of
+    values, a column of one type each: floats at precision significant digits, others as lowercased str.
+    As for JSON, a non-finite float is an error, refused before anything is printed or the file opened."""
+    spec = f".{precision}g"
+    cells = []
+    for column in zip(*rows):  # one finiteness check per float column
+        if isinstance(column[0], float):
+            if not all(map(math.isfinite, column)):
+                raise GaussExtremalError("a result is not finite and cannot be written as CSV")
+            cells.append([format(v, spec) for v in column])
+        else:
+            cells.append([str(v).lower() for v in column])
+    text = "\n".join([",".join(header), *map(",".join, zip(*cells))])
+    if path is None:
+        print(text)
+    else:
+        with open(path, "w") as fh:
+            print(text, file=fh)
 
 
 def _check_args(args) -> None:
@@ -129,10 +134,7 @@ def _cmd_verify(args) -> int:
     summary = run_verify_sweep(args.mode, args.trials, args.dim, args.seed)
     gaps = summary.pop("gaps")
     if args.samples_csv:
-        with open(args.samples_csv, "w") as fh:
-            fh.write("sample,gap\n")
-            for i, g in enumerate(gaps):
-                fh.write(f"{i},{_fmt(float(g), args.precision)}\n")
+        _emit_csv(["sample", "gap"], list(enumerate(gaps.tolist())), args.precision, args.samples_csv)
     _emit_json(summary, args.precision)
     return 0 if summary["negative_count"] == 0 else 1
 
@@ -156,8 +158,7 @@ def _cmd_ellipsoid(args) -> int:
     del sigma  # the config keeps only its trace and log|sigma|: not 8 MB alive through the run at n = 1024
     report = run_simulation(config)
     if args.trials_csv:
-        with open(args.trials_csv, "w") as fh:
-            fh.write("\n".join(trials_csv_rows(report, args.precision)) + "\n")
+        _emit_csv(*trials_csv_rows(report), args.precision, args.trials_csv)
     _emit_json(report_to_dict(report), args.precision)
     return 0 if report.region_inside and report.residual_max <= IDENTITY_TOL else 1
 

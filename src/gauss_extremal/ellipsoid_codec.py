@@ -119,7 +119,9 @@ class CodecConfig:
         sigma = np.asarray(sigma, dtype=float)
         if sigma.shape != (self.n, self.n):
             raise DomainError("sigma must be n x n")
-        lower = cholesky_pd(sigma, "sigma")
+        # sigma.T is sigma within SYMMETRY_TOL; of a row-major sigma it is the
+        # column-major view that LAPACK reads without a strided copy.
+        lower = cholesky_pd(sigma.T, "sigma")
         object.__setattr__(self, "trace_sigma", float(np.trace(sigma)))
         object.__setattr__(self, "log_det_sigma", 2.0 * float(np.sum(np.log(np.diagonal(lower)))))
 
@@ -480,16 +482,12 @@ def report_to_dict(report: SimulationReport) -> dict:
     return out
 
 
-def trials_csv_rows(report: SimulationReport, precision: int = 12) -> list[str]:
-    """Per-trial CSV lines with the canonical header, sorted by trial; a
-    coverage fraction is the trial's count of covered points over k."""
-    fmt = lambda v: format(v, f".{precision}g")
+def trials_csv_rows(report: SimulationReport) -> tuple[list[str], list[tuple]]:
+    """The per-trial CSV table: its header, and one row of numbers per
+    trial in trial order, the trial's index first; a coverage fraction is
+    the trial's count of covered points over k."""
     tr, k = report.trials, report.config.k
-    table = np.column_stack([
-        np.count_nonzero(tr.covered_x, axis=1) / k,
-        np.count_nonzero(tr.covered_y, axis=1) / k,
-        tr.norm_volume_x,
-        tr.norm_volume_y,
-    ])
-    rows = ["trial,covered_x_frac,covered_y_frac,normvol_x,normvol_y"]
-    return rows + [",".join([str(t), *map(fmt, row)]) for t, row in enumerate(table.tolist())]
+    fracs = [np.count_nonzero(covered, axis=1) / k for covered in (tr.covered_x, tr.covered_y)]
+    columns = [column.tolist() for column in (*fracs, tr.norm_volume_x, tr.norm_volume_y)]
+    header = ["trial", "covered_x_frac", "covered_y_frac", "normvol_x", "normvol_y"]
+    return header, list(zip(range(report.config.trials), *columns))

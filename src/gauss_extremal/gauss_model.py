@@ -96,19 +96,14 @@ def _pivot_floor(a: np.ndarray):
         return PIVOT_TOL * np.trace(a, axis1=-2, axis2=-1) / a.shape[-1]
 
 
-def _checked_floor(a: np.ndarray, name: str):
-    """_pivot_floor of a finite matrix or stack, refused when a trace overflows or is not positive."""
+def _factor(a: np.ndarray, name: str) -> np.ndarray:
+    """Lower Cholesky factor of a finite symmetric matrix or stack, with
+    the pivot acceptance test applied to every matrix of the stack; a
+    trace that overflows or is not positive is refused first."""
     floor = _pivot_floor(a)
     if not np.all(np.isfinite(floor)):
         raise DomainError(f"{name}: its trace overflows")
     _reject(floor <= 0.0, name, "nonpositive trace")
-    return floor
-
-
-def _factor(a: np.ndarray, name: str) -> np.ndarray:
-    """Lower Cholesky factor of a finite symmetric matrix or stack, with
-    the pivot acceptance test applied to every matrix of the stack."""
-    floor = _checked_floor(a, name)
     try:
         lower = np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
@@ -146,17 +141,12 @@ def cholesky_pd(mat, name: str = "matrix") -> np.ndarray:
 def log_det(mat, name: str = "matrix") -> float:
     """Natural-log determinant of a positive-definite matrix.
 
-    Computed from the Cholesky factor; exact (one log per entry) for
-    diagonal inputs. Raises NotPositiveDefinite when any pivot falls at or
-    below PIVOT_TOL * trace / n, and DomainError when the trace overflows.
+    Twice the sum of the logs of the diagonal of cholesky_pd's factor:
+    the value information_batch gives the same matrix as a block. Raises
+    NotPositiveDefinite when any pivot falls at or below
+    PIVOT_TOL * trace / n, and DomainError when the trace overflows.
     """
-    a = _as_square(mat, name)
-    d = np.diagonal(a)
-    if np.count_nonzero(a - np.diag(d)) == 0:
-        if float(d.min()) <= _checked_floor(a, name):
-            raise NotPositiveDefinite(f"{name}: diagonal entry below pivot tolerance")
-        return float(np.sum(np.log(d)))
-    lower = cholesky_pd(a, name)
+    lower = cholesky_pd(_as_square(mat, name), name)
     return 2.0 * float(np.sum(np.log(np.diagonal(lower))))
 
 

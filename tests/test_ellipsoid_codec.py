@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from gauss_extremal import cli, ellipsoid_codec
-from gauss_extremal.errors import DegenerateShrinkage, DomainError, Infeasible, NotPositiveDefinite
+from gauss_extremal.errors import DegenerateShrinkage, DomainError, GaussExtremalError, Infeasible, NotPositiveDefinite
 from gauss_extremal.ellipsoid_codec import (
     CodecConfig,
     SimulationReport,
@@ -663,17 +663,23 @@ class TestRunSimulation:
                           delta=0.01, trials=20, seed=5)
         assert report_to_dict(run_simulation(cfg)) == report_to_dict(run_simulation(cfg))
 
-    def test_csv_rows_shape(self):
+    @staticmethod
+    def csv_lines(capsys, report, precision=12):
+        """The lines the CLI's one CSV writer prints for the report's trials table."""
+        cli._emit_csv(*trials_csv_rows(report), precision)
+        return capsys.readouterr().out.splitlines()
+
+    def test_csv_rows_shape(self, capsys):
         cfg = CodecConfig(n=8, k=2, rho=0.2, sigma=np.eye(8), nu_x=0.5, nu_y=0.5,
                           delta=0.01, trials=3, seed=1)
-        rows = trials_csv_rows(run_simulation(cfg))
+        rows = self.csv_lines(capsys, run_simulation(cfg))
         assert rows[0] == "trial,covered_x_frac,covered_y_frac,normvol_x,normvol_y"
         assert len(rows) == 4
         assert rows[1].split(",")[0] == "0"
 
     @pytest.mark.parametrize("precision", [12, 17])
     @pytest.mark.parametrize("k,rho,nu_x", [(3, 0.5, 0.3), (3, 0.0, 1.0), (8, -0.6, 0.3)])
-    def test_csv_rows_format_each_trial_alone(self, k, rho, nu_x, precision):
+    def test_csv_rows_format_each_trial_alone(self, k, rho, nu_x, precision, capsys):
         # Each row is the trial's own values formatted one by one, with a
         # coverage fraction of sum(row) / k.
         cfg = CodecConfig(n=8, k=k, rho=rho, sigma=random_pd(np.random.default_rng(71), 8), nu_x=nu_x, nu_y=0.4,
@@ -685,24 +691,39 @@ class TestRunSimulation:
             values = (sum(tr.covered_x[t].tolist()) / k, sum(tr.covered_y[t].tolist()) / k,
                       float(tr.norm_volume_x[t]), float(tr.norm_volume_y[t]))
             expect.append(",".join([str(t), *(format(v, f".{precision}g") for v in values)]))
-        assert trials_csv_rows(rep, precision) == expect
+        assert self.csv_lines(capsys, rep, precision) == expect
         if nu_x == 1.0:  # X is not sent: its centers are 0, so every trial is rank deficient
             assert np.all(tr.rank_x == 0) and np.all(tr.rank_y == k)
 
-    def test_csv_rows_of_partial_coverage(self):
+    @staticmethod
+    def with_trials(report, **columns):
+        """The report with some of its per-trial columns replaced."""
+        kept = {f.name: getattr(report.trials, f.name) for f in dataclasses.fields(TrialReport)}
+        return dataclasses.replace(report, trials=TrialReport(**(kept | columns)))
+
+    def test_csv_rows_of_partial_coverage(self, capsys):
         cfg = CodecConfig(n=8, k=3, rho=0.2, sigma=np.eye(8), nu_x=0.5, nu_y=0.5, delta=0.01, trials=4, seed=1)
-        rep = run_simulation(cfg)
         covered = np.array([[True, True, True], [True, False, True], [False, False, True], [False, False, False]])
-        columns = {f.name: getattr(rep.trials, f.name) for f in dataclasses.fields(TrialReport)} | {
-            "covered_x": covered, "covered_y": covered[::-1],
-            "norm_volume_x": np.array([1.0, 0.5, 0.25, 3.0]), "norm_volume_y": np.array([2.0, 1.5, 0.125, 10.0]),
-        }
-        assert trials_csv_rows(dataclasses.replace(rep, trials=TrialReport(**columns)), 17)[1:] == [
+        rep = self.with_trials(
+            run_simulation(cfg), covered_x=covered, covered_y=covered[::-1],
+            norm_volume_x=np.array([1.0, 0.5, 0.25, 3.0]), norm_volume_y=np.array([2.0, 1.5, 0.125, 10.0]),
+        )
+        assert self.csv_lines(capsys, rep, 17)[1:] == [
             "0,1,0,1,2",
             "1,0.66666666666666663,0.33333333333333331,0.5,1.5",
             "2,0.33333333333333331,0.66666666666666663,0.25,0.125",
             "3,0,1,3,10",
         ]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_csv_writer_refuses_a_non_finite_value_before_the_file(self, bad, capsys, tmp_path):
+        cfg = CodecConfig(n=8, k=2, rho=0.2, sigma=np.eye(8), nu_x=0.5, nu_y=0.5, delta=0.01, trials=3, seed=1)
+        rep = self.with_trials(run_simulation(cfg), norm_volume_y=np.array([1.0, 2.0, bad]))
+        target = tmp_path / "trials.csv"
+        with pytest.raises(GaussExtremalError, match="not finite"):
+            cli._emit_csv(*trials_csv_rows(rep), 12, str(target))
+        assert not target.exists()
+        assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("k,trials,stack", [(1, 1, None), (3, 17, 5)])
     def test_trial_columns_are_read_only(self, k, trials, stack, monkeypatch):

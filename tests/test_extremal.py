@@ -239,6 +239,15 @@ class TestVectorDualLower:
         assert vector_dual_lower(3.0, 2.0 * sz, sz).exactness == "exact"
         assert vector_dual_lower(3.0, random_pd(gen, 3), sz).exactness == "lower_bound"
 
+    @pytest.mark.parametrize("scale", [1e-200, 1.0, 1e160, 1e200])
+    def test_exactness_flags_at_any_scale(self, scale):
+        # The squares inside a Frobenius norm overflow past about 1e154 and
+        # underflow below 1e-154; the flag must not change with the scale.
+        sz = scale * np.eye(2)
+        assert vector_dual_lower(3.0, 2.0 * sz, sz).exactness == "exact"
+        assert vector_dual_lower(3.0, scale * np.array([[1.0, 0.5], [0.5, 1.0]]), sz).exactness == "lower_bound"
+        assert vector_dual_lower(3.0, [[2.0, 0.3], [0.3, 1.0]], sz).exactness == "lower_bound"
+
     def test_alpha_family_attains_active_bound(self):
         gen = np.random.default_rng(15)
         sz = random_pd(gen, 4)

@@ -28,8 +28,18 @@ class TestLogDet:
     def test_identity_is_zero(self):
         assert log_det(np.eye(3)) == 0.0
 
-    def test_diagonal_is_exact(self):
-        assert log_det(np.diag([2.0, 2.0])) == 2.0 * math.log(2.0)
+    @pytest.mark.parametrize("sigma_x", [
+        np.diag([1e-3, 7.0, 2.5]),
+        np.diag([0.5, 3.0, 7.0]),  # a sum of logs of the diagonal lands an ulp off the pivots' value
+        random_pd(np.random.default_rng(8), 6),
+    ])
+    def test_equals_the_kernel_block_bit_for_bit(self, sigma_x):
+        # log_det and information_batch read the same Cholesky pivots.
+        n = len(sigma_x)
+        joint = GaussianPairModel.vector(sigma_x, np.eye(n)).joint_xy_cov()[None]
+        off, unit = np.zeros((1, 1, n)), np.ones((1, 1, 1))
+        _, ld = information_batch(joint, off, unit, off, unit)
+        assert log_det(sigma_x) == float(ld["x"][0])
 
     def test_matches_eigenvalue_product_oracle(self):
         gen = np.random.default_rng(7)
