@@ -61,11 +61,10 @@ from dataclasses import InitVar, dataclass, field, fields
 import numpy as np
 
 from .errors import DegenerateShrinkage, DomainError, Infeasible
-from .gauss_model import cholesky_pd
+from .gauss_model import log_det
 from .rate_region import RegionQuery, region_verdict
 from .rng import STREAM_NOISE_X, STREAM_NOISE_Y, STREAM_SOURCE, Streams, check_seed
-# log_det and stream stay importable from this module: the benchmark's tracer tests name them here.
-from .gauss_model import log_det  # noqa: F401
+# stream stays importable from this module: the benchmark's tracer tests name it here.
 from .rng import stream  # noqa: F401
 
 # Implied rates sit on the dominant face of the achievable region; this
@@ -121,9 +120,8 @@ class CodecConfig:
             raise DomainError("sigma must be n x n")
         # sigma.T is sigma within SYMMETRY_TOL; of a row-major sigma it is the
         # column-major view that LAPACK reads without a strided copy.
-        lower = cholesky_pd(sigma.T, "sigma")
+        object.__setattr__(self, "log_det_sigma", log_det(sigma.T, "sigma"))
         object.__setattr__(self, "trace_sigma", float(np.trace(sigma)))
-        object.__setattr__(self, "log_det_sigma", 2.0 * float(np.sum(np.log(np.diagonal(lower)))))
 
     @property
     def tau(self) -> float:

@@ -15,7 +15,7 @@ by a singular gain/noise pair.
 All informations are in bits and come from one kernel,
 information_batch. It takes a stack of T joint covariances of
 (X, Y, U, V), gathers the index subsets it needs of each size into one
-stack, factorizes that with one batched Cholesky (4 calls when both
+stack, factorizes that with one batched Cholesky (3 calls when both
 channels have the source's dimension; large stacks a few samples per
 call), and combines the block log-determinants
 
@@ -68,6 +68,8 @@ def _as_square(mat, name: str = "matrix", stack: bool = False) -> np.ndarray:
     if a.ndim != ndim or a.shape[-1] != a.shape[-2]:
         kind = "a square matrix or a stack of them" if stack else "a square matrix"
         raise DomainError(f"{name}: expected {kind}, got shape {a.shape}")
+    if a.shape[-1] == 0:
+        raise DomainError(f"{name}: expected at least one row and column, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise DomainError(f"{name}: entries must be finite")
     return a
@@ -90,17 +92,13 @@ def _check_symmetric(a: np.ndarray, name: str) -> None:
     _reject(asym > SYMMETRY_TOL * scale, name, f"not symmetric within {SYMMETRY_TOL:g} relative")
 
 
-def _pivot_floor(a: np.ndarray):
-    """PIVOT_TOL times the mean diagonal entry; inf, without a warning, where a trace overflows."""
-    with np.errstate(over="ignore"):
-        return PIVOT_TOL * np.trace(a, axis1=-2, axis2=-1) / a.shape[-1]
-
-
 def _factor(a: np.ndarray, name: str) -> np.ndarray:
-    """Lower Cholesky factor of a finite symmetric matrix or stack, with
-    the pivot acceptance test applied to every matrix of the stack; a
-    trace that overflows or is not positive is refused first."""
-    floor = _pivot_floor(a)
+    """Lower Cholesky factor of a finite symmetric matrix or stack of
+    them (any number of leading axes), with the pivot acceptance test
+    applied to every matrix; a trace that overflows or is not positive is
+    refused first."""
+    with np.errstate(over="ignore"):  # an overflowing trace is refused below, without a warning
+        floor = PIVOT_TOL * np.trace(a, axis1=-2, axis2=-1) / a.shape[-1]
     if not np.all(np.isfinite(floor)):
         raise DomainError(f"{name}: its trace overflows")
     _reject(floor <= 0.0, name, "nonpositive trace")
@@ -109,12 +107,18 @@ def _factor(a: np.ndarray, name: str) -> np.ndarray:
     except np.linalg.LinAlgError:
         where = _first_failure(a) if a.ndim == 3 and len(a) > 1 else ""
         raise NotPositiveDefinite(f"{name}{where}: Cholesky factorization failed") from None
-    low = (np.diagonal(lower, axis1=-2, axis2=-1) ** 2).min(axis=-1)
+    low = np.diagonal(lower, axis1=-2, axis2=-1).min(axis=-1) ** 2  # min(d)^2 = min(d^2), as d > 0
     bad = low <= floor
     if np.any(bad):
-        i = np.argmax(bad) if np.ndim(bad) else ()
-        _reject(bad, name, f"pivot {low[i]:.3e} below tolerance {floor[i]:.3e}")
+        i = np.argmax(bad)
+        _reject(bad, name, f"pivot {low.flat[i]:.3e} below tolerance {floor.flat[i]:.3e}")
     return lower
+
+
+def _log_det_of(lower: np.ndarray):
+    """2 sum log diag L: the natural-log determinants of the matrices
+    whose lower Cholesky factors are the last two axes of lower."""
+    return 2.0 * np.log(np.diagonal(lower, axis1=-2, axis2=-1)).sum(axis=-1)
 
 
 def _first_failure(stack: np.ndarray) -> str:
@@ -146,8 +150,7 @@ def log_det(mat, name: str = "matrix") -> float:
     NotPositiveDefinite when any pivot falls at or below
     PIVOT_TOL * trace / n, and DomainError when the trace overflows.
     """
-    lower = cholesky_pd(_as_square(mat, name), name)
-    return 2.0 * float(np.sum(np.log(np.diagonal(lower))))
+    return float(_log_det_of(cholesky_pd(_as_square(mat, name), name)))
 
 
 def schur_conditional_cov(joint, target, given) -> np.ndarray:
@@ -339,7 +342,6 @@ class InfoVector:
     i_xy: float
     i_x_uv: float
     i_y_uv: float
-    i_xy_uv: float
 
     def at(self, t: int) -> "InfoVector":
         """The float record of triple t of an information_batch stack."""
@@ -347,8 +349,9 @@ class InfoVector:
 
 
 # Index subsets of (X, Y, U, V), in that order, whose log-determinants
-# the informations combine.
-_SUBSETS = ("x", "y", "u", "v", "xy", "xu", "yu", "xv", "yv", "uv", "xuv", "yuv", "xyuv")
+# the informations combine. The full joint is not among them: on the
+# chain U - X - Y - V the sum rate I(XY;UV) is i_xu + i_yv_given_u.
+_SUBSETS = ("x", "y", "u", "v", "xy", "xu", "yu", "xv", "yv", "uv", "xuv", "yuv")
 
 
 def information_batch(source_cov, gain_u, noise_u, gain_v, noise_v) -> tuple[InfoVector, dict]:
@@ -359,20 +362,19 @@ def information_batch(source_cov, gain_u, noise_u, gain_v, noise_v) -> tuple[Inf
     covariances of shape (T, m, m). A zero gain with unit noise is a
     degenerate channel. Returns the InfoVector of (T,) arrays and the
     natural-log determinants of the index subsets of the joint covariance,
-    keyed by subset name ("x", "xu", "xyuv", ...).
+    keyed by subset name ("x", "xu", "yuv", ...).
 
     The subsets of one size are factorized together: one batched Cholesky
     per size, or per size and few samples when a stack holds more than
-    _GROUP_ENTRIES entries, with the full joint unsliced. Each
-    log-determinant equals the one a factorization of that subset alone
-    gives.
+    _GROUP_ENTRIES entries. Each log-determinant equals the one a
+    factorization of that subset alone gives.
 
     The joint covariance must be finite and symmetric within SYMMETRY_TOL
     relative, and every subset must pass the pivot test of cholesky_pd,
     per triple; otherwise NotPositiveDefinite (DomainError for bad shapes
     or non-finite entries) names the first failing subset, in the order
-    x, y, u, v, xy, xu, yu, xv, yv, uv, xuv, yuv, xyuv, and its first
-    failing triple.
+    x, y, u, v, xy, xu, yu, xv, yv, uv, xuv, yuv, and its first failing
+    triple.
     """
     s = np.asarray(source_cov, dtype=float)
     gains = [np.asarray(g, dtype=float) for g in (gain_u, gain_v)]
@@ -409,7 +411,6 @@ def information_batch(source_cov, gain_u, noise_u, gain_v, noise_v) -> tuple[Inf
         i_xy=mi("x", "y"),
         i_x_uv=mi("x", "uv"),
         i_y_uv=mi("y", "uv"),
-        i_xy_uv=mi("xy", "uv"),
     )
     return info, ld
 
@@ -443,7 +444,7 @@ def _subset_groups(sizes: tuple) -> tuple:
     with these sizes."""
     stops = np.cumsum([0, *sizes])
     d = int(stops[-1])
-    blocks = {name: np.arange(stops[i], stops[i + 1]) for i, name in enumerate("xyuv")}
+    blocks = {name: np.arange(stops[i], stops[i + 1]) for i, name in enumerate(_SUBSETS[:4])}
     index = {key: np.concatenate([blocks[c] for c in key]) for key in _SUBSETS}
     by_size: dict[int, list[str]] = {}
     for key in _SUBSETS:
@@ -461,37 +462,30 @@ def _subset_groups(sizes: tuple) -> tuple:
 def _group_log_dets(joint: np.ndarray, idx: np.ndarray, cells: np.ndarray):
     """(T, g) natural-log determinants of the g index subsets in the rows
     of idx, all of one size s, whose entries sit at the flat positions
-    cells of each joint; None if any matrix fails the pivot test, as
-    every pivot does below the infinite floor of a trace that overflows.
+    cells of each joint; None if _factor refuses any matrix.
 
     The subsets of a few samples at a time are gathered into one
-    (samples, g, s, s) stack and factorized by one batched Cholesky; the
-    full joint (s = d) is factorized unsliced. numpy factorizes every
-    matrix of a stack on its own, so each value is the one a
-    factorization of that subset alone gives.
+    (samples, g, s, s) stack and factorized by one batched Cholesky.
+    numpy factorizes every matrix of a stack on its own, so each value is
+    the one a factorization of that subset alone gives.
     """
     t, d = joint.shape[:2]
     g, s = idx.shape
     step = max(1, _GROUP_ENTRIES // cells.size)
-    floor, diag = np.empty((t, g)), np.empty((t, g, s))
-    try:
-        for lo in range(0, t, step):
-            part = joint[lo : lo + step]
-            sub = (part[:, None] if s == d else part.reshape(-1, d * d).take(cells, axis=1)).reshape(-1, g, s, s)
-            floor[lo : lo + step] = _pivot_floor(sub)
-            diag[lo : lo + step] = np.linalg.cholesky(sub).diagonal(axis1=-2, axis2=-1)
-    except np.linalg.LinAlgError:
-        return None
-    if (floor <= 0.0).any() or ((diag**2).min(axis=-1) <= floor).any():
-        return None
-    return 2.0 * np.log(diag).sum(axis=-1)
+    out = np.empty((t, g))
+    for lo in range(0, t, step):
+        sub = joint[lo : lo + step].reshape(-1, d * d).take(cells, axis=1).reshape(-1, g, s, s)
+        try:
+            out[lo : lo + step] = _log_det_of(_factor(sub, "subset group"))
+        except (DomainError, NotPositiveDefinite):
+            return None
+    return out
 
 
 def _subset_log_det(joint: np.ndarray, idx: np.ndarray, key: str) -> np.ndarray:
     """(T,) natural-log determinants of one index subset, factorized on its
-    own; raises the NotPositiveDefinite of _factor, naming the subset."""
-    lower = _factor(joint[:, idx[:, None], idx], f"joint covariance block {key.upper()}")
-    return 2.0 * np.log(np.diagonal(lower, axis1=1, axis2=2)).sum(axis=1)
+    own; raises the error of _factor, naming the subset."""
+    return _log_det_of(_factor(joint[:, idx[:, None], idx], f"joint covariance block {key.upper()}"))
 
 
 def _joint_covariance(source: np.ndarray, gains: list, noises: list) -> np.ndarray:

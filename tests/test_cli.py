@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 import warnings
@@ -8,6 +9,7 @@ import weakref
 import numpy as np
 import pytest
 
+import gauss_extremal
 from gauss_extremal import cli, extremal
 from gauss_extremal.cli import main
 
@@ -376,10 +378,14 @@ class TestCliPlumbing:
         assert payload["seed"] == 6
 
     def test_module_invocation(self):
+        # The child imports the package this process imported, installed or
+        # not: pyproject's pythonpath reaches only the pytest process.
+        root = os.path.dirname(os.path.dirname(os.path.abspath(gauss_extremal.__file__)))
+        path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "gauss_extremal", "region", "--rho", "0",
              "--rx", "0", "--ry", "0", "--nux", "1", "--nuy", "1"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["inside"] is True

@@ -269,8 +269,8 @@ class TestMmseJensenGap:
 
 def test_forward_replay_of_sum_rate_derivation():
     """Random Gaussian description pairs never beat the sum-rate bound at
-    the conditional errors they achieve, and the joint information meets
-    that bound with equality."""
+    the conditional errors they achieve, and the joint information
+    I(XY;UV) = I(X;U) + I(Y;V|U) meets that bound with equality."""
     gen = np.random.default_rng(36)
     for _ in range(1000):
         rho = gen.uniform(-0.95, 0.95)
@@ -286,4 +286,4 @@ def test_forward_replay_of_sum_rate_derivation():
         m_y = schur_conditional_cov(joint, [1], [2, 3])[0, 0]
         bound = sum_rate_bound_raw(rho, m_x, m_y)
         assert info.i_xu + info.i_yv - bound >= -1e-9
-        assert abs(info.i_xy_uv - bound) < 1e-9
+        assert abs(info.i_xu + info.i_yv_given_u - bound) < 1e-9

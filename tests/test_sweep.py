@@ -243,11 +243,14 @@ def test_stacked_covariances_equal_random_pd(n):
                 assert np.array_equal(noise[t], random_pd(gen, n))
 
 
-@pytest.mark.parametrize("mode,dim,calls", [("thm1-vector", 2, 4), ("thm1-vector", 8, 9), ("vec-epi", 4, 9)])
+@pytest.mark.parametrize("mode,dim,calls", [("thm1-vector", 2, 3), ("thm1-vector", 8, 7), ("vec-epi", 4, 8)])
 def test_drawn_covariances_are_factorized_only_by_the_kernel(mode, dim, calls, monkeypatch):
     # The kernel makes one batched factorization per subset size and group
-    # of samples: 4 at dim 2, 9 at dim 8, 6 for vec-epi at dim 4, whose
-    # injected samples add one of sigma_x and two in conditional_cov_noise.
+    # of samples. At dim 2 the sizes are 2, 4 and 6: 3 calls. At dim 8 the
+    # 30 samples of sizes 8, 16 and 24 take 1, 3 and 3 calls (at most 2^14
+    # entries each). vec-epi at dim 4 has V degenerate (one row): sizes 4,
+    # 1, 8, 5 and 9 take 5 calls, and its injected samples add one of
+    # sigma_x and two in conditional_cov_noise.
     # A pre-check of the drawn sigma_x and sigma_z would add two more.
     cholesky, count = np.linalg.cholesky, []
 
