@@ -31,7 +31,6 @@ from .extremal import (
     oohama_gap,
     scalar_dual_closed,
     scalar_dual_oracle,
-    scalar_dual_oracle_argmin,
     vector_dual_lower,
     vector_extremal_forms,
     vector_extremal_gap,

@@ -34,9 +34,8 @@ the channel family with conditional covariance alpha * sigma_z,
 alpha = 1 / (lam - 1).
 
 Everything here is pure; its only state is a cache of read-only grid plans.
-The grid oracle returns a full scan's minimum and argmin, ties broken
-toward smaller rho_u^2, then smaller rho_v^2: scalar_dual_oracle states
-its contract, and _oracle_search how it is met.
+The grid oracle returns a full scan's minimum value, bit for bit:
+scalar_dual_oracle states its contract, and _oracle_search how it is met.
 """
 
 from __future__ import annotations
@@ -248,28 +247,28 @@ _ORACLE_MAX_GRID = 10**5
 # by at most about 1e-13 of the largest term; the others by a few ulps. The
 # margin is a thousand times that.
 _ORACLE_MARGIN = 1e-10
-_OraclePlan = collections.namedtuple("_OraclePlan", "s g0 starts cells s_t lo off_t")
+_OraclePlan = collections.namedtuple("_OraclePlan", "s g0 cells s_t lo off_t")
 
 
 @functools.lru_cache(maxsize=4)
 def _oracle_plan(resolution: int) -> _OraclePlan:
     """The lam-free arrays of one resolution, read-only and O(resolution) in size:
-    the axis s, g0 = -(1/2) log2(1 - s), each tile's first cell (the last tile
-    overlaps its neighbour), the (tiles, 32) cells, s_t = s[cells], the tile
-    lows lo = s_t[:, 0] and the tangent bound's offsets off_t = s_t - lo[:, None]."""
+    the axis s, g0 = -(1/2) log2(1 - s), the (tiles, 32) cells of each tile (the
+    last tile overlaps its neighbour), s_t = s[cells], the tile lows lo = s_t[:, 0]
+    and the tangent bound's offsets off_t = s_t - lo[:, None]."""
     s = _oracle_axis(resolution)
     starts = np.arange(0, s.size, _ORACLE_TILE)
     starts[-1] = s.size - _ORACLE_TILE
     cells = starts[:, None] + np.arange(_ORACLE_TILE)
     s_t = s[cells]
-    plan = _OraclePlan(s, -0.5 * np.log2(1.0 - s), starts, cells, s_t, s_t[:, 0], s_t - s_t[:, :1])
+    plan = _OraclePlan(s, -0.5 * np.log2(1.0 - s), cells, s_t, s_t[:, 0], s_t - s_t[:, :1])
     for array in plan:
         array.flags.writeable = False
     return plan
 
 
-def _oracle_scan(lam: float, rho: float, resolution: int) -> tuple[float, float, float]:
-    """(value, rho_u^2, rho_v^2) of the grid minimum; see scalar_dual_oracle."""
+def _oracle_scan(lam: float, rho: float, resolution: int) -> float:
+    """The grid minimum; see scalar_dual_oracle."""
     r2 = rho * rho
     plan = _oracle_plan(resolution)
     s = plan.s
@@ -284,10 +283,12 @@ def _oracle_scan(lam: float, rho: float, resolution: int) -> tuple[float, float,
         if not (math.isfinite(top) and math.isfinite(t_far)):
             raise DomainError(f"lam = {lam:g} is too large for the grid oracle: its terms overflow")
         margin = _ORACLE_MARGIN * max(top, abs(t_far))
-        value, iu, iv = _oracle_search(gu, plan, r2, c, margin)
+        value = _oracle_search(gu, plan, r2, c, margin)
     if not math.isfinite(value):
         raise DomainError(f"lam = {lam:g} is too large for the grid oracle: its minimum overflows")
-    return value, float(s[iu]), float(s[iv])
+    # A full scan meets cell (0, 0), which is +0.0, first, so its zero minimum
+    # is +0.0; adding +0.0 turns -0.0 into it and leaves every other value as is.
+    return value + 0.0
 
 
 def _tangent_bound(g_t, g_min, plan: _OraclePlan, a, b, r2: float, c: float, limit: float):
@@ -314,10 +315,10 @@ def _tangent_bound(g_t, g_min, plan: _OraclePlan, a, b, r2: float, c: float, lim
     return first, bound
 
 
-def _oracle_search(gu, plan: _OraclePlan, r2: float, c: float, margin: float) -> tuple[float, int, int]:
-    """(value, iu, iv) of the lexicographically smallest cell, where cell
-    (i, j) holds gu[i] + gu[j] - c log2(1 - r2 s_i s_j), s and the tiles
-    taken from the cached plan of the resolution.
+def _oracle_search(gu, plan: _OraclePlan, r2: float, c: float, margin: float) -> float:
+    """The smallest cell value, where cell (i, j) holds
+    gu[i] + gu[j] - c log2(1 - r2 s_i s_j), s and the tiles taken from the
+    cached plan of the resolution.
 
     Exact branch and bound over 32 x 32 tiles of the grid. A tile pair's
     corner bound is the smallest per-axis term over its rows plus that
@@ -332,12 +333,12 @@ def _oracle_search(gu, plan: _OraclePlan, r2: float, c: float, margin: float) ->
     survives); after each batch the survivors whose bound now exceeds the
     best value by more than the margin are dropped. The margin, 1e-10
     times the largest term, absorbs the bounds' own rounding, so every
-    tile that could hold the minimum, or tie with it, is evaluated. Cell
-    (i, j) equals cell (j, i) bit for bit, so the first minimum lies in a
-    pair (a, b) with a <= b: only those pairs are searched. Each evaluated
-    cell is computed as a full scan computes it, and ties go to the
-    smallest (iu, iv), so the result is the full scan's whatever the
-    visiting order.
+    tile that could hold the minimum is evaluated. Cell (i, j) equals
+    cell (j, i) bit for bit, so the minimum lies in a pair (a, b) with
+    a <= b: only those pairs are searched. Each evaluated cell is computed
+    as a full scan computes it, so the value is the full scan's minimum,
+    bit for bit, whatever the visiting order, up to the sign of a zero
+    minimum, which _oracle_scan fixes.
 
     At grid 2000 (79 tiles; one thread of a 2 vCPU machine), on the rows
     of the benchmark's dual tables: a zero-branch row ends after its first
@@ -349,8 +350,8 @@ def _oracle_search(gu, plan: _OraclePlan, r2: float, c: float, margin: float) ->
     to 1.1 ms. A call takes at most 1.34 MB; a chunked full scan takes
     110 to 135 ms and 31 MB.
     """
-    size = _ORACLE_TILE
-    starts, s_t, lo = plan.starts, plan.s_t, plan.lo
+    s_t, lo = plan.s_t, plan.lo
+    size, tiles = _ORACLE_TILE, lo.size
     g_t = gu[plan.cells]
     g_min = g_t.min(axis=1)
     # t increases with s_u s_v for lam > 1 and decreases for lam < 1: bound
@@ -360,7 +361,7 @@ def _oracle_search(gu, plan: _OraclePlan, r2: float, c: float, margin: float) ->
     bound = (np.add.outer(g_min, g_min) - c * np.log2(1.0 - r2 * np.multiply.outer(corner, corner))).ravel()
 
     def evaluate(a, b, work):
-        """Smallest (value, iu, iv) over tile pairs (a, b), with the full scan's arithmetic in work."""
+        """Smallest cell of tile pairs (a, b), with the full scan's arithmetic in work."""
         g, t = work[0, : a.size], work[1, : a.size]
         np.add(g_t[a][:, :, None], g_t[b][:, None, :], out=g)
         if c != 0.0:  # lam == 1: the coupling term is left out, not added as zero
@@ -370,34 +371,30 @@ def _oracle_search(gu, plan: _OraclePlan, r2: float, c: float, margin: float) ->
             np.log2(t, out=t)
             np.multiply(c, t, out=t)
             np.subtract(g, t, out=g)
-        g = g.reshape(a.size, -1)
-        flat = g.argmin(axis=1)  # first minimum: smallest iu, then smallest iv
-        iu, iv = np.divmod(flat, size)
-        values = g[np.arange(a.size), flat].tolist()
-        return min(zip(values, (starts[a] + iu).tolist(), (starts[b] + iv).tolist()))
+        return float(g.min())
 
     # The first smallest bound has a <= b, as its mirror entry comes later.
-    a, b = divmod(int(np.argmin(bound)), starts.size)
+    a, b = divmod(int(np.argmin(bound)), tiles)
     best = evaluate(np.array([a]), np.array([b]), np.empty((2, 1, size, size)))
-    # Only pairs (a <= b) within the margin of that minimum can hold the first
+    # Only pairs (a <= b) within the margin of that minimum can hold the
     # minimum. The stable sort keeps the first smallest bound first: the pair
     # just evaluated leads the order and is dropped.
-    kept = np.flatnonzero(bound <= best[0] + margin)
-    kept = kept[kept // starts.size <= kept % starts.size]
+    kept = np.flatnonzero(bound <= best + margin)
+    kept = kept[kept // tiles <= kept % tiles]
     order = kept[np.argsort(bound[kept], kind="stable")][1:]
     if not order.size:
         return best
-    a, b = np.divmod(order, starts.size)
+    a, b = np.divmod(order, tiles)
     if c > 0.0:
-        _, tight = _tangent_bound(g_t, g_min, plan, a, b, r2, c, best[0] + margin)
+        _, tight = _tangent_bound(g_t, g_min, plan, a, b, r2, c, best + margin)
     else:
         tight = bound[order]
-    live = np.flatnonzero(~(tight > best[0] + margin))
+    live = np.flatnonzero(~(tight > best + margin))
     work = np.empty((2, min(live.size, _ORACLE_BATCH), size, size))
     while live.size:
         batch, live = live[:_ORACLE_BATCH], live[_ORACLE_BATCH:]
         best = min(best, evaluate(a[batch], b[batch], work))
-        live = live[~(tight[live] > best[0] + margin)]
+        live = live[~(tight[live] > best + margin)]
     return best
 
 
@@ -407,24 +404,15 @@ def scalar_dual_oracle(lam: float, rho: float, grid_resolution: int = 500) -> fl
 
     Independent of the closed form: each term is the Gaussian
     -(1/2) log2(1 - corr^2) expression in the channel correlations. The
-    value is a full scan's minimum over every grid cell, ties breaking
-    toward smaller rho_u^2, then smaller rho_v^2; _oracle_search describes
-    how it is found without evaluating every cell. The lam-free part of the
-    grid is built once per resolution per process and cached, read-only,
-    for the last 4 resolutions: about 5 MB at 10^5; a call's own memory is
-    at most 1.34 MB at grid 2000 and about 380 MB at 10^5. Raises
-    DomainError when lam is so large (about 1e307 for |rho| near 1) that a
-    term or the minimum overflows, and when grid_resolution lies outside
-    [100, 10^5].
+    value is a full scan's minimum over every grid cell, bit for bit;
+    _oracle_search describes how it is found without evaluating every
+    cell. The lam-free part of the grid is built once per resolution per
+    process and cached, read-only, for the last 4 resolutions: about 5 MB
+    at 10^5; a call's own memory is at most 1.34 MB at grid 2000 and about
+    380 MB at 10^5. Raises DomainError when lam is so large (about 1e307
+    for |rho| near 1) that a term or the minimum overflows, and when
+    grid_resolution lies outside [100, 10^5].
     """
-    value, _, _ = scalar_dual_oracle_argmin(lam, rho, grid_resolution)
-    return value
-
-
-def scalar_dual_oracle_argmin(
-    lam: float, rho: float, grid_resolution: int = 500
-) -> tuple[float, float, float]:
-    """Oracle value together with the minimizing (rho_u^2, rho_v^2) cell."""
     if not isinstance(grid_resolution, numbers.Integral):
         raise DomainError(f"grid_resolution must be an integer, got {grid_resolution!r}")
     if not 100 <= grid_resolution <= _ORACLE_MAX_GRID:
@@ -443,10 +431,15 @@ def nondegenerate_minimizers(lam: float, rho: float, count: int = 20) -> list[Mi
     Sweeps rho_v^2 over its feasible range and solves the minimizer
     equation for rho_u^2 (linear after expansion), keeping solutions in
     [0, 1). Below the active threshold there are no such pairs and the
-    list is empty.
+    list is empty. For very large lam it also shrinks, as the computed
+    rho_u^2 rounds to 1: at rho = 0.5 it holds 20 pairs at lam = 1e16, 6 at
+    1e17 and none from 1e18 on. Raises DomainError for a lam that is
+    negative, NaN or infinite.
     """
     if not lam >= 0.0:  # NaN included
         raise DomainError("lam must be nonnegative")
+    if lam == math.inf:
+        raise DomainError("lam must be finite")
     if rho == 0.0:
         raise DomainError("rho must be nonzero")
     if not -1.0 < rho < 1.0:

@@ -379,12 +379,14 @@ def information_batch(source_cov, gain_u, noise_u, gain_v, noise_v) -> tuple[Inf
     s = np.asarray(source_cov, dtype=float)
     gains = [np.asarray(g, dtype=float) for g in (gain_u, gain_v)]
     noises = [np.asarray(w, dtype=float) for w in (noise_u, noise_v)]
-    if s.ndim != 3 or s.shape[1] != s.shape[2] or s.shape[1] % 2:
-        raise DomainError(f"source_cov: expected shape (T, 2n, 2n), got {s.shape}")
+    if s.ndim != 3 or s.shape[1] != s.shape[2] or s.shape[1] % 2 or not s.shape[1]:
+        raise DomainError(f"source_cov: expected shape (T, 2n, 2n) with n >= 1, got {s.shape}")
     t, n = s.shape[0], s.shape[1] // 2
     for name, g, w in zip("UV", gains, noises):
         if g.ndim != 3 or g.shape[0] != t or g.shape[2] != n:
             raise DomainError(f"{name}-channel gain column count must equal the model dimension")
+        if not g.shape[1]:
+            raise DomainError(f"{name}-channel gain must have at least one row, got shape {g.shape}")
         if w.shape != (t, g.shape[1], g.shape[1]):
             raise DomainError(f"{name}-channel noise covariance must match the gain's row count")
     m_u, m_v = gains[0].shape[1], gains[1].shape[1]

@@ -9,10 +9,15 @@ stacked product, then stacks the joint covariances of its pairs
 Y = rho X + Z (the unit-variance pair, sigma_z = 1 - rho^2, in the scalar
 modes; rho = 1 in the vector modes) and evaluates all of them in one call
 of the batched information kernel,
-whose log-determinants also give the volume ratio. The kernel alone
-checks a drawn covariance: sigma_x is its X block and sigma_z the Schur
-complement of X in its XY block. Every value equals the one drawn with a
-call per value. Chunks only bound memory: every sample's gap is the same
+whose log-determinants also give the volume ratio. The kernel checks a
+drawn covariance: sigma_x is its X block and sigma_z the Schur complement
+of X in its XY block. In every mode but vec-epi it is the only check.
+vec-epi's injection first factorizes the even samples' sigma_x with
+cholesky_pd, whose error names a sample by its position among the chunk's
+even samples, not by its number, and conditional_cov_noise factorizes
+alpha sigma_z and the gap between its inverse and that of sigma_x.
+Every value equals the one drawn with a call per value. Chunks only
+bound memory: every sample's gap is the same
 whatever the chunk size. Each verify mode is one entry of _MODES.
 """
 

@@ -19,7 +19,6 @@ from gauss_extremal.extremal import (
     oohama_gap,
     scalar_dual_closed,
     scalar_dual_oracle,
-    scalar_dual_oracle_argmin,
     scalar_extremal_gap,
     vector_dual_lower,
     vector_extremal_forms,
@@ -318,13 +317,13 @@ class TestVectorDualLower:
 
 class TestScalarDualOracle:
     def test_zero_branch_minimum_at_origin(self):
-        val, su, sv = scalar_dual_oracle_argmin(1.0, 0.5, 200)
-        assert val == 0.0 and su == 0.0 and sv == 0.0
+        val = scalar_dual_oracle(1.0, 0.5, 200)
+        assert val == 0.0 and math.copysign(1.0, val) == 1.0
 
     def test_active_branch_matches_closed_form(self):
         rho = math.sqrt(0.5)
         closed = scalar_dual_closed(3.0, rho).value_bits
-        val, su, sv = scalar_dual_oracle_argmin(3.0, rho, 500)
+        val = scalar_dual_oracle(3.0, rho, 500)
         assert abs(val - closed) < 1e-4
         assert val >= closed - 1e-9
         # (rho_u^2, rho_v^2) = (0.5, 0) is among the grid minima.
@@ -360,30 +359,26 @@ class TestScalarDualOracle:
     def test_rejects_grid_above_the_cap(self, monkeypatch):
         # The scan is stubbed: the largest accepted grid reaches it, and
         # nothing is allocated for either grid.
-        monkeypatch.setattr(extremal, "_oracle_scan", lambda lam, rho, resolution: (0.0, 0.0, 0.0))
+        monkeypatch.setattr(extremal, "_oracle_scan", lambda lam, rho, resolution: 0.0)
         assert scalar_dual_oracle(1.0, 0.5, extremal._ORACLE_MAX_GRID) == 0.0
         with pytest.raises(DomainError, match="grid_resolution"):
             scalar_dual_oracle(1.0, 0.5, extremal._ORACLE_MAX_GRID + 1)
 
 
 def full_scan_oracle(lam, rho, resolution):
-    """Reference for the grid oracle: every cell, 512 rows at a time, with
-    the oracle's per-cell arithmetic. np.argmin and the strict comparison
-    across chunks keep the first minimum in row-major order, the smallest
-    (rho_u^2, rho_v^2)."""
+    """Reference for the grid oracle: the minimum over every cell, 512 rows at
+    a time, with the oracle's per-cell arithmetic. np.argmin and min keep the
+    first of equal cells in row-major order, so a zero minimum has its sign."""
     r2 = rho * rho
     s = extremal._oracle_axis(resolution)
     gu = -0.5 * np.log2(1.0 - s) + (lam / 2.0) * np.log2(1.0 - r2 * s)
-    best, best_u, best_v = math.inf, 0.0, 0.0
+    best = math.inf
     for lo in range(0, s.size, 512):
         g = gu[lo : lo + 512, None] + gu[None, :]
         if lam != 1.0:
             g = g - ((lam - 1.0) / 2.0) * np.log2(1.0 - r2 * np.outer(s[lo : lo + 512], s))
-        flat = int(np.argmin(g))
-        if g.flat[flat] < best:
-            iu, iv = divmod(flat, s.size)
-            best, best_u, best_v = float(g.flat[flat]), float(s[lo + iu]), float(s[iv])
-    return best, best_u, best_v
+        best = min(best, float(g.flat[int(np.argmin(g))]))
+    return best
 
 
 def oracle_cases(grid, count, seed):
@@ -457,8 +452,8 @@ ODD_TILE_GRIDS = (283,)
 
 
 class TestOracleEqualsFullScan:
-    """The branch and bound evaluates each cell as the full scan does and
-    breaks ties the same way, so value and argmin are equal, not close."""
+    """The branch and bound evaluates each cell as the full scan does, so the
+    minimum values are equal, not close, in the sign of zero too."""
 
     @pytest.mark.parametrize(
         "lam,rho,grid",
@@ -469,11 +464,11 @@ class TestOracleEqualsFullScan:
            for case in oracle_cases(grid, 2, 66 + k)]
         + heavy_active_cases(4, 72),
     )
-    def test_value_and_argmin_equal(self, lam, rho, grid):
-        got = scalar_dual_oracle_argmin(lam, rho, grid)
+    def test_value_equals_full_scan(self, lam, rho, grid):
+        got = scalar_dual_oracle(lam, rho, grid)
         want = full_scan_oracle(lam, rho, grid)
         assert got == want
-        assert math.copysign(1.0, got[0]) == math.copysign(1.0, want[0])
+        assert math.copysign(1.0, got) == math.copysign(1.0, want)
 
     def test_tile_edge_grids(self):
         tile = extremal._ORACLE_TILE
@@ -493,19 +488,6 @@ class TestOracleEqualsFullScan:
         if lam != 1.0:
             g = g - ((lam - 1.0) / 2.0) * np.log2(1.0 - r2 * np.outer(s, s))
         assert np.array_equal(g.view(np.int64), g.T.view(np.int64))
-
-    @pytest.mark.parametrize("lam,rho", [(3.0, math.sqrt(0.5)), (12.0, -0.6), (1e6, 0.5)])
-    def test_tie_breaks_toward_smallest_cell(self, lam, rho):
-        # The functional is symmetric in (rho_u^2, rho_v^2) and the grid is
-        # one axis, so a minimum off the diagonal ties with its mirror image.
-        s = extremal._oracle_axis(150)
-        r2 = rho * rho
-        gu = -0.5 * np.log2(1.0 - s) + (lam / 2.0) * np.log2(1.0 - r2 * s)
-        g = gu[:, None] + gu[None, :] - ((lam - 1.0) / 2.0) * np.log2(1.0 - r2 * np.outer(s, s))
-        ties = np.argwhere(g == g.min())
-        assert len(ties) >= 2
-        iu, iv = min(map(tuple, ties))
-        assert scalar_dual_oracle_argmin(lam, rho, 150) == (float(g.min()), float(s[iu]), float(s[iv]))
 
     @pytest.mark.parametrize("lam,rho", [(30.0, 0.7), (1e200, -0.99), (0.5, 0.7)])
     def test_peak_memory_within_budget(self, lam, rho):
@@ -557,7 +539,7 @@ class TestTangentBound:
         plan = extremal._oracle_plan(grid)
         gu = plan.g0 + (lam / 2.0) * np.log2(1.0 - r2 * plan.s)
         g_t = gu[plan.cells]
-        tiles = plan.starts.size
+        tiles = plan.lo.size
         a, b = np.triu_indices(tiles)  # every pair the search can keep
         first, bound = extremal._tangent_bound(g_t, g_t.min(axis=1), plan, a, b, r2, c, math.inf)
         # Each pair's smallest cell, with the full scan's arithmetic.
@@ -594,7 +576,7 @@ class TestOraclePlan:
     @pytest.mark.parametrize("grid", [100, 256, 1025])
     def test_plan_is_read_only(self, grid):
         plan = extremal._oracle_plan(grid)
-        assert len(plan) == 7 and all(not array.flags.writeable for array in plan)
+        assert len(plan) == 6 and all(not array.flags.writeable for array in plan)
         with pytest.raises(ValueError):
             plan.g0[0] = 0.0
 
@@ -604,23 +586,23 @@ class TestOraclePlan:
         s = extremal._oracle_axis(grid)
         assert np.array_equal(extremal._oracle_plan(grid).s.view(np.int64), s.view(np.int64))
 
-    def test_cold_and_warm_cache_give_the_same_tuples(self):
+    def test_cold_and_warm_cache_give_the_same_values(self):
         assert [grid for grid, _ in itertools.groupby(case[2] for case in INTERLEAVED_CASES)] == [
             283, 2000, 256, 2000, 1025]
         cold = []
         for case in INTERLEAVED_CASES:
             extremal._oracle_plan.cache_clear()
-            cold.append(scalar_dual_oracle_argmin(*case))
+            cold.append(scalar_dual_oracle(*case))
         extremal._oracle_plan.cache_clear()
-        first = [scalar_dual_oracle_argmin(*case) for case in INTERLEAVED_CASES]
+        first = [scalar_dual_oracle(*case) for case in INTERLEAVED_CASES]
         hits = extremal._oracle_plan.cache_info().hits
-        warm = [scalar_dual_oracle_argmin(*case) for case in INTERLEAVED_CASES]
+        warm = [scalar_dual_oracle(*case) for case in INTERLEAVED_CASES]
         assert extremal._oracle_plan.cache_info().hits == hits + len(INTERLEAVED_CASES)
         assert cold == first == warm
 
     def test_full_scan_reference_never_reads_the_plan(self, monkeypatch):
         lam, rho, grid = INTERLEAVED_CASES[10]  # grid 283, active branch
-        want = scalar_dual_oracle_argmin(lam, rho, grid)
+        want = scalar_dual_oracle(lam, rho, grid)
 
         def plan(resolution):
             raise AssertionError("the reference read the plan")
@@ -860,9 +842,9 @@ NAN = float("nan")
     pytest.param(distortion_of_sum_rate, (0.5, NAN), "r must be nonnegative", id="distortion-r-nan"),
     pytest.param(beta, (0.5, NAN), "z must be nonnegative", id="beta-z-nan"),
     pytest.param(nondegenerate_minimizers, (NAN, 0.5), "lam must be nonnegative", id="minimizers-lam-nan"),
+    pytest.param(nondegenerate_minimizers, (math.inf, 0.5), "lam must be finite", id="minimizers-lam-inf"),
     pytest.param(scalar_dual_closed, (NAN, 0.5), "lam must be nonnegative", id="closed-lam-nan"),
     pytest.param(scalar_dual_oracle, (NAN, 0.5), "lam must be nonnegative", id="oracle-lam-nan"),
-    pytest.param(scalar_dual_oracle_argmin, (NAN, 0.5), "lam must be nonnegative", id="oracle-argmin-lam-nan"),
     pytest.param(vector_dual_lower, (NAN, np.eye(2), np.eye(2)), "lam must be nonnegative", id="vector-lam-nan"),
     pytest.param(exponent_tradeoff_min, (0.3, 0.5, NAN), "lam must be nonnegative", id="tradeoff-lam-nan"),
     pytest.param(exponent_tradeoff_min, (NAN, 0.5, 1.0), "a1 and a2 must be positive", id="tradeoff-a1-nan"),

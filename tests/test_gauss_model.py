@@ -507,6 +507,21 @@ class TestInformationBatch:
             information_batch(source, gu, wu, gv, wv)
 
 
+EMPTY, ONE = np.zeros((1, 0, 0)), np.ones((1, 1, 1))
+
+
+@pytest.mark.parametrize("args,message", [
+    ((np.eye(2)[None], np.zeros((1, 0, 1)), EMPTY, ONE, ONE), "U-channel gain must have at least one row"),
+    ((np.eye(2)[None], ONE, ONE, np.zeros((1, 0, 1)), EMPTY), "V-channel gain must have at least one row"),
+    ((EMPTY, np.zeros((1, 1, 0)), ONE, np.zeros((1, 1, 0)), ONE), r"expected shape \(T, 2n, 2n\) with n >= 1"),
+])
+def test_information_batch_refuses_an_empty_block(args, message):
+    # An empty channel or source made an empty subset group, whose batch
+    # step divided by zero: a ZeroDivisionError, not a DomainError.
+    with pytest.raises(DomainError, match=message):
+        information_batch(*args)
+
+
 def test_cholesky_pd_checks_every_matrix_of_a_stack():
     gen = stream(40, 0, 0)
     stack = np.stack([random_pd(gen, 3) for _ in range(4)])
