@@ -151,7 +151,7 @@ def _cmd_ellipsoid(args) -> int:
         except (UnicodeDecodeError, RecursionError, json.JSONDecodeError) as exc:
             raise DomainError(f"--sigma-file is not readable JSON: {exc}") from None
         if sigma.shape[0] != args.n:
-            raise GaussExtremalError("sigma file dimension does not match --n")
+            raise DomainError("sigma file dimension does not match --n")
     else:
         sigma = np.eye(args.n)
     config = CodecConfig(sigma=sigma, **params)

@@ -364,13 +364,12 @@ def _oracle_search(gu, plan: _OraclePlan, r2: float, c: float, margin: float) ->
         """Smallest cell of tile pairs (a, b), with the full scan's arithmetic in work."""
         g, t = work[0, : a.size], work[1, : a.size]
         np.add(g_t[a][:, :, None], g_t[b][:, None, :], out=g)
-        if c != 0.0:  # lam == 1: the coupling term is left out, not added as zero
-            np.multiply(s_t[a][:, :, None], s_t[b][:, None, :], out=t)
-            np.multiply(r2, t, out=t)
-            np.subtract(1.0, t, out=t)
-            np.log2(t, out=t)
-            np.multiply(c, t, out=t)
-            np.subtract(g, t, out=g)
+        np.multiply(s_t[a][:, :, None], s_t[b][:, None, :], out=t)
+        np.multiply(r2, t, out=t)
+        np.subtract(1.0, t, out=t)
+        np.log2(t, out=t)
+        np.multiply(c, t, out=t)
+        np.subtract(g, t, out=g)
         return float(g.min())
 
     # The first smallest bound has a <= b, as its mirror entry comes later.
@@ -428,13 +427,14 @@ def nondegenerate_minimizers(lam: float, rho: float, count: int = 20) -> list[Mi
     """Channel-correlation pairs that attain the scalar dual value with
     both descriptions active.
 
-    Sweeps rho_v^2 over its feasible range and solves the minimizer
-    equation for rho_u^2 (linear after expansion), keeping solutions in
-    [0, 1). Below the active threshold there are no such pairs and the
-    list is empty. For very large lam it also shrinks, as the computed
-    rho_u^2 rounds to 1: at rho = 0.5 it holds 20 pairs at lam = 1e16, 6 at
-    1e17 and none from 1e18 on. Raises DomainError for a lam that is
-    negative, NaN or infinite.
+    Sweeps rho_v^2 over count evenly spaced points of its range [0, b_max]
+    and solves the minimizer equation for rho_u^2 (linear after expansion),
+    which is 0 at b_max in exact arithmetic; at the threshold lam rho^2 = 1
+    the family is the point (0, 0), count times, and below it the list is
+    empty. It holds count pairs unless rounding takes rho_u^2 to 1, as for
+    very large lam or |rho| near 1: at rho = 0.5 it holds 20 pairs at
+    lam = 1e16, 6 at 1e17 and none from 1e18 on. Raises DomainError for a
+    lam that is negative, NaN or infinite.
     """
     if not lam >= 0.0:  # NaN included
         raise DomainError("lam must be nonnegative")
@@ -449,20 +449,17 @@ def nondegenerate_minimizers(lam: float, rho: float, count: int = 20) -> list[Mi
     r2 = rho * rho
     if lam * r2 < 1.0:
         return []
-    # b_max is where the required rho_u^2 hits zero.
+    # b_max is where the required rho_u^2 hits zero. On [0, b_max] exact arithmetic gives
+    # denom > 0 and rho_u^2 in [0, 1): the clamps undo rounding at the two ends, and the
+    # mask drops the pairs whose rounding takes denom to 0 or rho_u^2 to 1.
     ell = lam - 1.0
-    b_max = 1.0 - (1.0 - r2) / (r2 * ell)
-    pairs: list[MinimizerPair] = []
-    for b in np.linspace(0.0, b_max, count):
-        numer = r2 * ell * (1.0 - b) - (1.0 - r2)
-        denom = r2 * (ell * (1.0 - b) - (1.0 - r2) * b)
-        if denom <= 0.0:
-            continue
-        a = numer / denom
-        if not 0.0 <= a < 1.0:
-            continue
-        pairs.append(MinimizerPair(rho_u=math.sqrt(a), rho_v=math.sqrt(float(b))))
-    return pairs
+    b = np.linspace(0.0, max(0.0, 1.0 - (1.0 - r2) / (r2 * ell)), count)
+    numer = r2 * ell * (1.0 - b) - (1.0 - r2)
+    denom = r2 * (ell * (1.0 - b) - (1.0 - r2) * b)
+    with np.errstate(all="ignore"):  # the inf or NaN of a denom of 0 is masked
+        a = np.maximum(numer, 0.0) / denom
+    keep = (denom > 0.0) & (a < 1.0)
+    return [MinimizerPair(math.sqrt(u2), math.sqrt(v2)) for u2, v2 in zip(a[keep].tolist(), b[keep].tolist())]
 
 
 def alpha_family_channel(

@@ -28,7 +28,7 @@ import numbers
 
 import numpy as np
 
-from .errors import DomainError, GaussExtremalError
+from .errors import DomainError
 from .extremal import vector_gap_forms, volume_ratio
 from .gauss_model import _source_covariance, cholesky_pd, conditional_cov_noise, information_batch
 from .rng import Streams
@@ -171,14 +171,14 @@ def run_verify_sweep(mode: str, trials: int, dim: int, seed: int) -> dict:
     gap, and the per-sample gaps as an array under "gaps".
     """
     if mode not in VERIFY_MODES:
-        raise GaussExtremalError(f"unknown mode {mode!r}")
+        raise DomainError(f"unknown mode {mode!r}")
     for name, value in (("trials", trials), ("dim", dim)):
         if not isinstance(value, numbers.Integral):  # 2.5 would fail later, as a shape or a range bound
             raise DomainError(f"{name} must be an integer, got {value!r}")
     if trials < 1:
-        raise GaussExtremalError("trials must be at least 1")
+        raise DomainError("trials must be at least 1")
     if not 1 <= dim <= 64:
-        raise GaussExtremalError("dim must lie in [1, 64]")
+        raise DomainError("dim must lie in [1, 64]")
 
     draw, runs_at_dim = _MODES[mode]
     n = dim if runs_at_dim else 1

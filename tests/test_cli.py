@@ -276,6 +276,16 @@ class TestEllipsoidCommand:
         ])
         assert code == 2 and "data" in err
 
+    def test_sigma_file_of_another_dimension_exits_two(self, capsys, tmp_path):
+        sigma_path = tmp_path / "sigma.json"
+        sigma_path.write_text(json.dumps({"n": 3, "data": np.eye(3).ravel().tolist()}))
+        code, out, err = run_cli(capsys, [
+            "ellipsoid", "--n", "2", "--k", "1", "--rho", "0.3",
+            "--nux", "0.5", "--nuy", "0.5", "--trials", "2",
+            "--sigma-file", str(sigma_path),
+        ])
+        assert (code, out, err) == (2, "", "error: sigma file dimension does not match --n\n")
+
     @pytest.mark.parametrize(
         "content", [b"{", b"\xff\xfe", b"[" * 100000 + b"]" * 100000], ids=["not-json", "not-utf8", "deep"]
     )

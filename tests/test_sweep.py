@@ -7,7 +7,7 @@ import pytest
 
 from gauss_extremal import cli, sweep
 from gauss_extremal.cli import main
-from gauss_extremal.errors import DomainError, GaussExtremalError, NotPositiveDefinite
+from gauss_extremal.errors import DomainError, NotPositiveDefinite
 from gauss_extremal.extremal import (
     alpha_family_channel,
     oohama_gap,
@@ -179,9 +179,13 @@ def test_modes_are_named_only_as_table_keys():
     assert keys == ["thm1-scalar", "thm1-vector", "thm3", "oohama", "vec-epi"]
 
 
-@pytest.mark.parametrize("mode,trials,dim", [("bogus", 5, 1), ("thm3", 0, 1), ("thm1-vector", 5, 65)])
-def test_rejects_bad_arguments(mode, trials, dim):
-    with pytest.raises(GaussExtremalError):
+@pytest.mark.parametrize("mode,trials,dim,message", [
+    ("bogus", 5, 1, "^unknown mode 'bogus'$"),
+    ("thm3", 0, 1, r"^trials must be at least 1$"),
+    ("thm1-vector", 5, 65, r"^dim must lie in \[1, 64\]$"),
+])
+def test_rejects_bad_arguments(mode, trials, dim, message):
+    with pytest.raises(DomainError, match=message):
         sweep.run_verify_sweep(mode, trials, dim, 0)
 
 
