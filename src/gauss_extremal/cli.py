@@ -81,8 +81,8 @@ def _check_args(args) -> None:
     for key, value in vars(args).items():
         if isinstance(value, float) and not math.isfinite(value):
             raise DomainError(f"--{key.replace('_', '-')} must be finite, got {value}")
-    if args.precision < 1:
-        raise DomainError(f"--precision must be at least 1, got {args.precision}")
+    if not 1 <= args.precision <= 17:  # 17 significant digits round-trip every double
+        raise DomainError(f"--precision must lie in [1, 17], got {args.precision}")
     if not hasattr(args, "seed"):
         return
     source = "--seed"
@@ -212,7 +212,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="random seed (default: GAUSS_EXTREMAL_SEED or 0)")
     for p in (p_region, p_dual, p_verify, p_ell):
         p.add_argument("--precision", type=int, default=12,
-                       help="significant digits in printed numbers")
+                       help="significant digits in printed numbers, 1 to 17")
     return parser
 
 

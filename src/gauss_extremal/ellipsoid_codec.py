@@ -49,7 +49,7 @@ one build_shrunk_matrix call, the one deflation, per stack and source: one
 stacked SVD and one stacked slogdet (one LU per trial). numpy's stacked
 matmul, svd and slogdet work matrix by matrix, and sums run in trial
 order, so the stack size changes no result. The report is those per-trial
-columns, their summary, the implied rates, region membership and log|sigma|.
+columns, their summary, the implied rates and region membership.
 """
 
 from __future__ import annotations
@@ -331,7 +331,6 @@ class SimulationReport:
     q_y: float
     region_inside: bool
     residual_max: float
-    log_det_sigma: float  # natural log, config.log_det_sigma
     center_norm_exceed_frac_x: float
     center_norm_exceed_frac_y: float
 
@@ -361,15 +360,9 @@ class _Setup:
         k, n, rho = cfg.k, cfg.n, cfg.rho
         shape = (len(trials), k, n)
         source = np.empty((len(trials), 2, k, n))  # g1 then g2: a trial's source stream in draw order
-        noises = {
-            stream_id: np.empty(shape)
-            for stream_id, q in ((STREAM_NOISE_X, self.q_x), (STREAM_NOISE_Y, self.q_y))
-            if math.isfinite(q)  # an infinite noise level: the description is not sent
-        }
+        noise = np.empty(shape)
         for i, t in enumerate(trials):
             self.streams(t, STREAM_SOURCE).standard_normal(out=source[i])
-            for stream_id, noise in noises.items():
-                self.streams(t, stream_id).standard_normal(out=noise[i])
         xw = source[:, 0]
         yw = rho * xw + math.sqrt(1.0 - rho * rho) * source[:, 1]
         w_xu, w_xv, w_yu, w_yv = self.weights
@@ -379,8 +372,10 @@ class _Setup:
             (xw, self.q_x, STREAM_NOISE_X, w_xu, w_yu),
             (yw, self.q_y, STREAM_NOISE_Y, w_xv, w_yv),
         ):
-            if stream_id in noises:
-                desc = sample + math.sqrt(q) * noises[stream_id]
+            if math.isfinite(q):  # an infinite noise level: the description is not sent
+                for i, t in enumerate(trials):  # each (trial, stream) is keyed alone: order changes no value
+                    self.streams(t, stream_id).standard_normal(out=noise[i])
+                desc = sample + math.sqrt(q) * noise
                 xhat_w += w_x * desc
                 yhat_w += w_y * desc
         return (xw, yw), (xhat_w, yhat_w)
@@ -453,7 +448,6 @@ def run_simulation(config: CodecConfig) -> SimulationReport:
         r_x=setup.r_x, r_y=setup.r_y, q_x=setup.q_x, q_y=setup.q_y,
         region_inside=setup.verdict.inside,
         residual_max=max(float(per_trial[f"logdet_residual_{s}"].max()) for s in "xy"),
-        log_det_sigma=config.log_det_sigma,
         **summary,
     )
 
@@ -473,7 +467,7 @@ def report_to_dict(report: SimulationReport) -> dict:
     out = {f.name: getattr(report, f.name) for f in fields(report) if f.name != "trials"}
     cfg = out.pop("config")
     out["config"] = {f.name: getattr(cfg, f.name) for f in fields(cfg) if f.init}
-    out["config"]["sigma"] = {"n": cfg.n, "trace": cfg.trace_sigma, "log_det": out.pop("log_det_sigma")}
+    out["config"]["sigma"] = {"n": cfg.n, "trace": cfg.trace_sigma, "log_det": cfg.log_det_sigma}
     out["implied_rates"] = {name: out.pop(name) for name in ("r_x", "r_y")}
     finite_or_none = lambda q: q if math.isfinite(q) else None
     out["noise_levels"] = {name: finite_or_none(out.pop(name)) for name in ("q_x", "q_y")}

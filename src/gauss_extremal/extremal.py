@@ -53,6 +53,7 @@ from .gauss_model import (
     GaussianAuxChannel,
     GaussianPairModel,
     InfoVector,
+    _as_square,
     _triple_batch,
     log_det,
 )
@@ -504,8 +505,8 @@ def exponent_tradeoff_min(a1: float, a2: float, lam: float) -> float:
 
 def minkowski_gap(sigma_a, sigma_b) -> float:
     """|A + B|^(1/n) - |A|^(1/n) - |B|^(1/n); nonnegative for PD A, B."""
-    a = np.asarray(sigma_a, dtype=float)
-    b = np.asarray(sigma_b, dtype=float)
+    a = _as_square(sigma_a, "sigma_a")
+    b = _as_square(sigma_b, "sigma_b")
     if a.shape != b.shape:
         raise DomainError("matrices must share a dimension")
     n = a.shape[0]

@@ -312,12 +312,16 @@ def conditional_cov_noise(source_cov, target_cov) -> np.ndarray:
 
     The conditional covariance is (S^{-1} + N^{-1})^{-1}, so
     N = (T^{-1} - S^{-1})^{-1}; this requires T strictly below the source
-    covariance S in the definite order. Takes single matrices or (T, n, n)
-    stacks and returns the same shape, symmetrized.
+    covariance S in the definite order, both passing cholesky_pd's pivot test.
+    Takes two matrices or two (T, n, n) stacks of one shape; N has that shape, symmetrized.
     """
+    s = _as_square(source_cov, "source_cov", stack=True)
     t = _as_square(target_cov, "target_cov", stack=True)
+    if s.shape != t.shape:
+        raise DomainError(f"source_cov and target_cov must have the same shape, got {s.shape} and {t.shape}")
+    cholesky_pd(s, "source_cov")
     cholesky_pd(t, "target_cov")
-    gap = np.linalg.inv(t) - np.linalg.inv(source_cov)
+    gap = np.linalg.inv(t) - np.linalg.inv(s)
     gap = 0.5 * (gap + np.swapaxes(gap, -2, -1))
     cholesky_pd(gap, "target_cov (must be strictly below the source covariance)")
     noise = np.linalg.inv(gap)

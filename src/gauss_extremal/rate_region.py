@@ -78,9 +78,9 @@ def sum_rate_bound_raw(rho: float, d_x: float, d_y: float) -> float:
     """
     if not (0.0 < d_x <= 1.0 and 0.0 < d_y <= 1.0):
         raise DomainError("distortions must lie in (0, 1]")
-    r2 = rho * rho
+    b, r2 = beta(rho, d_x * d_y), rho * rho  # beta first: it checks rho before log2(1 - r2) meets it
     return 0.5 * (
-        math.log2(1.0 - r2) + math.log2(beta(rho, d_x * d_y)) - 1.0 - math.log2(d_x) - math.log2(d_y)
+        math.log2(1.0 - r2) + math.log2(b) - 1.0 - math.log2(d_x) - math.log2(d_y)
     )
 
 

@@ -416,11 +416,13 @@ ELLIPSOID = ["ellipsoid", "--n", "4", "--k", "2", "--rho", "0.6", "--nux", "0.5"
 
 class TestBadInputExitsTwo:
     @pytest.mark.parametrize("command", [REGION, DUAL, VERIFY, ELLIPSOID])
-    @pytest.mark.parametrize("precision", ["0", "-1"])
-    def test_precision_below_one(self, capsys, command, precision):
+    @pytest.mark.parametrize("precision", ["0", "-1", "18", "2147483648"])
+    def test_precision_outside_1_to_17(self, capsys, command, precision):
+        # 17 significant digits round-trip every double; a larger precision
+        # is refused before a writer passes it to format.
         code, out, err = run_cli(capsys, command + ["--precision", precision])
         assert code == 2 and out == ""
-        assert "--precision" in err
+        assert f"--precision must lie in [1, 17], got {precision}" in err
 
     @pytest.mark.parametrize("lambdas", ["nan", "inf", "2,-inf", "nan,inf", "2,x", "2,,3", "3,", ",3"])
     def test_non_finite_or_malformed_lambdas(self, capsys, lambdas):

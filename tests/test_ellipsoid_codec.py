@@ -463,7 +463,7 @@ class TestCodecConfigValidation:
             warnings.simplefilter("error")
             cfg = CodecConfig(n=len(sigma), k=1, rho=0.3, sigma=sigma, nu_x=0.5, nu_y=0.5, trials=2)
             rep = run_simulation(cfg)
-        assert cfg.log_det_sigma == rep.log_det_sigma == log_det_sigma
+        assert rep.config.log_det_sigma == log_det_sigma
         assert rep.residual_max <= 1e-12 and rep.region_inside
 
     def test_nu_range(self):
@@ -577,8 +577,9 @@ class TestRunSimulation:
 
     def test_trials_do_not_depend_on_sigma(self):
         # Every trial runs in whitened coordinates, so sigma reaches the
-        # report only as log|sigma|: a dense sigma gives the identity's
-        # trials bit for bit.
+        # report only through its config: a dense sigma gives the identity's
+        # trials and summary bit for bit, and only the config's trace and
+        # log|sigma| differ.
         params = dict(n=24, k=3, rho=-0.4, nu_x=0.3, nu_y=0.4, delta=0.005, trials=6, seed=8)
         dense = run_simulation(CodecConfig(sigma=random_pd(np.random.default_rng(72), 24), **params))
         identity = run_simulation(CodecConfig(sigma=np.eye(24), **params))
@@ -588,8 +589,8 @@ class TestRunSimulation:
             f.name for f in dataclasses.fields(SimulationReport)
             if f.name not in ("config", "trials") and getattr(dense, f.name) != getattr(identity, f.name)
         ]
-        assert differ == ["log_det_sigma"]
-        assert identity.log_det_sigma == 0.0 and dense.log_det_sigma == dense.config.log_det_sigma
+        assert differ == []
+        assert identity.config.log_det_sigma == 0.0 and dense.config.log_det_sigma != 0.0
 
     def test_an_ellipsoid_command_factorizes_sigma_once(self, capsys, tmp_path, monkeypatch):
         # The Cholesky that validates sigma also gives log|sigma|; nothing
@@ -782,6 +783,6 @@ class TestRunSimulation:
         monkeypatch.setattr(ellipsoid_codec, "log_det", refuse)
         monkeypatch.setattr(np.linalg, "cholesky", refuse)
         d = report_to_dict(rep)
-        assert d["config"]["sigma"]["log_det"] == rep.log_det_sigma
+        assert d["config"]["sigma"]["log_det"] == rep.config.log_det_sigma
         monkeypatch.undo()
-        assert abs(rep.log_det_sigma - log_det(sigma)) <= 1e-13 * max(1.0, abs(log_det(sigma)))
+        assert abs(rep.config.log_det_sigma - log_det(sigma)) <= 1e-13 * max(1.0, abs(log_det(sigma)))

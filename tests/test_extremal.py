@@ -33,7 +33,7 @@ from gauss_extremal.gauss_model import (
     matrix_from_json,
     mutual_information,
 )
-from gauss_extremal.rate_region import RegionQuery, beta, distortion_of_sum_rate
+from gauss_extremal.rate_region import RegionQuery, beta, distortion_of_sum_rate, sum_rate_bound, sum_rate_bound_raw
 from gauss_extremal.rng import random_pd
 
 from conftest import make_scalar_triple, make_vector_triple
@@ -904,6 +904,14 @@ NAN = float("nan")
     pytest.param(CodecConfig, (2, 1, 0.5, np.eye(3), 0.5, 0.5), "^sigma must be n x n$", id="codec-sigma-3x3"),
     pytest.param(CodecConfig, (2, 1, 0.5, np.eye(2), 0.5, 0.5, 0.0025, 0), "^trials must be at least 1$",
                  id="codec-trials-0"),
+    # rho is checked before log2(1 - rho^2) meets it, and minkowski_gap's inputs before it indexes them.
+    pytest.param(sum_rate_bound, (1.0, 0.5, 0.5), r"^rho must lie in \(-1, 1\)$", id="sum-rate-rho-1"),
+    pytest.param(sum_rate_bound_raw, (math.inf, 0.5, 0.5), r"^rho must lie in \(-1, 1\)$", id="sum-rate-rho-inf"),
+    pytest.param(sum_rate_bound_raw, (-math.inf, 0.5, 0.5), r"^rho must lie in \(-1, 1\)$",
+                 id="sum-rate-rho-minus-inf"),
+    pytest.param(sum_rate_bound_raw, (1.5, 0.5, 0.5), r"^rho must lie in \(-1, 1\)$", id="sum-rate-rho-1.5"),
+    pytest.param(minkowski_gap, (1.0, 1.0), r"^sigma_a: expected a square matrix, got shape \(\)$",
+                 id="minkowski-scalars"),
 ])
 def test_out_of_domain_and_nan_inputs_are_domain_errors(func, args, message):
     # Each row above the last group used to return a number (a NaN, a

@@ -13,6 +13,7 @@ from gauss_extremal.gauss_model import (
     GaussianPairModel,
     InfoVector,
     cholesky_pd,
+    conditional_cov_noise,
     information_batch,
     log_det,
     matrix_from_json,
@@ -204,6 +205,22 @@ def test_conditional_cov_channel_rejects_infeasible_target():
     model = GaussianPairModel.vector(random_pd(gen, 3), random_pd(gen, 3))
     with pytest.raises(NotPositiveDefinite):
         GaussianAuxChannel.for_conditional_cov(model, 2.0 * model.sigma_x, "x")
+
+
+@pytest.mark.parametrize("source,target,error,message", [
+    ([[1.0, 2.0], [3.0, 4.0]], 0.1 * np.eye(2), NotPositiveDefinite, "^source_cov: not symmetric"),
+    ([[1.0, 2.0], [2.0, 1.0]], 0.1 * np.eye(2), NotPositiveDefinite, "^source_cov: "),
+    ([[math.nan, 0.0], [0.0, 1.0]], 0.1 * np.eye(2), DomainError, "^source_cov: entries must be finite$"),
+    (np.stack([np.eye(2)] * 3), 0.1 * np.stack([np.eye(2)] * 2), DomainError,
+     r"^source_cov and target_cov must have the same shape, got \(3, 2, 2\) and \(2, 2, 2\)$"),
+], ids=["asymmetric", "indefinite", "nan", "stacks-3-and-2"])
+def test_conditional_cov_noise_checks_the_source_as_the_target(source, target, error, message):
+    # The source passes the target's checks: one shape, finite entries,
+    # symmetry and the pivot test, each named source_cov.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match=message):
+            conditional_cov_noise(source, target)
 
 
 def test_info_vector_invariants_randomized():
@@ -537,7 +554,7 @@ def test_cholesky_pd_checks_every_matrix_of_a_stack():
     ("stack", lambda: cholesky_pd(np.zeros((2, 0, 0)), "stack")),
     ("sigma_x", lambda: GaussianPairModel.vector(np.zeros((0, 0)), np.zeros((0, 0)))),
     ("sigma_x", lambda: vector_dual_lower(2.0, np.zeros((0, 0)), np.zeros((0, 0)))),
-    ("sum", lambda: minkowski_gap(np.zeros((0, 0)), np.zeros((0, 0)))),
+    ("sigma_a", lambda: minkowski_gap(np.zeros((0, 0)), np.zeros((0, 0)))),
     ("noise_cov", lambda: GaussianAuxChannel.linear(np.zeros((0, 2)), np.zeros((0, 0)), "x")),
 ])
 def test_an_empty_matrix_is_a_domain_error(name, call):

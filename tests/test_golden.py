@@ -80,6 +80,9 @@ COMMANDS = {
     "ellipsoid-dense": (["ellipsoid", "--n", str(DENSE_N), "--k", "4", "--rho", "0.5", "--nux", "0.3",
                          "--nuy", "0.4", "--trials", "8", "--seed", "2", "--sigma-file", "{sigma}"], 0),
     "ellipsoid-unsent": (_ELLIPSOID + ["--nux", "1", "--nuy", "1"], 0),
+    # rho = 0 and nu_y = 1: only X's description is sent.
+    "ellipsoid-one-sent": (["ellipsoid", "--n", "32", "--k", "4", "--rho", "0", "--nux", "0.3", "--nuy", "1",
+                            "--trials", "12", "--seed", "5", "--trials-csv", "{csv}"], 0),
 }
 
 
