@@ -3,7 +3,6 @@ and a covering-ellipsoid compression simulator."""
 
 from .errors import (
     CrossCheckFailed,
-    DegenerateShrinkage,
     DomainError,
     GaussExtremalError,
     Infeasible,

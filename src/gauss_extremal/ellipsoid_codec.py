@@ -60,7 +60,7 @@ from dataclasses import InitVar, dataclass, field, fields
 
 import numpy as np
 
-from .errors import DegenerateShrinkage, DomainError, Infeasible
+from .errors import DomainError, Infeasible
 from .gauss_model import log_det
 from .rate_region import RegionQuery, region_verdict
 from .rng import STREAM_NOISE_X, STREAM_NOISE_Y, STREAM_SOURCE, Streams, check_seed
@@ -132,7 +132,7 @@ def check_scalar_params(n: int, k: int, rho: float, nu_x: float, nu_y: float,
                         delta: float, trials: int, seed: int) -> None:
     """CodecConfig's O(1) checks, of every field but sigma: a caller can run them before it reads sigma."""
     for name, value in (("n", n), ("k", k), ("trials", trials)):
-        if not isinstance(value, numbers.Integral):  # 2.5 would fail later, as a shape or a range bound
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):  # 2.5 fails later, True passes as 1
             raise DomainError(f"{name} must be an integer, got {value!r}")
     if n < 1:
         raise DomainError("n must be at least 1")
@@ -163,7 +163,7 @@ def _shrinkage(delta: float) -> tuple[float, float]:
     tau = 1.0 - 2.0 * math.sqrt(delta)
     gamma = (1.0 - delta) * tau
     if tau - gamma <= 0.0:  # tau <= 0, or delta so small that 1 - delta rounds to 1
-        raise DegenerateShrinkage(f"tau - gamma = {tau - gamma:g} <= 0 at delta = {delta:g}")
+        raise DomainError(f"tau - gamma = {tau - gamma:g} <= 0 at delta = {delta:g}")
     return tau, gamma
 
 
@@ -202,11 +202,17 @@ def solve_noise_levels(rho: float, nu_x: float, nu_y: float) -> tuple[float, flo
     )
     if not (q_x > 0.0 and q_y > 0.0):
         raise Infeasible("a target is so small that its noise level underflows to 0")
-    (_, e_x, v_x), (_, e_y, v_y), d = _test_channel(rho, q_x, q_y)
+    _attained_channel(rho, nu_x, nu_y, q_x, q_y)
+    return q_x, q_y
+
+
+def _attained_channel(rho: float, nu_x: float, nu_y: float, q_x: float, q_y: float):
+    """_test_channel(rho, q_x, q_y) if its errors e v / d hit (nu_x, nu_y) within 1e-9, else Infeasible."""
+    channel = (_, e_x, v_x), (_, e_y, v_y), d = _test_channel(rho, q_x, q_y)
     # The closed form misses by at most 1.9e-11 (targets down to 1e-8, |rho| to 0.999999).
     if not (abs(e_x * v_x / d - nu_x) <= 1e-9 and abs(e_y * v_y / d - nu_y) <= 1e-9):
-        raise Infeasible("the solved noise levels miss the targets")
-    return q_x, q_y
+        raise Infeasible("the noise levels miss the targets")
+    return channel
 
 
 def _test_channel(rho: float, q_x: float, q_y: float):
@@ -241,11 +247,12 @@ def implied_rates(rho: float, nu_x: float, nu_y: float, q_x: float, q_y: float) 
     on the dominant face of the achievable region (the sum equals the joint
     information exactly) with a small slack pushing a sent description
     strictly inside. A description that is not sent (q = inf) has rate 0.
+    Noise levels that miss the targets raise Infeasible, as in solve_noise_levels.
     """
     _check_targets(rho, nu_x, nu_y)
     if not (q_x > 0.0 and q_y > 0.0):  # NaN included
         raise DomainError("noise levels must be positive (inf for a description that is not sent)")
-    (s_x, _, v_x), (s_y, _, v_y), d = _test_channel(rho, q_x, q_y)
+    (s_x, _, v_x), (s_y, _, v_y), d = _attained_channel(rho, nu_x, nu_y, q_x, q_y)
     shared = -0.5 * math.log2(d)  # I(U;V)
     # I(X;U|V) = (1/2) log2(Var(X|V) / nu_x), and likewise for Y.
     r_x = 0.5 * math.log2(v_x / nu_x) + 0.5 * shared + (RATE_SLACK if s_x > 0.0 else 0.0)

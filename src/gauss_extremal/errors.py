@@ -19,7 +19,3 @@ class CrossCheckFailed(GaussExtremalError):
 
 class Infeasible(GaussExtremalError):
     """No test channel attains the requested distortion targets."""
-
-
-class DegenerateShrinkage(GaussExtremalError):
-    """Shrinkage parameter leaves a nonpositive scaling factor."""

@@ -87,8 +87,8 @@ def dual_functional(info: InfoVector, lam: float) -> float:
 def vector_gap_forms(info: InfoVector, n: int, ratio):
     """(gap_conditional, gap_unconditional) of the vector inequality.
 
-    Elementwise over info's fields, which may be floats or (T,) arrays
-    (with ratio of the same kind). The two forms differ by the common
+    Elementwise over info's fields and ratio, (T,) arrays, one entry per
+    sample of an information_batch stack. The two forms differ by the common
     factor 2^(-(2/n) I(U;V)); the Markov identity
     I(X;V) - I(X;V|U) = I(U;V) makes them equivalent, and a disagreement
     beyond _FORM_TOL raises CrossCheckFailed.
@@ -106,11 +106,8 @@ def vector_gap_forms(info: InfoVector, n: int, ratio):
     scale = 2.0 ** (-(2.0 / n) * info.i_uv)
     off = np.abs(gap_uncond - gap_cond * scale)
     if np.any(off > _FORM_TOL):
-        i = np.argmax(off) if np.ndim(off) else ()
-        raise CrossCheckFailed(
-            f"exponent forms diverged by {off[i]:.3e} (tolerance {_FORM_TOL:g})"
-            + (f" at sample {i}" if np.ndim(off) else "")
-        )
+        i = np.argmax(off)
+        raise CrossCheckFailed(f"exponent forms diverged by {off[i]:.3e} (tolerance {_FORM_TOL:g}) at sample {i}")
     return gap_cond, gap_uncond
 
 

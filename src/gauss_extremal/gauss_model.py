@@ -9,8 +9,8 @@ sigma_y = [[1]]. A vector model has rho = 1, Y = X + Z.
 Test channels are linear with independent Gaussian noise: U = C X + W on
 the X side, V = C Y + W on the Y side. A channel never reads the opposite
 source, so U - X - Y - V always holds by construction. The constant
-(zero-information) channel is represented by an explicit flag rather than
-by a singular gain/noise pair.
+(zero-information) channel has neither gain nor noise covariance, as
+degenerate_on builds it, rather than a singular gain/noise pair.
 
 All informations are in bits and come from one kernel,
 information_batch. It takes a stack of T joint covariances of
@@ -257,13 +257,12 @@ class GaussianAuxChannel:
 
     side: str  # "x" | "y"
     gain: np.ndarray | None = None
-    noise_cov: np.ndarray | None = None
-    degenerate: bool = False
+    noise_cov: np.ndarray | None = None  # both None: the constant channel
 
     @classmethod
     def degenerate_on(cls, side: str) -> "GaussianAuxChannel":
         cls._check_side(side)
-        return cls(side=side, degenerate=True)
+        return cls(side=side)
 
     @classmethod
     def linear(cls, gain, noise_cov, side: str) -> "GaussianAuxChannel":
@@ -511,7 +510,7 @@ def _joint_covariance(source: np.ndarray, gains: list, noises: list) -> np.ndarr
 
 
 def _channel_arrays(ch: GaussianAuxChannel, n: int) -> tuple[np.ndarray, np.ndarray]:
-    if ch.degenerate:
+    if ch.gain is None and ch.noise_cov is None:
         return np.zeros((1, n)), np.ones((1, 1))
     return ch.gain, ch.noise_cov
 
@@ -534,6 +533,6 @@ def mutual_information(model: GaussianPairModel, u: GaussianAuxChannel, v: Gauss
     Degenerate channels contribute zeros. A singular joint covariance
     (for example a noiseless channel that copies its source) raises
     NotPositiveDefinite: it signals a degenerate channel that was not
-    flagged as such.
+    built by degenerate_on.
     """
     return _triple_batch(model, u, v)[0].at(0)

@@ -25,6 +25,7 @@ import numpy as np
 from .errors import DomainError
 
 _MASK64 = (1 << 64) - 1
+PD_RIDGE = 0.1  # r of every drawn covariance A A^T + r I, A standard normal
 
 # Stream ids used by the simulator; sweeps may use their own small ints.
 STREAM_SOURCE = 0
@@ -35,7 +36,7 @@ STREAM_NOISE_Y = 2
 def check_seed(seed: int, name: str = "seed") -> int:
     """Return seed if it is an integer in [0, 2^64), the first Philox key
     word; raise DomainError otherwise."""
-    if not isinstance(seed, numbers.Integral):
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
         raise DomainError(f"{name} must be an integer, got {seed!r}")
     if not 0 <= seed <= _MASK64:
         raise DomainError(f"{name} must lie in [0, 2^64), got {seed}")
@@ -101,7 +102,7 @@ def stream(seed: int, trial: int, stream_id: int) -> np.random.Generator:
     return Streams(seed)(trial, stream_id)
 
 
-def random_pd(gen: np.random.Generator, n: int, ridge: float = 0.1) -> np.ndarray:
-    """Random positive-definite matrix A @ A.T + ridge * I."""
+def random_pd(gen: np.random.Generator, n: int) -> np.ndarray:
+    """Random positive-definite matrix A @ A.T + PD_RIDGE * I."""
     a = gen.standard_normal((n, n))
-    return a @ a.T + ridge * np.eye(n)
+    return a @ a.T + PD_RIDGE * np.eye(n)

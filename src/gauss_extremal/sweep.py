@@ -4,7 +4,7 @@ Sample t of a sweep draws all its parameters from its own stream, the
 (seed, t, 0) key of the sweep's rng.Streams, in a fixed order, so it
 does not depend on the other samples or on the sweep length, and makes
 as few numpy calls as that order allows. The sweep first draws every
-sample of a chunk, forms all its covariances A A^T + 0.1 I in one
+sample of a chunk, forms all its covariances A A^T + PD_RIDGE I in one
 stacked product, then stacks the joint covariances of its pairs
 Y = rho X + Z (the unit-variance pair, sigma_z = 1 - rho^2, in the scalar
 modes; rho = 1 in the vector modes) and evaluates all of them in one call
@@ -31,7 +31,7 @@ import numpy as np
 from .errors import DomainError
 from .extremal import vector_gap_forms, volume_ratio
 from .gauss_model import _source_covariance, cholesky_pd, conditional_cov_noise, information_batch
-from .rng import Streams
+from .rng import PD_RIDGE, Streams
 
 GAP_TOL = 1e-9  # gaps that are 0 exactly (vec-epi's equality channels) round to -1.3e-12 at dim 16
 
@@ -118,7 +118,7 @@ def _draw_vector(samples: range, n: int, streams: Streams, descriptions: int, in
                 gen.standard_normal(out=normals[i, 2 + 2 * c : 4 + 2 * c])
     factors = normals[:, [0, 1, *range(3, 2 + 2 * descriptions, 2)]]
     eye = np.eye(n)
-    pd = factors @ factors.swapaxes(-1, -2) + 0.1 * eye
+    pd = factors @ factors.swapaxes(-1, -2) + PD_RIDGE * eye
     noises = [np.where(live[:, c, None, None], pd[:, 2 + c], eye) for c in range(descriptions)]
     if descriptions == 2:
         gain_v, noise_v = normals[:, 4], noises[1]
@@ -173,7 +173,7 @@ def run_verify_sweep(mode: str, trials: int, dim: int, seed: int) -> dict:
     if mode not in VERIFY_MODES:
         raise DomainError(f"unknown mode {mode!r}")
     for name, value in (("trials", trials), ("dim", dim)):
-        if not isinstance(value, numbers.Integral):  # 2.5 would fail later, as a shape or a range bound
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):  # 2.5 fails later, True passes as 1
             raise DomainError(f"{name} must be an integer, got {value!r}")
     if trials < 1:
         raise DomainError("trials must be at least 1")

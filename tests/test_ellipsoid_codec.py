@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 from gauss_extremal import cli, ellipsoid_codec
-from gauss_extremal.errors import DegenerateShrinkage, DomainError, GaussExtremalError, Infeasible, NotPositiveDefinite
+from gauss_extremal.errors import DomainError, GaussExtremalError, Infeasible, NotPositiveDefinite
 from gauss_extremal.ellipsoid_codec import (
+    RATE_SLACK,
     CodecConfig,
     SimulationReport,
     TrialReport,
@@ -24,6 +25,7 @@ from gauss_extremal.ellipsoid_codec import (
     trials_csv_rows,
 )
 from gauss_extremal.gauss_model import log_det
+from gauss_extremal.rate_region import sum_rate_bound
 from gauss_extremal.rng import STREAM_NOISE_X, STREAM_NOISE_Y, STREAM_SOURCE, random_pd, stream
 
 from conftest import sigmas_eigh_cannot_whiten
@@ -219,6 +221,30 @@ class TestImpliedRates:
     def test_degenerate_rates_are_zero(self):
         assert implied_rates(0.5, 1.0, 1.0, math.inf, math.inf) == (0.0, 0.0)
 
+    def test_noise_levels_that_miss_the_targets_are_refused(self):
+        # Two descriptions that are not sent leave Var(X|U,V) = 1, not 0.3.
+        with pytest.raises(Infeasible, match="miss the targets"):
+            implied_rates(0.5, 0.3, 0.3, math.inf, math.inf)
+
+    def test_achievable_sum_rate_meets_the_converse(self):
+        # The implied rates sit on the dominant face, so less their slack
+        # they sum to the converse's bound. The tolerance absorbs the
+        # rounding between the two closed forms: the largest |difference|
+        # is 4.4e-15 over the 17,910 feasible targets of these 20,000 draws.
+        gen = np.random.default_rng(1)
+        feasible = 0
+        for _ in range(20000):
+            rho, nu_x, nu_y = gen.uniform(-0.99, 0.99), 10 ** gen.uniform(-4, 0), 10 ** gen.uniform(-4, 0)
+            try:
+                q = solve_noise_levels(rho, nu_x, nu_y)
+            except Infeasible:
+                continue
+            feasible += 1
+            rates = implied_rates(rho, nu_x, nu_y, *q)
+            total = sum(r - (RATE_SLACK if math.isfinite(q_i) else 0.0) for r, q_i in zip(rates, q))
+            assert abs(total - sum_rate_bound(rho, nu_x, nu_y)) <= 1e-13, (rho, nu_x, nu_y)
+        assert feasible > 10000
+
     def test_rates_lie_inside_region(self):
         gen = np.random.default_rng(51)
         from gauss_extremal.rate_region import RegionQuery, region_verdict
@@ -403,12 +429,12 @@ class TestBuildShrunkMatrix:
         assert np.all(residual < ellipsoid_codec.IDENTITY_TOL)
 
     def test_degenerate_shrinkage(self):
-        with pytest.raises(DegenerateShrinkage):
+        with pytest.raises(DomainError, match="<= 0 at delta = 0.3$"):
             shrink_one(1.0, np.zeros((1, 3)), 0.3)
         with pytest.raises(DomainError):
             shrink_one(1.0, np.zeros((1, 3)), 0.0)
         # 1 - delta rounds to 1: tau - gamma = 0 and log(tau - gamma) is undefined.
-        with pytest.raises(DegenerateShrinkage, match="tau - gamma"):
+        with pytest.raises(DomainError, match="tau - gamma"):
             shrink_one(1.0, np.ones((2, 4)), 1e-17)
 
 
@@ -425,10 +451,10 @@ class TestCodecConfigValidation:
 
     def test_degenerate_shrinkage_is_refused_at_construction(self):
         # 1 - delta rounds to 1: refused before any trial is drawn.
-        with pytest.raises(DegenerateShrinkage, match="delta = 1e-17"):
+        with pytest.raises(DomainError, match="delta = 1e-17"):
             CodecConfig(n=4, k=2, rho=0.5, sigma=np.eye(4), nu_x=0.5, nu_y=0.5, delta=1e-17)
         # The cheap fields are checked before sigma's O(n^3) factorization.
-        with pytest.raises(DegenerateShrinkage, match="delta = 1e-17"):
+        with pytest.raises(DomainError, match="delta = 1e-17"):
             CodecConfig(n=4, k=2, rho=0.5, sigma=-np.eye(4), nu_x=0.5, nu_y=0.5, delta=1e-17)
 
     def test_delta_must_stay_below_targets(self):

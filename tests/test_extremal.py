@@ -904,6 +904,15 @@ NAN = float("nan")
     pytest.param(CodecConfig, (2, 1, 0.5, np.eye(3), 0.5, 0.5), "^sigma must be n x n$", id="codec-sigma-3x3"),
     pytest.param(CodecConfig, (2, 1, 0.5, np.eye(2), 0.5, 0.5, 0.0025, 0), "^trials must be at least 1$",
                  id="codec-trials-0"),
+    # A bool is an int subclass: True passed these checks, then failed in numpy or ran as 1.
+    pytest.param(CodecConfig, (True, 1, 0.5, np.eye(1), 0.5, 0.5), "^n must be an integer, got True$",
+                 id="codec-n-true"),
+    pytest.param(CodecConfig, (2, True, 0.5, np.eye(2), 0.5, 0.5), "^k must be an integer, got True$",
+                 id="codec-k-true"),
+    pytest.param(CodecConfig, (2, 1, 0.5, np.eye(2), 0.5, 0.5, 0.0025, True), "^trials must be an integer, got True$",
+                 id="codec-trials-true"),
+    pytest.param(CodecConfig, (2, 1, 0.5, np.eye(2), 0.5, 0.5, 0.0025, 1, True), "^seed must be an integer, got True$",
+                 id="codec-seed-true"),
     # rho is checked before log2(1 - rho^2) meets it, and minkowski_gap's inputs before it indexes them.
     pytest.param(sum_rate_bound, (1.0, 0.5, 0.5), r"^rho must lie in \(-1, 1\)$", id="sum-rate-rho-1"),
     pytest.param(sum_rate_bound_raw, (math.inf, 0.5, 0.5), r"^rho must lie in \(-1, 1\)$", id="sum-rate-rho-inf"),

@@ -401,7 +401,7 @@ def reference_joint(model, u, v):
 def active_channel(ch, n):
     """ch itself, or for a degenerate channel the zero-gain, unit-noise
     linear channel that stands in for it in the kernel."""
-    return GaussianAuxChannel.linear(np.zeros((1, n)), np.eye(1), ch.side) if ch.degenerate else ch
+    return GaussianAuxChannel.linear(np.zeros((1, n)), np.eye(1), ch.side) if ch.gain is None else ch
 
 
 @pytest.mark.parametrize("make,count", [(make_scalar_triple, 600), (make_vector_triple, 200)])
@@ -415,7 +415,7 @@ def test_sum_rate_is_the_full_joint_information(make, count):
     degenerate = 0
     for _ in range(count):
         model, u, v = make(gen)
-        degenerate += u.degenerate or v.degenerate
+        degenerate += u.gain is None or v.gain is None
         info = mutual_information(model, u, v)
         joint = reference_joint(model, active_channel(u, model.n), active_channel(v, model.n))
         xy = 2 * model.n
@@ -480,7 +480,7 @@ class TestInformationBatch:
     def test_conditional_informations_match_schur_route(self):
         _, singles = random_batch(35, 40, 3)
         for model, u, v in singles:
-            if u.degenerate or v.degenerate:
+            if u.gain is None or v.gain is None:
                 continue
             info = mutual_information(model, u, v)
             joint = reference_joint(model, u, v)

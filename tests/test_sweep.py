@@ -189,9 +189,12 @@ def test_rejects_bad_arguments(mode, trials, dim, message):
         sweep.run_verify_sweep(mode, trials, dim, 0)
 
 
-@pytest.mark.parametrize("name,value", [("trials", 2.5), ("dim", 2.5), ("seed", 1.5)])
+@pytest.mark.parametrize("name,value", [
+    ("trials", 2.5), ("dim", 2.5), ("seed", 1.5), ("trials", True), ("dim", True), ("seed", True),
+])
 def test_non_integral_arguments_are_domain_errors(name, value):
-    # Each failed inside numpy or the streams with a TypeError.
+    # Each failed inside numpy or the streams with a TypeError, or, for
+    # trials and seed True, ran as 1 and printed true.
     args = {"trials": 3, "dim": 2, "seed": 0} | {name: value}
     with pytest.raises(DomainError, match=f"^{name} must be an integer, got {value!r}$"):
         sweep.run_verify_sweep("thm1-vector", **args)
