@@ -36,7 +36,6 @@ from .extremal import (
     vector_gap_forms,
 )
 from .rate_region import (
-    RegionQuery,
     RegionVerdict,
     beta,
     distortion_of_sum_rate,

@@ -28,7 +28,7 @@ from .gauss_model import matrix_from_json
 from .ellipsoid_codec import (
     IDENTITY_TOL, CodecConfig, check_scalar_params, report_to_dict, run_simulation, trials_csv_rows,
 )
-from .rate_region import RegionQuery, region_verdict
+from .rate_region import region_verdict
 # run_verify_sweep and stream stay importable from this module: the
 # acceptance tests and the benchmark's tracer tests name them here.
 from .rng import check_seed, stream  # noqa: F401
@@ -96,8 +96,7 @@ def _check_args(args) -> None:
 
 
 def _cmd_region(args) -> int:
-    q = RegionQuery(rho=args.rho, r_x=args.rx, r_y=args.ry, nu_x=args.nux, nu_y=args.nuy)
-    v = region_verdict(q)
+    v = region_verdict(args.rho, args.rx, args.ry, args.nux, args.nuy)
     payload = dataclasses.asdict(v)
     if args.output == "json":
         _emit_json(payload, args.precision)

@@ -62,7 +62,7 @@ import numpy as np
 
 from .errors import DomainError, Infeasible
 from .gauss_model import log_det
-from .rate_region import RegionQuery, region_verdict
+from .rate_region import region_verdict
 from .rng import STREAM_NOISE_X, STREAM_NOISE_Y, STREAM_SOURCE, Streams, check_seed
 # stream stays importable from this module: the benchmark's tracer tests name it here.
 from .rng import stream  # noqa: F401
@@ -90,7 +90,7 @@ _STACK_ENTRIES = 1 << 18
 
 def log_unit_ball_volume(n: int) -> float:
     """log c_n = (n/2) log pi - log Gamma(n/2 + 1), in nats."""
-    if not (isinstance(n, numbers.Integral) and n >= 1):  # NaN and 2.5 included
+    if isinstance(n, bool) or not (isinstance(n, numbers.Integral) and n >= 1):  # NaN and 2.5 included
         raise DomainError(f"n must be an integer of at least 1, got {n!r}")
     return 0.5 * n * math.log(math.pi) - math.lgamma(0.5 * n + 1.0)
 
@@ -263,13 +263,14 @@ def implied_rates(rho: float, nu_x: float, nu_y: float, q_x: float, q_y: float) 
 def build_shrunk_matrix(scale: float, centers: np.ndarray, delta: float):
     """Deflate the map scale * I along the span of each trial's centers.
 
-    centers is a (T, k, n) stack. A trial's span basis is the right
-    singular vectors of its centers whose singular values exceed 1e-10
-    times its largest center norm; the other rows of vt are zeroed, so the
-    bases stay one (T, k, n) stack. Each B is factorized once (slogdet
-    does one LU per matrix of the stack) and its log-determinant compared
-    with the value of the identity |B| = s^n tau^(n-k') (tau - gamma)^k',
-    s = scale and k' the trial's rank: centers may be rank deficient.
+    centers is a finite (T, k, n) stack and scale lies in (0, inf), else
+    DomainError. A trial's span basis is the right singular vectors of its
+    centers whose singular values exceed 1e-10 times its largest center
+    norm; the other rows of vt are zeroed, so the bases stay one (T, k, n)
+    stack. Each B is factorized once (slogdet does one LU per matrix of the
+    stack) and its log-determinant compared with the value of the identity
+    |B| = s^n tau^(n-k') (tau - gamma)^k', s = scale and k' the trial's
+    rank: centers may be rank deficient.
 
     B is formed as its transpose, B^T = tau s I - (s vt)^T (gamma vt): the
     product, negated in place, with tau s added to its diagonal. That
@@ -283,6 +284,10 @@ def build_shrunk_matrix(scale: float, centers: np.ndarray, delta: float):
     if not delta > 0.0:  # NaN included: _shrinkage would pass it on as NaN results
         raise DomainError("delta must be positive")
     tau, gamma = _shrinkage(delta)
+    if not 0.0 < scale < math.inf:  # NaN included
+        raise DomainError(f"scale must lie in (0, inf), got {scale!r}")
+    if np.ndim(centers) != 3 or not np.all(np.isfinite(centers)):
+        raise DomainError(f"centers must be a finite (T, k, n) stack, got shape {np.shape(centers)}")
     _, singular, vt = np.linalg.svd(centers, full_matrices=False)
     norms = np.linalg.norm(centers, axis=2)
     kept = singular > 1e-10 * np.max(norms, axis=1, initial=0.0)[:, None]
@@ -353,9 +358,7 @@ class _Setup:
         self.scales = [1.0 / math.sqrt(n * nu) for nu in (nu_x, nu_y)]
         self.q_x, self.q_y = solve_noise_levels(rho, nu_x, nu_y)
         self.r_x, self.r_y = implied_rates(rho, nu_x, nu_y, self.q_x, self.q_y)
-        self.verdict = region_verdict(
-            RegionQuery(rho=rho, r_x=self.r_x, r_y=self.r_y, nu_x=nu_x, nu_y=nu_y)
-        )
+        self.verdict = region_verdict(rho, self.r_x, self.r_y, nu_x, nu_y)
         self.weights = _cond_weights(self.q_x, self.q_y, rho)
         self.streams = Streams(config.seed)
 

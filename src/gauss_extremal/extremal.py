@@ -65,7 +65,6 @@ _FORM_TOL = 1e-10  # the two exponent forms differ by roundoff: <= 1.3e-12 on ve
 class DualValue:
     """One evaluation of the dual function."""
 
-    lam: float
     value_bits: float
     branch: str  # "active" | "zero"
     exactness: str  # "exact" | "lower_bound"
@@ -91,8 +90,10 @@ def vector_gap_forms(info: InfoVector, n: int, ratio):
     sample of an information_batch stack. The two forms differ by the common
     factor 2^(-(2/n) I(U;V)); the Markov identity
     I(X;V) - I(X;V|U) = I(U;V) makes them equivalent, and a disagreement
-    beyond _FORM_TOL raises CrossCheckFailed.
+    beyond _FORM_TOL raises CrossCheckFailed; an n that is not an integer >= 1 raises DomainError.
     """
+    if isinstance(n, bool) or not (isinstance(n, numbers.Integral) and n >= 1):
+        raise DomainError(f"n must be an integer of at least 1, got {n!r}")
     gap_cond = (
         2.0 ** (-(2.0 / n) * (info.i_yu + info.i_xv_given_u))
         - ratio * 2.0 ** (-(2.0 / n) * (info.i_xu + info.i_yv_given_u))
@@ -184,7 +185,7 @@ def scalar_dual_closed(lam: float, rho: float) -> DualValue:
     r2 = rho * rho
     # rho^2 + (1 - rho^2) rounds to 1 for every rho^2 in [0, 1): the branch test is lam rho^2 >= 1.
     value, branch = _dual_closed(lam, 1, r2, 1.0 - r2, 1.0)
-    return DualValue(lam=lam, value_bits=value, branch=branch, exactness="exact")
+    return DualValue(value_bits=value, branch=branch, exactness="exact")
 
 
 def _roots_proportional(sigma_x: np.ndarray, sigma_z: np.ndarray) -> bool:
@@ -214,7 +215,7 @@ def vector_dual_lower(lam: float, sigma_x, sigma_z) -> DualValue:
     n = sx.shape[0]
     value, branch = _dual_closed(lam, n, *(math.exp(ld / n) for ld in lds))
     exactness = "exact" if _roots_proportional(sx, sz) else "lower_bound"
-    return DualValue(lam=lam, value_bits=value, branch=branch, exactness=exactness)
+    return DualValue(value_bits=value, branch=branch, exactness=exactness)
 
 
 def _oracle_axis(resolution: int) -> np.ndarray:
@@ -442,7 +443,7 @@ def nondegenerate_minimizers(lam: float, rho: float, count: int = 20) -> list[Mi
         raise DomainError("rho must be nonzero")
     if not -1.0 < rho < 1.0:
         raise DomainError("rho must lie in (-1, 1)")
-    if not (isinstance(count, numbers.Integral) and count >= 1):
+    if isinstance(count, bool) or not (isinstance(count, numbers.Integral) and count >= 1):
         raise DomainError(f"count must be a positive integer, got {count!r}")
     r2 = rho * rho
     if lam * r2 < 1.0:
@@ -468,9 +469,11 @@ def alpha_family_channel(
 
     Valid only when that sits strictly below sigma_x, as it does for every lam above
     1 + max-eigenvalue of (rho^2 sigma_x)^{-1} sigma_z (1 / rho^2 for the scalar model).
-    DomainError when rho^2 is 0 or the target is not finite."""
+    DomainError when lam is not in (1, inf), rho^2 is 0 or the target is not finite."""
     if not lam > 1.0:  # NaN included
         raise DomainError("lam must exceed 1 for the channel family")
+    if lam == math.inf:
+        raise DomainError("lam must be finite")
     alpha = 1.0 / (lam - 1.0)
     r2 = model.rho * model.rho
     with np.errstate(all="ignore"):  # rho^2 = 0 (rho = 0, or rho^2 underflows) gives inf or nan

@@ -27,29 +27,6 @@ BOUNDARY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
-class RegionQuery:
-    """One membership question: rates, distortion targets, correlation."""
-
-    rho: float
-    r_x: float
-    r_y: float
-    nu_x: float
-    nu_y: float
-
-    def __post_init__(self):
-        if not -1.0 < self.rho < 1.0:
-            raise DomainError("rho must lie in (-1, 1)")
-        for name in ("r_x", "r_y", "nu_x", "nu_y"):
-            v = getattr(self, name)
-            if not math.isfinite(v):
-                raise DomainError(f"{name} must be finite")
-        if self.r_x < 0.0 or self.r_y < 0.0:
-            raise DomainError("rates must be nonnegative")
-        if not (0.0 < self.nu_x <= 1.0 and 0.0 < self.nu_y <= 1.0):
-            raise DomainError("nu values must lie in (0, 1]")
-
-
-@dataclass(frozen=True)
 class RegionVerdict:
     satisfies_rx: bool
     satisfies_ry: bool
@@ -106,14 +83,24 @@ def distortion_of_sum_rate(rho: float, r: float) -> float:
     return t * (1.0 - r2 + r2 * t)
 
 
-def region_verdict(q: RegionQuery) -> RegionVerdict:
-    """Per-constraint slacks and membership for one query."""
-    r2 = q.rho * q.rho
-    bound_x = 0.5 * math.log2((1.0 - r2 + r2 * 2.0 ** (-2.0 * q.r_y)) / q.nu_x)
-    bound_y = 0.5 * math.log2((1.0 - r2 + r2 * 2.0 ** (-2.0 * q.r_x)) / q.nu_y)
-    slack_rx = q.r_x - bound_x
-    slack_ry = q.r_y - bound_y
-    slack_sum = q.r_x + q.r_y - sum_rate_bound_raw(q.rho, q.nu_x, q.nu_y)
+def region_verdict(rho: float, r_x: float, r_y: float, nu_x: float, nu_y: float) -> RegionVerdict:
+    """Per-constraint slacks and membership of (r_x, r_y, nu_x, nu_y) at rho. Raises DomainError,
+    in this order, unless rho lies in (-1, 1), the rest are finite, rates >= 0 and both nu in (0, 1]."""
+    if not -1.0 < rho < 1.0:
+        raise DomainError("rho must lie in (-1, 1)")
+    for name, value in (("r_x", r_x), ("r_y", r_y), ("nu_x", nu_x), ("nu_y", nu_y)):
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite")
+    if r_x < 0.0 or r_y < 0.0:
+        raise DomainError("rates must be nonnegative")
+    if not (0.0 < nu_x <= 1.0 and 0.0 < nu_y <= 1.0):
+        raise DomainError("nu values must lie in (0, 1]")
+    r2 = rho * rho
+    bound_x = 0.5 * math.log2((1.0 - r2 + r2 * 2.0 ** (-2.0 * r_y)) / nu_x)
+    bound_y = 0.5 * math.log2((1.0 - r2 + r2 * 2.0 ** (-2.0 * r_x)) / nu_y)
+    slack_rx = r_x - bound_x
+    slack_ry = r_y - bound_y
+    slack_sum = r_x + r_y - sum_rate_bound_raw(rho, nu_x, nu_y)
     sat_rx = slack_rx >= -BOUNDARY_TOL
     sat_ry = slack_ry >= -BOUNDARY_TOL
     sat_sum = slack_sum >= -BOUNDARY_TOL

@@ -247,7 +247,7 @@ class TestImpliedRates:
 
     def test_rates_lie_inside_region(self):
         gen = np.random.default_rng(51)
-        from gauss_extremal.rate_region import RegionQuery, region_verdict
+        from gauss_extremal.rate_region import region_verdict
 
         checked = 0
         while checked < 100:
@@ -260,7 +260,7 @@ class TestImpliedRates:
             checked += 1
             q_x, q_y = solve_noise_levels(rho, nu_x, nu_y)
             r_x, r_y = implied_rates(rho, nu_x, nu_y, q_x, q_y)
-            v = region_verdict(RegionQuery(rho=rho, r_x=r_x, r_y=r_y, nu_x=nu_x, nu_y=nu_y))
+            v = region_verdict(rho, r_x, r_y, nu_x, nu_y)
             assert v.inside, (rho, nu_x, nu_y, v)
 
 

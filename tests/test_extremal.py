@@ -33,7 +33,7 @@ from gauss_extremal.gauss_model import (
     matrix_from_json,
     mutual_information,
 )
-from gauss_extremal.rate_region import RegionQuery, beta, distortion_of_sum_rate, sum_rate_bound, sum_rate_bound_raw
+from gauss_extremal.rate_region import beta, distortion_of_sum_rate, region_verdict, sum_rate_bound, sum_rate_bound_raw
 from gauss_extremal.rng import random_pd
 
 from conftest import make_scalar_triple, make_vector_triple
@@ -863,6 +863,7 @@ class TestDualityConsistency:
 
 
 NAN = float("nan")
+INFO = mutual_information(GaussianPairModel.scalar(0.5), *scalar_channels(0.8, 0.4))
 
 
 @pytest.mark.parametrize("func, args, message", [
@@ -900,7 +901,7 @@ NAN = float("nan")
     pytest.param(vector_extremal_gap, (GaussianPairModel.scalar(0.5), GaussianAuxChannel.degenerate_on("x"),
                                        GaussianAuxChannel.degenerate_on("x")), 'the V channel must have side "y"',
                  id="triple-v-side-x"),
-    pytest.param(RegionQuery, (0.5, math.inf, 1.0, 0.5, 0.5), "^r_x must be finite$", id="region-rx-inf"),
+    pytest.param(region_verdict, (0.5, math.inf, 1.0, 0.5, 0.5), "^r_x must be finite$", id="region-rx-inf"),
     pytest.param(CodecConfig, (2, 1, 0.5, np.eye(3), 0.5, 0.5), "^sigma must be n x n$", id="codec-sigma-3x3"),
     pytest.param(CodecConfig, (2, 1, 0.5, np.eye(2), 0.5, 0.5, 0.0025, 0), "^trials must be at least 1$",
                  id="codec-trials-0"),
@@ -921,6 +922,34 @@ NAN = float("nan")
     pytest.param(sum_rate_bound_raw, (1.5, 0.5, 0.5), r"^rho must lie in \(-1, 1\)$", id="sum-rate-rho-1.5"),
     pytest.param(minkowski_gap, (1.0, 1.0), r"^sigma_a: expected a square matrix, got shape \(\)$",
                  id="minkowski-scalars"),
+    # A scale of 0 or below raised math's ValueError, inf and NaN gave NaN log-determinants, and
+    # centers of the wrong shape or with a NaN escaped as numpy's AxisError or LinAlgError.
+    pytest.param(build_shrunk_matrix, (-1.0, np.ones((1, 1, 3)), 0.01), r"^scale must lie in \(0, inf\), got -1.0$",
+                 id="shrunk-scale-negative"),
+    pytest.param(build_shrunk_matrix, (0.0, np.ones((1, 1, 3)), 0.01), r"^scale must lie in \(0, inf\), got 0.0$",
+                 id="shrunk-scale-0"),
+    pytest.param(build_shrunk_matrix, (math.inf, np.ones((1, 1, 3)), 0.01), r"^scale must lie in \(0, inf\), got inf$",
+                 id="shrunk-scale-inf"),
+    pytest.param(build_shrunk_matrix, (NAN, np.ones((1, 1, 3)), 0.01), r"^scale must lie in \(0, inf\), got nan$",
+                 id="shrunk-scale-nan"),
+    pytest.param(build_shrunk_matrix, (1.0, np.ones((2, 3)), 0.01),
+                 r"^centers must be a finite \(T, k, n\) stack, got shape \(2, 3\)$", id="shrunk-centers-2d"),
+    pytest.param(build_shrunk_matrix, (1.0, np.full((1, 1, 3), NAN), 0.01),
+                 r"^centers must be a finite \(T, k, n\) stack", id="shrunk-centers-nan"),
+    # n = 0 raised ZeroDivisionError; the other n, and a count or n of True, returned numbers.
+    pytest.param(vector_gap_forms, (INFO, 0, 0.25), "^n must be an integer of at least 1, got 0$", id="gap-forms-n-0"),
+    pytest.param(vector_gap_forms, (INFO, -1, 0.25), "^n must be an integer of at least 1, got -1$",
+                 id="gap-forms-n-minus-1"),
+    pytest.param(vector_gap_forms, (INFO, 2.5, 0.25), "^n must be an integer of at least 1, got 2.5$",
+                 id="gap-forms-n-2.5"),
+    pytest.param(vector_gap_forms, (INFO, True, 0.25), "^n must be an integer of at least 1, got True$",
+                 id="gap-forms-n-true"),
+    pytest.param(nondegenerate_minimizers, (3.0, 0.8, True), "^count must be a positive integer, got True$",
+                 id="minimizers-count-true"),
+    pytest.param(log_unit_ball_volume, (True,), "^n must be an integer of at least 1, got True$", id="log-ball-n-true"),
+    # alpha = 1 / (lam - 1) = 0 left a target of trace 0: NotPositiveDefinite.
+    pytest.param(alpha_family_channel, (GaussianPairModel.scalar(0.5), math.inf), "^lam must be finite$",
+                 id="alpha-lam-inf"),
 ])
 def test_out_of_domain_and_nan_inputs_are_domain_errors(func, args, message):
     # Each row above the last group used to return a number (a NaN, a

@@ -12,7 +12,6 @@ from gauss_extremal.gauss_model import (
     schur_conditional_cov,
 )
 from gauss_extremal.rate_region import (
-    RegionQuery,
     beta,
     distortion_of_sum_rate,
     region_verdict,
@@ -119,7 +118,7 @@ class TestDistortionOfSumRate:
 
 class TestRegionVerdict:
     def test_zero_rate_corner(self):
-        v = region_verdict(RegionQuery(rho=0.0, r_x=0.0, r_y=0.0, nu_x=1.0, nu_y=1.0))
+        v = region_verdict(rho=0.0, r_x=0.0, r_y=0.0, nu_x=1.0, nu_y=1.0)
         assert v.inside
         assert v.slack_rx >= 0.0 and v.slack_ry >= 0.0 and v.slack_sum >= 0.0
 
@@ -127,13 +126,13 @@ class TestRegionVerdict:
         rho, r_x, r_y = 0.6, 2.0, 1.5
         r2 = rho * rho
         nu_x = 2.0 ** (-2.0 * r_x) * (1.0 - r2 + r2 * 2.0 ** (-2.0 * r_y))
-        v = region_verdict(RegionQuery(rho=rho, r_x=r_x, r_y=r_y, nu_x=nu_x, nu_y=1.0))
+        v = region_verdict(rho=rho, r_x=r_x, r_y=r_y, nu_x=nu_x, nu_y=1.0)
         assert v.satisfies_rx
         assert abs(v.slack_rx) <= 1e-12
 
     def test_slacks_match_extended_precision(self):
         args = (0.5, 1.0, 1.0, 0.3, 0.3)
-        v = region_verdict(RegionQuery(*args))
+        v = region_verdict(*args)
         for got, want in zip((v.slack_rx, v.slack_ry, v.slack_sum), decimal_slacks(*args)):
             assert abs(got - want) < 1e-12
 
@@ -141,24 +140,23 @@ class TestRegionVerdict:
         gen = np.random.default_rng(32)
         found = 0
         while found < 200:
-            q = RegionQuery(
-                rho=gen.uniform(-0.9, 0.9),
-                r_x=gen.uniform(0.0, 3.0),
-                r_y=gen.uniform(0.0, 3.0),
-                nu_x=gen.uniform(0.05, 1.0),
-                nu_y=gen.uniform(0.05, 1.0),
+            rho, r_x, r_y, nu_x, nu_y = (
+                gen.uniform(-0.9, 0.9),
+                gen.uniform(0.0, 3.0),
+                gen.uniform(0.0, 3.0),
+                gen.uniform(0.05, 1.0),
+                gen.uniform(0.05, 1.0),
             )
-            if not region_verdict(q).inside:
+            if not region_verdict(rho, r_x, r_y, nu_x, nu_y).inside:
                 continue
             found += 1
-            bigger = RegionQuery(
-                rho=q.rho,
-                r_x=q.r_x + gen.uniform(0.0, 1.0),
-                r_y=q.r_y + gen.uniform(0.0, 1.0),
-                nu_x=min(1.0, q.nu_x + gen.uniform(0.0, 0.5)),
-                nu_y=min(1.0, q.nu_y + gen.uniform(0.0, 0.5)),
-            )
-            assert region_verdict(bigger).inside
+            assert region_verdict(
+                rho,
+                r_x + gen.uniform(0.0, 1.0),
+                r_y + gen.uniform(0.0, 1.0),
+                min(1.0, nu_x + gen.uniform(0.0, 0.5)),
+                min(1.0, nu_y + gen.uniform(0.0, 0.5)),
+            ).inside
 
     def test_sign_of_rho_is_irrelevant(self):
         gen = np.random.default_rng(33)
@@ -168,9 +166,7 @@ class TestRegionVerdict:
                 r_x=gen.uniform(0.0, 3.0), r_y=gen.uniform(0.0, 3.0),
                 nu_x=gen.uniform(0.05, 1.0), nu_y=gen.uniform(0.05, 1.0),
             )
-            assert region_verdict(RegionQuery(rho=rho, **args)) == region_verdict(
-                RegionQuery(rho=-rho, **args)
-            )
+            assert region_verdict(rho=rho, **args) == region_verdict(rho=-rho, **args)
 
     def test_decoupling_at_zero_correlation(self):
         # The sum constraint is redundant once the per-encoder ones hold.
@@ -180,7 +176,7 @@ class TestRegionVerdict:
             for r_y in rates:
                 for nu_x in nus:
                     for nu_y in nus:
-                        v = region_verdict(RegionQuery(0.0, r_x, r_y, nu_x, nu_y))
+                        v = region_verdict(0.0, r_x, r_y, nu_x, nu_y)
                         pair_ok = v.satisfies_rx and v.satisfies_ry
                         assert v.inside == pair_ok
                         if pair_ok:
@@ -188,11 +184,25 @@ class TestRegionVerdict:
 
     def test_query_validation(self):
         with pytest.raises(DomainError):
-            RegionQuery(rho=1.5, r_x=0.0, r_y=0.0, nu_x=0.5, nu_y=0.5)
+            region_verdict(rho=1.5, r_x=0.0, r_y=0.0, nu_x=0.5, nu_y=0.5)
         with pytest.raises(DomainError):
-            RegionQuery(rho=0.5, r_x=-0.1, r_y=0.0, nu_x=0.5, nu_y=0.5)
+            region_verdict(rho=0.5, r_x=-0.1, r_y=0.0, nu_x=0.5, nu_y=0.5)
         with pytest.raises(DomainError):
-            RegionQuery(rho=0.5, r_x=0.0, r_y=0.0, nu_x=0.0, nu_y=0.5)
+            region_verdict(rho=0.5, r_x=0.0, r_y=0.0, nu_x=0.0, nu_y=0.5)
+
+    @pytest.mark.parametrize("args, message", [
+        # Each row is also bad in every later check, so a row passes only if its check comes first.
+        ((1.5, math.inf, -1.0, 0.0, 0.0), r"^rho must lie in \(-1, 1\)$"),
+        ((0.5, math.inf, -1.0, 0.0, 0.0), "^r_x must be finite$"),
+        ((0.5, 1.0, math.nan, 0.0, 0.0), "^r_y must be finite$"),
+        ((0.5, -1.0, 1.0, -math.inf, 0.0), "^nu_x must be finite$"),
+        ((0.5, -1.0, 1.0, 0.5, math.nan), "^nu_y must be finite$"),
+        ((0.5, 1.0, -0.1, 0.0, 0.5), "^rates must be nonnegative$"),
+        ((0.5, 1.0, 1.0, 0.5, 1.5), r"^nu values must lie in \(0, 1\]$"),
+    ])
+    def test_refusal_messages_and_their_order(self, args, message):
+        with pytest.raises(DomainError, match=message):
+            region_verdict(*args)
 
 
 def min_nu_corner(rho, r_x, r_y):
@@ -207,14 +217,14 @@ def min_nu_corner(rho, r_x, r_y):
 class TestMinNuBoundary:
     def test_independent_sources_decouple(self):
         # At rho = 0 the corner is (2^(-2 r_x), 2^(-2 r_y)) and the sum constraint is redundant.
-        v = region_verdict(RegionQuery(rho=0.0, r_x=1.0, r_y=2.0, nu_x=0.25, nu_y=2.0 ** (-4.0)))
+        v = region_verdict(rho=0.0, r_x=1.0, r_y=2.0, nu_x=0.25, nu_y=2.0 ** (-4.0))
         assert abs(v.slack_rx) < 1e-15 and abs(v.slack_ry) < 1e-15
         assert v.satisfies_sum
 
     def test_infinite_partner_rate_limit(self):
         # As r_y grows, the R_x bound tends to (1/2) log2((1 - rho^2) / nu_x).
         rho = 0.8
-        v = region_verdict(RegionQuery(rho=rho, r_x=1.0, r_y=60.0, nu_x=0.25 * (1.0 - rho * rho), nu_y=0.5))
+        v = region_verdict(rho=rho, r_x=1.0, r_y=60.0, nu_x=0.25 * (1.0 - rho * rho), nu_y=0.5)
         assert abs(v.slack_rx) < 1e-9
 
     def test_reported_point_sits_on_boundary(self):
@@ -223,7 +233,7 @@ class TestMinNuBoundary:
             rho = gen.uniform(-0.9, 0.9)
             r_x, r_y = gen.uniform(0.0, 3.0), gen.uniform(0.0, 3.0)
             nu_x, nu_y = min_nu_corner(rho, r_x, r_y)
-            v = region_verdict(RegionQuery(rho=rho, r_x=r_x, r_y=r_y, nu_x=nu_x, nu_y=nu_y))
+            v = region_verdict(rho=rho, r_x=r_x, r_y=r_y, nu_x=nu_x, nu_y=nu_y)
             assert v.satisfies_rx and v.satisfies_ry
             assert abs(v.slack_rx) <= 1e-12 and abs(v.slack_ry) <= 1e-12
 
