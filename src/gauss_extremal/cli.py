@@ -18,6 +18,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -138,17 +139,82 @@ def _cmd_verify(args) -> int:
     return 0 if summary["negative_count"] == 0 else 1
 
 
+# The --sigma-file layout {"n": N, "data": [...]} is decoded _PIECE characters at a time, so that
+# reading it holds the n x n array and about one piece of text and numbers beside it, not the
+# whole text and a list of n^2 floats (24 MB and 32 MB at n = 1024).
+_PIECE = 1 << 18
+_LONGEST = 1 << 12  # characters of the head, or of one entry, past which the file is read whole
+_WS = "[ \t\n\r]*"  # JSON's whitespace
+_HEAD = re.compile(_WS.join(["", r"\{", '"n"', ":", "([1-9][0-9]*)", ",", '"data"', ":", r"\["]))
+
+
+def _read_pieces(fh) -> np.ndarray | None:
+    """The matrix of a file laid out as {"n": N, "data": [...]}, or None where the file may fail
+    matrix_from_json's checks or has another layout. Each piece of the data array is cut at its
+    last comma and decoded by json, then checked as matrix_from_json checks the whole: numbers
+    only, at most n^2 of them, finite."""
+    text = ""
+    while (head := _HEAD.match(text)) is None:
+        piece = fh.read(_PIECE)
+        if not piece or len(text) > _LONGEST:
+            return None
+        text += piece
+    n = int(head[1])
+    count = n * n
+    if count > (os.fstat(fh.fileno()).st_size + 1) // 2:  # n^2 numbers take at least 2n^2 - 1 bytes
+        return None
+    a, filled, text = np.empty(count), 0, text[head.end():]
+    while True:
+        piece = fh.read(_PIECE)
+        if piece:
+            body, cut, text = (text + piece).rpartition(",")
+            if not cut:  # one entry spans every piece since the last comma
+                if len(text) > _LONGEST:
+                    return None
+                continue
+        else:  # the last entry, then "]" and "}" between JSON whitespace
+            body, cut, tail = text.rpartition("]")
+            if not cut or tail.strip(" \t\n\r") != "}":
+                return None
+        values = json.loads(f"[{body}]")
+        end = filled + len(values)
+        if not values or not set(map(type, values)) <= {int, float} or end > count:
+            return None
+        a[filled:end] = values
+        if not np.all(np.isfinite(a[filled:end])):
+            return None
+        filled = end
+        if not piece:
+            return a.reshape(n, n) if filled == count else None
+
+
+def _read_sigma_file(path: str) -> np.ndarray:
+    """The --sigma-file's matrix: read in pieces where _read_pieces accepts the file, else decoded
+    whole by json.load and checked by matrix_from_json, which give every error message."""
+    with open(path, encoding="utf-8") as fh:
+        try:  # a pipe cannot be read twice: it is decoded whole
+            sigma = _read_pieces(fh) if fh.seekable() else None
+        except (ValueError, RecursionError, OverflowError, MemoryError):  # json.load gives the verdict
+            sigma = None
+        if sigma is not None:
+            return sigma
+        fh.seek(0)
+        # Every way the file fails to decode as JSON: UTF-8 text, one recursion per nesting
+        # level, and int's 4300-digit limit, a ValueError as the other two's errors are.
+        try:
+            obj = json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise DomainError(f"--sigma-file is not readable JSON: {exc}") from None
+    return matrix_from_json(obj)
+
+
 def _cmd_ellipsoid(args) -> int:
     params = dict(n=args.n, k=args.k, rho=args.rho, nu_x=args.nux, nu_y=args.nuy,
                   delta=args.delta, trials=args.trials, seed=args.seed)
     # Before sigma: parsing a --sigma-file takes about half a second at n = 1024.
     check_scalar_params(**params)
     if args.sigma_file is not None:
-        try:  # every way the file fails to decode as JSON (UTF-8 text, one recursion per nesting level)
-            with open(args.sigma_file, encoding="utf-8") as fh:
-                sigma = matrix_from_json(json.load(fh))
-        except (UnicodeDecodeError, RecursionError, json.JSONDecodeError) as exc:
-            raise DomainError(f"--sigma-file is not readable JSON: {exc}") from None
+        sigma = _read_sigma_file(args.sigma_file)
         if sigma.shape[0] != args.n:
             raise DomainError("sigma file dimension does not match --n")
     else:

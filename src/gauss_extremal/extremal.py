@@ -83,6 +83,11 @@ def dual_functional(info: InfoVector, lam: float) -> float:
     return info.i_xu - lam * info.i_yu + info.i_yv_given_u - lam * info.i_xv_given_u
 
 
+def _check_n(n) -> None:
+    if isinstance(n, bool) or not (isinstance(n, numbers.Integral) and n >= 1):  # NaN and 2.5 included
+        raise DomainError(f"n must be an integer of at least 1, got {n!r}")
+
+
 def vector_gap_forms(info: InfoVector, n: int, ratio):
     """(gap_conditional, gap_unconditional) of the vector inequality.
 
@@ -92,8 +97,7 @@ def vector_gap_forms(info: InfoVector, n: int, ratio):
     I(X;V) - I(X;V|U) = I(U;V) makes them equivalent, and a disagreement
     beyond _FORM_TOL raises CrossCheckFailed; an n that is not an integer >= 1 raises DomainError.
     """
-    if isinstance(n, bool) or not (isinstance(n, numbers.Integral) and n >= 1):
-        raise DomainError(f"n must be an integer of at least 1, got {n!r}")
+    _check_n(n)
     gap_cond = (
         2.0 ** (-(2.0 / n) * (info.i_yu + info.i_xv_given_u))
         - ratio * 2.0 ** (-(2.0 / n) * (info.i_xu + info.i_yv_given_u))
@@ -114,7 +118,9 @@ def vector_gap_forms(info: InfoVector, n: int, ratio):
 
 def volume_ratio(ld: dict, n: int, rho):
     """rho^2 (|sigma_x| / |sigma_y|)^(1/n), the ratio of vector_gap_forms, from the
-    X and Y log-determinants of information_batch; elementwise over its stack."""
+    X and Y log-determinants of information_batch; elementwise over its stack. An n
+    that is not an integer >= 1 raises DomainError."""
+    _check_n(n)
     return rho * rho * np.exp((ld["x"] - ld["y"]) / n)
 
 

@@ -60,6 +60,7 @@ SYMMETRY_TOL = 1e-12  # products such as A A^T round mirrored entries apart: <= 
 # one call per subset on all four (2-vCPU Xeon, numpy 2.4, one OpenBLAS
 # thread).
 _GROUP_ENTRIES = 1 << 14
+_SYMMETRY_ENTRIES = 1 << 16  # entries of a - a^T formed at once by the symmetry check
 
 
 def _as_square(mat, name: str = "matrix", stack: bool = False) -> np.ndarray:
@@ -85,10 +86,22 @@ def _reject(bad, name: str, what: str) -> None:
 
 def _check_symmetric(a: np.ndarray, name: str) -> None:
     # Max-norms without absolute-value copies: a - a^T is exactly
-    # antisymmetric, so its largest entry is its largest magnitude.
-    axes = (-2, -1)
+    # antisymmetric, so its largest entry is its largest magnitude. It is
+    # formed in blocks of _SYMMETRY_ENTRIES entries, not whole (8 MB at
+    # n = 1024): rows of a matrix, whole matrices of a stack (row blocks of
+    # a stack ran 1.4x slower at (256, 32, 32)). A stack of at most that
+    # many entries is one block.
+    axes, n = (-2, -1), a.shape[-1]
     scale = np.maximum(1.0, np.maximum(a.max(axis=axes), -a.min(axis=axes)))
-    asym = (a - np.swapaxes(a, -2, -1)).max(axis=axes)
+    at = np.swapaxes(a, -2, -1)
+    if a.ndim == 2:
+        rows = max(1, _SYMMETRY_ENTRIES // n)
+        asym = max((a[lo:lo + rows] - at[lo:lo + rows]).max() for lo in range(0, n, rows))
+    else:
+        step = max(1, _SYMMETRY_ENTRIES // (n * n))
+        asym = np.empty(len(a))
+        for lo in range(0, len(a), step):
+            asym[lo:lo + step] = (a[lo:lo + step] - at[lo:lo + step]).max(axis=axes)
     _reject(asym > SYMMETRY_TOL * scale, name, f"not symmetric within {SYMMETRY_TOL:g} relative")
 
 

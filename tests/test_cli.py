@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 import weakref
 
@@ -12,6 +13,7 @@ import pytest
 import gauss_extremal
 from gauss_extremal import cli, extremal
 from gauss_extremal.cli import main
+from gauss_extremal.errors import DomainError
 
 from conftest import sigmas_eigh_cannot_whiten
 
@@ -245,11 +247,11 @@ class TestEllipsoidCommand:
         # array (8 MB at n = 1024) must not stay alive through the run.
         sigma_path = tmp_path / "sigma.json"
         sigma_path.write_text(json.dumps({"n": 4, "data": np.eye(4).ravel().tolist()}))
-        parse, run = cli.matrix_from_json, cli.run_simulation
+        parse, run = cli._read_sigma_file, cli.run_simulation
         parsed, alive_at_run = [], []
 
-        def recorded_parse(obj):
-            sigma = parse(obj)
+        def recorded_parse(path):
+            sigma = parse(path)
             parsed.append(weakref.ref(sigma))
             return sigma
 
@@ -257,7 +259,7 @@ class TestEllipsoidCommand:
             alive_at_run.append(parsed[0]() is not None)
             return run(config)
 
-        monkeypatch.setattr(cli, "matrix_from_json", recorded_parse)
+        monkeypatch.setattr(cli, "_read_sigma_file", recorded_parse)
         monkeypatch.setattr(cli, "run_simulation", checked_run)
         code, _, _ = run_cli(capsys, [
             "ellipsoid", "--n", "4", "--k", "2", "--rho", "0.3", "--nux", "0.5", "--nuy", "0.5",
@@ -301,6 +303,23 @@ class TestEllipsoidCommand:
         ])
         assert code == 2 and out == ""
         assert err.startswith("error: --sigma-file is not readable JSON: ") and err.count("\n") == 1
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no limit on int string conversion")
+    @pytest.mark.parametrize("text", [
+        '{"n": ' + "1" * 5000 + ', "data": [1]}', '{"n": 1, "data": [' + "1" * 5000 + "]}",
+    ], ids=["n", "entry"])
+    def test_sigma_file_integer_past_the_digit_limit_exits_two(self, capsys, tmp_path, text):
+        # json's int conversion refuses more than 4300 digits with a ValueError,
+        # which used to end in a traceback and exit 1.
+        sigma_path = tmp_path / "sigma.json"
+        sigma_path.write_text(text)
+        code, out, err = run_cli(capsys, [
+            "ellipsoid", "--n", "1", "--k", "1", "--rho", "0.3",
+            "--nux", "0.5", "--nuy", "0.5", "--trials", "2",
+            "--sigma-file", str(sigma_path),
+        ])
+        assert code == 2 and out == ""
+        assert err.startswith("error: --sigma-file is not readable JSON: Exceeds the limit") and err.count("\n") == 1
 
     @pytest.mark.parametrize("data", [[True, False, False, True], ["2.0", "0", "0", "2.0"]])
     def test_sigma_file_entries_must_be_numbers(self, capsys, tmp_path, data):
@@ -599,3 +618,108 @@ class TestStrictJson:
         ])
         assert code == 2 and out == ""
         assert "not finite" in err
+
+
+# Entries written as a JSON text: ints mixed with floats, -0 (an int 0 to json), the smallest
+# subnormal and the largest double.
+ENTRIES = ["2", "-0", "5e-324", "0.25", "1.7976931348623157e308", "-3", "0.5", "-0.0", "7"]
+SIGMA = {"n": 3, "data": [2.0, 0.5, -1.25, 0.5, 3.0, 1e-300, -1.25, 1e-300, 4.0]}
+
+
+def sigma_text(entries, n=3, head='{"n": %s, "data": [', sep=", ", tail="]}"):
+    return (head % n + sep.join(entries) + tail).encode()
+
+
+# (id, file content, whether the piecewise reader takes it without the whole-file fallback)
+SIGMA_FILES = [
+    ("compact", json.dumps(SIGMA, separators=(",", ":")).encode(), True),
+    ("default", json.dumps(SIGMA).encode(), True),
+    ("repr", sigma_text(map(repr, SIGMA["data"])), True),
+    ("indent-1", json.dumps(SIGMA, indent=1).encode(), True),
+    ("tabs-crlf", sigma_text(ENTRIES, head='\t{\t"n"\t:\r\n%s\t,\r\n"data"\t:\t[\r\n', sep="\t,\r\n",
+                             tail="\r\n]\t\r\n}\r\n"), True),
+    ("mixed", sigma_text(ENTRIES), True),
+    ("data-first", json.dumps(SIGMA, sort_keys=True).encode(), False),
+    ("extra-key", json.dumps({**SIGMA, "note": 1}).encode(), False),
+    ("duplicate-n", b'{"n": 2, "n": 3, "data": [' + ", ".join(ENTRIES).encode() + b"]}", False),
+    ("n-float", sigma_text(["1"] * 4, n="2.0"), False),
+    ("n-true", sigma_text(["1"] * 4, n="true"), False),
+    ("n-string", sigma_text(["1"] * 4, n='"2"'), False),
+    ("n-0", sigma_text([], n=0), False),
+    ("n-minus-1", sigma_text(["1"], n=-1), False),
+    ("n-1e9", sigma_text(["1"] * 4, n=10**9), False),
+    ("nan", sigma_text(["NaN"] + ENTRIES[1:]), False),
+    ("infinity", sigma_text(ENTRIES[:-1] + ["-Infinity"]), False),
+    ("1e400", sigma_text(ENTRIES[:4] + ["1e400"] + ENTRIES[5:]), False),
+    ("int-past-float", sigma_text(ENTRIES[:4] + ["1" + "0" * 400] + ENTRIES[5:]), False),
+    ("string-with-comma", sigma_text(ENTRIES[:3] + ['"1,0"'] + ENTRIES[4:]), False),
+    ("nested", sigma_text(ENTRIES[:3] + ["[1, 2]"] + ENTRIES[4:]), False),
+    ("null", sigma_text(ENTRIES[:-1] + ["null"]), False),
+    ("leading-comma", sigma_text(ENTRIES, head='{"n": %s, "data": [,'), False),
+    ("trailing-comma", sigma_text(ENTRIES, tail=",]}"), False),
+    ("double-comma", sigma_text(ENTRIES[:4] + [""] + ENTRIES[4:-1]), False),
+    ("empty", sigma_text([]), False),
+    ("one-short", sigma_text(ENTRIES[:-1]), False),
+    ("one-over", sigma_text(ENTRIES + ["1"]), False),
+    ("junk-after", sigma_text(ENTRIES) + b" x", False),
+    ("bom", b"\xef\xbb\xbf" + sigma_text(ENTRIES), False),
+    ("bad-utf8", sigma_text(ENTRIES).replace(b"0.25", b"0.2\xff"), False),
+    ("deep", sigma_text(["[" * 100000 + "]" * 100000], n=1), False),
+]
+
+
+def read_outcome(path):
+    """The reader's array, bit for bit, or the type and message of what it raised."""
+    try:
+        a = cli._read_sigma_file(str(path))
+    except Exception as exc:  # every outcome is compared
+        return type(exc), str(exc)
+    return a.shape, a.dtype, a.tobytes()
+
+
+class TestSigmaFileReader:
+    @pytest.mark.parametrize("piece", [1, 2, 3, 5, 8, 1 << 18])
+    @pytest.mark.parametrize("content,in_pieces", [p[1:] for p in SIGMA_FILES], ids=[p[0] for p in SIGMA_FILES])
+    def test_pieces_give_what_the_whole_file_gives(self, tmp_path, monkeypatch, content, in_pieces, piece):
+        # Pieces of a few characters put a cut at every position of the text.
+        path = tmp_path / "sigma.json"
+        path.write_bytes(content)
+        monkeypatch.setattr(cli, "_PIECE", piece)
+        outcome = read_outcome(path)
+        with open(path, encoding="utf-8") as fh:
+            try:
+                taken = cli._read_pieces(fh) is not None
+            except (ValueError, RecursionError, OverflowError):
+                taken = False
+        monkeypatch.setattr(cli, "_read_pieces", lambda fh: None)  # json.load and matrix_from_json alone
+        assert outcome == read_outcome(path)
+        assert taken == in_pieces
+
+    @pytest.mark.parametrize("n", [4096, 10**9])
+    def test_an_n_the_file_cannot_hold_allocates_nothing(self, tmp_path, n):
+        path = tmp_path / "sigma.json"
+        path.write_bytes(sigma_text(["1"] * 4, n=n))
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match=f'^"data" must hold exactly {n * n} numbers$'):
+                cli._read_sigma_file(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_reading_an_n_1024_file_holds_about_the_matrix(self, tmp_path):
+        # json.load and matrix_from_json peaked at 55 MiB on this file: its
+        # 24 MB of text and a list of 2^20 floats beside the 8 MiB array.
+        n = 1024
+        sigma = np.random.default_rng(0).standard_normal((n, n))
+        path = tmp_path / "sigma.json"
+        path.write_text(json.dumps({"n": n, "data": sigma.ravel().tolist()}))
+        tracemalloc.start()
+        try:
+            a = cli._read_sigma_file(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(a, sigma)
+        assert peak < 20 << 20

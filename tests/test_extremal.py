@@ -25,6 +25,7 @@ from gauss_extremal.extremal import (
     vector_extremal_forms,
     vector_extremal_gap,
     vector_gap_forms,
+    volume_ratio,
 )
 from gauss_extremal.gauss_model import (
     GaussianAuxChannel,
@@ -864,6 +865,7 @@ class TestDualityConsistency:
 
 NAN = float("nan")
 INFO = mutual_information(GaussianPairModel.scalar(0.5), *scalar_channels(0.8, 0.4))
+LD = {"x": np.zeros(1), "y": np.zeros(1)}
 
 
 @pytest.mark.parametrize("func, args, message", [
@@ -944,6 +946,11 @@ INFO = mutual_information(GaussianPairModel.scalar(0.5), *scalar_channels(0.8, 0
                  id="gap-forms-n-2.5"),
     pytest.param(vector_gap_forms, (INFO, True, 0.25), "^n must be an integer of at least 1, got True$",
                  id="gap-forms-n-true"),
+    # volume_ratio, the ratio's partner: n = 0 gave inf or NaN with a RuntimeWarning, the others numbers.
+    pytest.param(volume_ratio, (LD, 0, 0.5), "^n must be an integer of at least 1, got 0$", id="ratio-n-0"),
+    pytest.param(volume_ratio, (LD, -1, 0.5), "^n must be an integer of at least 1, got -1$", id="ratio-n-minus-1"),
+    pytest.param(volume_ratio, (LD, 2.5, 0.5), "^n must be an integer of at least 1, got 2.5$", id="ratio-n-2.5"),
+    pytest.param(volume_ratio, (LD, True, 0.5), "^n must be an integer of at least 1, got True$", id="ratio-n-true"),
     pytest.param(nondegenerate_minimizers, (3.0, 0.8, True), "^count must be a positive integer, got True$",
                  id="minimizers-count-true"),
     pytest.param(log_unit_ball_volume, (True,), "^n must be an integer of at least 1, got True$", id="log-ball-n-true"),
