@@ -192,13 +192,14 @@ def _read_sigma_file(path: str) -> np.ndarray:
     """The --sigma-file's matrix: read in pieces where _read_pieces accepts the file, else decoded
     whole by json.load and checked by matrix_from_json, which give every error message."""
     with open(path, encoding="utf-8") as fh:
-        try:  # a pipe cannot be read twice: it is decoded whole
-            sigma = _read_pieces(fh) if fh.seekable() else None
-        except (ValueError, RecursionError, OverflowError, MemoryError):  # json.load gives the verdict
-            sigma = None
-        if sigma is not None:
-            return sigma
-        fh.seek(0)
+        if fh.seekable():  # a pipe cannot be read twice: it is decoded whole
+            try:
+                sigma = _read_pieces(fh)
+            except (ValueError, RecursionError, OverflowError, MemoryError):  # json.load gives the verdict
+                sigma = None
+            if sigma is not None:
+                return sigma
+            fh.seek(0)
         # Every way the file fails to decode as JSON: UTF-8 text, one recursion per nesting
         # level, and int's 4300-digit limit, a ValueError as the other two's errors are.
         try:

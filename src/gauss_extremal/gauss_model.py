@@ -86,22 +86,17 @@ def _reject(bad, name: str, what: str) -> None:
 
 def _check_symmetric(a: np.ndarray, name: str) -> None:
     # Max-norms without absolute-value copies: a - a^T is exactly
-    # antisymmetric, so its largest entry is its largest magnitude. It is
-    # formed in blocks of _SYMMETRY_ENTRIES entries, not whole (8 MB at
-    # n = 1024): rows of a matrix, whole matrices of a stack (row blocks of
-    # a stack ran 1.4x slower at (256, 32, 32)). A stack of at most that
-    # many entries is one block.
-    axes, n = (-2, -1), a.shape[-1]
+    # antisymmetric, so its largest entry is its largest magnitude. A matrix
+    # of more than _SYMMETRY_ENTRIES entries forms it in row blocks of that
+    # many, not whole (8 MB at n = 1024); a stack forms it in one pass.
+    axes = (-2, -1)
     scale = np.maximum(1.0, np.maximum(a.max(axis=axes), -a.min(axis=axes)))
     at = np.swapaxes(a, -2, -1)
-    if a.ndim == 2:
-        rows = max(1, _SYMMETRY_ENTRIES // n)
-        asym = max((a[lo:lo + rows] - at[lo:lo + rows]).max() for lo in range(0, n, rows))
+    if a.ndim == 2 and a.size > _SYMMETRY_ENTRIES:
+        rows = max(1, _SYMMETRY_ENTRIES // a.shape[-1])
+        asym = max((a[lo:lo + rows] - at[lo:lo + rows]).max() for lo in range(0, len(a), rows))
     else:
-        step = max(1, _SYMMETRY_ENTRIES // (n * n))
-        asym = np.empty(len(a))
-        for lo in range(0, len(a), step):
-            asym[lo:lo + step] = (a[lo:lo + step] - at[lo:lo + step]).max(axis=axes)
+        asym = (a - at).max(axis=axes)
     _reject(asym > SYMMETRY_TOL * scale, name, f"not symmetric within {SYMMETRY_TOL:g} relative")
 
 

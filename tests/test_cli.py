@@ -242,6 +242,25 @@ class TestEllipsoidCommand:
         assert code == 0
         assert abs(json.loads(out)["config"]["sigma"]["trace"] - 5.5) < 1e-12
 
+    def test_sigma_file_through_a_pipe_gives_the_file_s_trials(self, capsys, tmp_path):
+        # A pipe cannot be read twice, so it is decoded whole: to the same matrix.
+        text = json.dumps(SIGMA).encode()
+        (tmp_path / "sigma.json").write_bytes(text)
+        read, write = os.pipe()
+        os.write(write, text)
+        os.close(write)
+        try:
+            for name, source in [("file", tmp_path / "sigma.json"), ("pipe", f"/dev/fd/{read}")]:
+                code, _, err = run_cli(capsys, [
+                    "ellipsoid", "--n", "3", "--k", "2", "--rho", "0.3", "--nux", "0.5", "--nuy", "0.5",
+                    "--delta", "0.01", "--trials", "4", "--sigma-file", str(source),
+                    "--trials-csv", str(tmp_path / f"{name}.csv"),
+                ])
+                assert (code, err) == (0, "")
+        finally:
+            os.close(read)
+        assert (tmp_path / "pipe.csv").read_bytes() == (tmp_path / "file.csv").read_bytes()
+
     def test_parsed_sigma_is_freed_before_the_run(self, capsys, tmp_path, monkeypatch):
         # The config keeps only sigma's trace and log-determinant: the parsed
         # array (8 MB at n = 1024) must not stay alive through the run.

@@ -57,17 +57,20 @@ class TestLogDet:
         with pytest.raises(NotPositiveDefinite):
             log_det(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
+    def test_rejects_pivot_below_scaled_tolerance(self):
+        # Pivot 1e-10 against trace/n = 5e9: far below 1e-10 * trace/n.
+        with pytest.raises(NotPositiveDefinite):
+            log_det(np.diag([1e10, 1e-10]))
+
 
 @pytest.mark.parametrize("entries", [1, 7, 40, 1 << 16])
-@pytest.mark.parametrize("shape,where", [
-    ((9, 9), (8, 2)), ((9, 9), (0, 8)), ((9, 9), (4, 4)), ((5, 6, 6), (3, 5, 1)), ((5, 6, 6), (4, 0, 5)),
-])
+@pytest.mark.parametrize("where", [(8, 2), (0, 8), (4, 4)])
 @pytest.mark.parametrize("offset", [0.0, 0.5e-12, 2e-12, 1e-3])
-def test_symmetry_check_in_blocks_keeps_every_verdict(monkeypatch, entries, shape, where, offset):
-    # a - a^T formed in blocks of a few entries (rows of a matrix, matrices
-    # of a stack) gives the verdict and the message of one block.
-    a = np.random.default_rng(3).standard_normal(shape)
-    a = a + np.swapaxes(a, -2, -1)
+def test_symmetry_check_in_blocks_keeps_every_verdict(monkeypatch, entries, where, offset):
+    # a - a^T formed in row blocks of a few entries gives the verdict and
+    # the message of one block.
+    a = np.random.default_rng(3).standard_normal((9, 9))
+    a = a + a.T
     a[where] += offset * np.abs(a).max()
 
     def verdict():
@@ -82,11 +85,6 @@ def test_symmetry_check_in_blocks_keeps_every_verdict(monkeypatch, entries, shap
     monkeypatch.setattr(gauss_model, "_SYMMETRY_ENTRIES", entries)
     assert verdict() == whole
     assert (whole is None) == (offset <= 0.5e-12 or where[-1] == where[-2])
-
-    def test_rejects_pivot_below_scaled_tolerance(self):
-        # Pivot 1e-10 against trace/n = 5e9: far below 1e-10 * trace/n.
-        with pytest.raises(NotPositiveDefinite):
-            log_det(np.diag([1e10, 1e-10]))
 
 
 class TestSchurConditionalCov:
