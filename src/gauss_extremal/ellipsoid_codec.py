@@ -247,7 +247,7 @@ def implied_rates(rho: float, nu_x: float, nu_y: float, q_x: float, q_y: float) 
     on the dominant face of the achievable region (the sum equals the joint
     information exactly) with a small slack pushing a sent description
     strictly inside. A description that is not sent (q = inf) has rate 0.
-    Noise levels that miss the targets raise Infeasible, as in solve_noise_levels.
+    Infeasible for noise levels that miss the targets, as in solve_noise_levels; DomainError for a rate not finite.
     """
     _check_targets(rho, nu_x, nu_y)
     if not (q_x > 0.0 and q_y > 0.0):  # NaN included
@@ -257,6 +257,8 @@ def implied_rates(rho: float, nu_x: float, nu_y: float, q_x: float, q_y: float) 
     # I(X;U|V) = (1/2) log2(Var(X|V) / nu_x), and likewise for Y.
     r_x = 0.5 * math.log2(v_x / nu_x) + 0.5 * shared + (RATE_SLACK if s_x > 0.0 else 0.0)
     r_y = 0.5 * math.log2(v_y / nu_y) + 0.5 * shared + (RATE_SLACK if s_y > 0.0 else 0.0)
+    if not (r_x < math.inf and r_y < math.inf):  # v / nu overflowed; v >= 1 - rho^2 > 0
+        raise DomainError(f"the implied rates ({r_x:g}, {r_y:g}) are not finite: a target is too small")
     return r_x, r_y
 
 

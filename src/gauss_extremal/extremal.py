@@ -21,17 +21,18 @@ The dual value function is
 
     F(lam) = inf { I(X;U) - lam I(Y;U) + I(Y;V|U) - lam I(X;V|U) },
 
-the infimum running over the Markov chain. With r_x, r_z, r_y the n-th
-roots of |sigma_x|, |sigma_z|, |sigma_y|, one closed form
+the infimum running over the Markov chain. With roots (r_x, r_z, r_y), one
+closed form
 
     (n/2) [log2(r_x (lam-1) / r_z) - lam log2(r_y (lam-1) / (r_z lam))]
 
 for lam r_x >= r_x + r_z, and (lam n / 2) log2((r_x + r_z) / r_y) below,
 is the exact scalar dual at (rho^2, 1 - rho^2, 1), the exponent-tradeoff
-minimum at (a1, a2, 1), and a lower bound on the vector dual, tight when
-sigma_x and sigma_z are proportional and, above the branch threshold, for
-the channel family with conditional covariance alpha * sigma_z,
-alpha = 1 / (lam - 1).
+minimum at (a1, a2, 1), and, at (1, gm(d), gm(1 + d)) for the spectrum d of
+sigma_x^{-1} sigma_z (gm the geometric mean), a lower bound on the vector
+dual, tight when all d are equal (sigma_x and sigma_z proportional) and,
+above the branch threshold, for the channel family with conditional
+covariance alpha * sigma_z, alpha = 1 / (lam - 1).
 
 Everything here is pure; its only state is a cache of read-only grid plans.
 The grid oracle returns a full scan's minimum value, bit for bit:
@@ -54,7 +55,9 @@ from .gauss_model import (
     GaussianPairModel,
     InfoVector,
     _as_square,
+    _pair_spectrum,
     _triple_batch,
+    cholesky_pd,
     log_det,
 )
 
@@ -194,33 +197,28 @@ def scalar_dual_closed(lam: float, rho: float) -> DualValue:
     return DualValue(value_bits=value, branch=branch, exactness="exact")
 
 
-def _roots_proportional(sigma_x: np.ndarray, sigma_z: np.ndarray) -> bool:
-    # Divided by their largest |entries|, so no square in a norm overflows or underflows.
-    # 1e-10 relative absorbs the rounding of c, a ratio of traces, and of a
-    # caller's proportional pair such as (2.0 * sz, sz): ulps of the entries.
-    x, z = (m / np.abs(m).max() for m in (sigma_x, sigma_z))
-    c = float(np.trace(z)) / float(np.trace(x))
-    return float(np.linalg.norm(z - c * x)) <= 1e-10 * float(np.linalg.norm(z))
-
-
 def vector_dual_lower(lam: float, sigma_x, sigma_z) -> DualValue:
-    """Certified lower bound on the vector dual function.
-
-    Branch threshold lam* = 1 + (|sigma_z| / |sigma_x|)^(1/n). The bound is
-    exact when sigma_x and sigma_z are proportional (in particular it
-    reduces to the scalar closed form at n = 1); otherwise the true value
-    could exceed it below the threshold, so exactness is "lower_bound".
-    Raises DomainError for shapes that differ or a value that is not finite."""
+    """Certified lower bound on the vector dual function, read from the spectrum
+    d of sigma_x^{-1} sigma_z (see the module docstring): branch threshold
+    lam* = 1 + gm(d). The bound is exact when all d are equal, sigma_x and
+    sigma_z proportional (so always at n = 1); otherwise the true value could
+    exceed it below the threshold, so exactness is "lower_bound". Raises
+    DomainError for shapes that differ or a value or d that is not finite."""
     if not lam >= 0.0:  # NaN included
         raise DomainError("lam must be nonnegative")
     sx = np.asarray(sigma_x, dtype=float)
     sz = np.asarray(sigma_z, dtype=float)
     if sx.shape != sz.shape:
         raise DomainError(f"sigma_x and sigma_z must share a shape, got {sx.shape} and {sz.shape}")
-    lds = [log_det(m, name) for m, name in ((sx, "sigma_x"), (sz, "sigma_z"), (sx + sz, "sigma_x + sigma_z"))]
-    n = sx.shape[0]
-    value, branch = _dual_closed(lam, n, *(math.exp(ld / n) for ld in lds))
-    exactness = "exact" if _roots_proportional(sx, sz) else "lower_bound"
+    for m, name in ((sx, "sigma_x"), (sz, "sigma_z")):  # before W sigma_z W^T, which warns on an inf
+        cholesky_pd(_as_square(m, name), name)
+    with np.errstate(all="ignore"):  # a d or a root outside the float range is refused below
+        d = _pair_spectrum(sx, sz)
+        root_z, root_y = (float(np.exp(np.log(v).mean())) for v in (d, 1.0 + d))
+    if not 0.0 < root_z < math.inf:
+        raise DomainError(f"F({lam:g}) is not finite: the eigenvalues of sigma_x^-1 sigma_z leave the float range")
+    value, branch = _dual_closed(lam, sx.shape[0], 1.0, root_z, root_y)
+    exactness = "exact" if d[-1] - d[0] <= 1e-10 * d[-1] else "lower_bound"  # 1e-10 absorbs cond(sx) ulps of d
     return DualValue(value_bits=value, branch=branch, exactness=exactness)
 
 

@@ -161,6 +161,12 @@ def log_det(mat, name: str = "matrix") -> float:
     return float(_log_det_of(cholesky_pd(_as_square(mat, name), name)))
 
 
+def _pair_spectrum(sigma_x, sigma_z) -> np.ndarray:
+    """Sorted eigenvalues of sigma_x^-1 sigma_z, pairs or stacks: of W sigma_z W^T, W = cholesky_pd(sigma_x)^-1."""
+    white = np.linalg.inv(cholesky_pd(sigma_x, "sigma_x"))
+    return np.linalg.eigvalsh(white @ sigma_z @ np.swapaxes(white, -2, -1))
+
+
 def schur_conditional_cov(joint, target, given) -> np.ndarray:
     """Conditional covariance S_T - S_TG S_G^{-1} S_GT of Gaussian blocks.
 

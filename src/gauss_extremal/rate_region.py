@@ -38,11 +38,13 @@ class RegionVerdict:
 
 
 def beta(rho: float, z: float) -> float:
-    """1 + sqrt(1 + 4 rho^2 z / (1 - rho^2)^2); exactly 2 at rho = 0 or z = 0."""
+    """1 + sqrt(1 + 4 rho^2 z / (1 - rho^2)^2), z in [0, inf); exactly 2 at rho = 0 or z = 0."""
     if not -1.0 < rho < 1.0:
         raise DomainError("rho must lie in (-1, 1)")
     if not z >= 0.0:  # NaN included
         raise DomainError("z must be nonnegative")
+    if z == math.inf:  # gave nan at rho = 0 and inf otherwise
+        raise DomainError("z must be finite")
     r2 = rho * rho
     return 1.0 + math.sqrt(1.0 + 4.0 * r2 * z / (1.0 - r2) ** 2)
 
@@ -84,8 +86,8 @@ def distortion_of_sum_rate(rho: float, r: float) -> float:
 
 
 def region_verdict(rho: float, r_x: float, r_y: float, nu_x: float, nu_y: float) -> RegionVerdict:
-    """Per-constraint slacks and membership of (r_x, r_y, nu_x, nu_y) at rho. Raises DomainError,
-    in this order, unless rho lies in (-1, 1), the rest are finite, rates >= 0 and both nu in (0, 1]."""
+    """Per-constraint slacks and membership of (r_x, r_y, nu_x, nu_y) at rho. Raises DomainError, in this
+    order, unless rho lies in (-1, 1), the rest are finite, rates >= 0 and both nu in (0, 1] with finite bounds."""
     if not -1.0 < rho < 1.0:
         raise DomainError("rho must lie in (-1, 1)")
     for name, value in (("r_x", r_x), ("r_y", r_y), ("nu_x", nu_x), ("nu_y", nu_y)):
@@ -98,18 +100,9 @@ def region_verdict(rho: float, r_x: float, r_y: float, nu_x: float, nu_y: float)
     r2 = rho * rho
     bound_x = 0.5 * math.log2((1.0 - r2 + r2 * 2.0 ** (-2.0 * r_y)) / nu_x)
     bound_y = 0.5 * math.log2((1.0 - r2 + r2 * 2.0 ** (-2.0 * r_x)) / nu_y)
-    slack_rx = r_x - bound_x
-    slack_ry = r_y - bound_y
-    slack_sum = r_x + r_y - sum_rate_bound_raw(rho, nu_x, nu_y)
-    sat_rx = slack_rx >= -BOUNDARY_TOL
-    sat_ry = slack_ry >= -BOUNDARY_TOL
-    sat_sum = slack_sum >= -BOUNDARY_TOL
-    return RegionVerdict(
-        satisfies_rx=sat_rx,
-        satisfies_ry=sat_ry,
-        satisfies_sum=sat_sum,
-        slack_rx=slack_rx,
-        slack_ry=slack_ry,
-        slack_sum=slack_sum,
-        inside=sat_rx and sat_ry and sat_sum,
-    )
+    for name, nu, bound in (("nu_x", nu_x, bound_x), ("nu_y", nu_y, bound_y)):
+        if bound == math.inf:  # the quotient overflowed; its numerator is at least 1 - rho^2 > 0
+            raise DomainError(f"{name} = {nu:g} is too small: its per-encoder rate bound is not finite")
+    slacks = (r_x - bound_x, r_y - bound_y, r_x + r_y - sum_rate_bound_raw(rho, nu_x, nu_y))
+    satisfied = [slack >= -BOUNDARY_TOL for slack in slacks]  # rx, ry, sum: RegionVerdict's field order
+    return RegionVerdict(*satisfied, *slacks, inside=all(satisfied))

@@ -103,6 +103,8 @@ def stream(seed: int, trial: int, stream_id: int) -> np.random.Generator:
 
 
 def random_pd(gen: np.random.Generator, n: int) -> np.ndarray:
-    """Random positive-definite matrix A @ A.T + PD_RIDGE * I."""
+    """Random positive-definite matrix A @ A.T + PD_RIDGE * I, A n x n: n an integer of at least 1."""
+    if isinstance(n, bool) or not (isinstance(n, numbers.Integral) and n >= 1):
+        raise DomainError(f"n must be an integer of at least 1, got {n!r}")
     a = gen.standard_normal((n, n))
     return a @ a.T + PD_RIDGE * np.eye(n)

@@ -12,9 +12,9 @@ of the batched information kernel,
 whose log-determinants also give the volume ratio. The kernel checks a
 drawn covariance: sigma_x is its X block and sigma_z the Schur complement
 of X in its XY block. In every mode but vec-epi it is the only check.
-vec-epi's injection first factorizes the even samples' sigma_x with
-cholesky_pd, whose error names a sample by its position among the chunk's
-even samples, not by its number, and conditional_cov_noise factorizes
+vec-epi's injection first reads the even samples' pair spectrum, whose
+cholesky_pd of sigma_x names a failing sample by its position among the
+chunk's even samples, not by its number, and conditional_cov_noise factorizes
 alpha sigma_z and the gap between its inverse and that of sigma_x.
 Every value equals the one drawn with a call per value. Chunks only
 bound memory: every sample's gap is the same
@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import DomainError
 from .extremal import vector_gap_forms, volume_ratio
-from .gauss_model import _source_covariance, cholesky_pd, conditional_cov_noise, information_batch
+from .gauss_model import _pair_spectrum, _source_covariance, conditional_cov_noise, information_batch
 from .rng import PD_RIDGE, Streams
 
 GAP_TOL = 1e-9  # gaps that are 0 exactly (vec-epi's equality channels) round to -1.3e-12 at dim 16
@@ -136,8 +136,7 @@ def _vec_epi(samples: range, n: int, streams: Streams) -> tuple[tuple, list[dict
     drawn = _draw_vector(samples, n, streams, 1, inject_even=True)
     sigma_x, sigma_z, gain_u, noise_u, gain_v, noise_v, inject_draw = drawn
     inj = np.arange(samples.start % 2, len(samples), 2)  # the even samples
-    white = np.linalg.inv(cholesky_pd(sigma_x[inj], "sigma_x"))
-    top = np.linalg.eigvalsh(white @ sigma_z[inj] @ white.transpose(0, 2, 1)).max(axis=1)
+    top = _pair_spectrum(sigma_x[inj], sigma_z[inj]).max(axis=1)
     lam = 1.0 + 1.0 / (inject_draw[inj] / top)  # Cov(X|U) = alpha sigma_z stays below sigma_x
     alpha = 1.0 / (lam - 1.0)
     gain_u[inj] = np.eye(n)

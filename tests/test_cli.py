@@ -479,6 +479,14 @@ class TestBadInputExitsTwo:
         assert code == 2 and out == ""
         assert flag in err and "finite" in err
 
+    def test_a_subnormal_nu_names_itself(self, capsys):
+        # The per-encoder bound overflowed to an infinite slack, which the
+        # writer then refused as "a result is not finite".
+        code, out, err = run_cli(capsys, ["region", "--rho", "0.5", "--rx", "1", "--ry", "1",
+                                          "--nux", "5e-324", "--nuy", "0.3"])
+        assert code == 2 and out == ""
+        assert err == "error: nu_x = 4.94066e-324 is too small: its per-encoder rate bound is not finite\n"
+
     @pytest.mark.parametrize("n", ["0", "-1"])
     def test_dimension_below_one(self, capsys, n):
         code, out, err = run_cli(capsys, ["ellipsoid", "--n", n, "--k", "1", "--rho", "0.5",

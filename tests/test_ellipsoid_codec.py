@@ -221,6 +221,11 @@ class TestImpliedRates:
     def test_degenerate_rates_are_zero(self):
         assert implied_rates(0.5, 1.0, 1.0, math.inf, math.inf) == (0.0, 0.0)
 
+    def test_a_rate_that_is_not_finite_is_refused(self):
+        # v_x / nu_x overflowed at a subnormal target: the rates were (inf, 0.0).
+        with pytest.raises(DomainError, match=r"^the implied rates \(inf, 0\) are not finite: a target is too small$"):
+            implied_rates(2.2e-308, 5e-324, 1.0, 1e-300, math.inf)
+
     def test_noise_levels_that_miss_the_targets_are_refused(self):
         # Two descriptions that are not sent leave Var(X|U,V) = 1, not 0.3.
         with pytest.raises(Infeasible, match="miss the targets"):

@@ -25,6 +25,33 @@ from gauss_extremal.rng import random_pd, stream
 from conftest import make_scalar_triple, make_vector_triple
 
 
+class TestPairSpectrum:
+    # Against eigvals of solve(sigma_x, sigma_z), a route with no Cholesky:
+    # 1e-11 of max d absorbs both routes' rounding, about cond(sigma_x) ulps
+    # (2.1e-14 at most here, n = 1-16).
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_eigenvalues_of_sigma_x_inverse_sigma_z(self, n):
+        gen = stream(32, n, 0)
+        sx = np.stack([random_pd(gen, n) for _ in range(4)])
+        sz = np.stack([random_pd(gen, n) for _ in range(4)])
+        stacked = gauss_model._pair_spectrum(sx, sz)
+        assert stacked.shape == (4, n)
+        for t in range(4):
+            want = np.sort(np.linalg.eigvals(np.linalg.solve(sx[t], sz[t])).real)
+            one = gauss_model._pair_spectrum(sx[t], sz[t])
+            for d in (one, stacked[t]):
+                assert np.all(np.diff(d) >= 0.0)
+                assert np.max(np.abs(d - want)) <= 1e-11 * want[-1]
+                # n log gm(d) = sum log d = log |sigma_z| - log |sigma_x|: 1e-10
+                # absorbs n log-determinants' rounding (1.9e-12 at most here).
+                assert abs(np.log(d).sum() - (log_det(sz[t]) - log_det(sx[t]))) <= 1e-10
+
+    def test_sigma_x_is_refused_as_cholesky_pd_refuses_it(self):
+        sx = np.stack([np.eye(2), [[1.0, 2.0], [2.0, 1.0]]])
+        with pytest.raises(NotPositiveDefinite, match=r"^sigma_x \(sample 1\): "):
+            gauss_model._pair_spectrum(sx, np.stack([np.eye(2)] * 2))
+
+
 class TestLogDet:
     def test_identity_is_zero(self):
         assert log_det(np.eye(3)) == 0.0

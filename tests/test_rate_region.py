@@ -68,6 +68,12 @@ class TestBeta:
         with pytest.raises(DomainError):
             beta(0.5, -0.1)
 
+    @pytest.mark.parametrize("rho", [0.0, 1e-16, 0.5])
+    def test_an_infinite_z_is_a_domain_error(self, rho):
+        # 4 rho^2 z was nan at rho = 0 and inf otherwise, and so was beta.
+        with pytest.raises(DomainError, match="^z must be finite$"):
+            beta(rho, math.inf)
+
 
 class TestSumRateBound:
     def test_independent_sources(self):
@@ -117,6 +123,17 @@ class TestDistortionOfSumRate:
 
 
 class TestRegionVerdict:
+    @pytest.mark.parametrize("nu_x,nu_y,name", [(5e-324, 0.3, "nu_x"), (0.3, 5e-324, "nu_y"), (1e-310, 1e-310, "nu_x")])
+    def test_a_nu_whose_bound_overflows_is_a_domain_error(self, nu_x, nu_y, name):
+        # The quotient inside the per-encoder log2 overflowed: slack -inf, while
+        # slack_sum, a sum of logs, stayed finite.
+        with pytest.raises(DomainError, match=f"^{name} = .* is too small: its per-encoder rate bound is not finite$"):
+            region_verdict(0.5, 1.0, 1.0, nu_x, nu_y)
+
+    def test_the_smallest_normal_nu_keeps_a_finite_bound(self):
+        v = region_verdict(0.5, 1.0, 1.0, 2.2250738585072014e-308, 0.3)
+        assert math.isfinite(v.slack_rx) and not v.satisfies_rx
+
     def test_zero_rate_corner(self):
         v = region_verdict(rho=0.0, r_x=0.0, r_y=0.0, nu_x=1.0, nu_y=1.0)
         assert v.inside

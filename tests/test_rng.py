@@ -63,6 +63,18 @@ def test_rejects_key_parts_out_of_range(trial, stream_id):
         rng.Streams(0)(trial, stream_id)
 
 
+@pytest.mark.parametrize("n", [True, 0, -1, 2.0, 2.5, float("nan")])
+def test_random_pd_refuses_an_n_that_is_not_a_positive_integer(n):
+    # True was taken as 1 until numpy's TypeError, and 0 gave a 0 x 0 matrix.
+    with pytest.raises(DomainError, match="^n must be an integer of at least 1, got"):
+        rng.random_pd(np.random.default_rng(0), n)
+
+
+def test_random_pd_takes_a_numpy_integer():
+    a = rng.random_pd(np.random.default_rng(0), np.int64(3))
+    assert a.shape == (3, 3) and np.array_equal(a, rng.random_pd(np.random.default_rng(0), 3))
+
+
 @pytest.mark.parametrize("seed", [1.5, 2.0])
 def test_non_integral_seed_is_a_domain_error(seed):
     with pytest.raises(DomainError, match="^seed must be an integer"):
