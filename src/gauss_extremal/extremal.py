@@ -32,7 +32,10 @@ minimum at (a1, a2, 1), and, at (1, gm(d), gm(1 + d)) for the spectrum d of
 sigma_x^{-1} sigma_z (gm the geometric mean), a lower bound on the vector
 dual, tight when all d are equal (sigma_x and sigma_z proportional) and,
 above the branch threshold, for the channel family with conditional
-covariance alpha * sigma_z, alpha = 1 / (lam - 1).
+covariance alpha * sigma_z, alpha = 1 / (lam - 1). In the pair's basis W,
+W sigma_x W^T = I and W sigma_z W^T = diag(d), that family is the channel
+U = W X + N(0, diag(q)), q = alpha d / (1 - alpha d), which exists iff
+alpha max d < 1; alpha_family_channel and the vec-epi sweep build it.
 
 Everything here is pure; its only state is a cache of read-only grid plans.
 The grid oracle returns a full scan's minimum value, bit for bit:
@@ -57,7 +60,6 @@ from .gauss_model import (
     _as_square,
     _pair_spectrum,
     _triple_batch,
-    cholesky_pd,
     log_det,
 )
 
@@ -167,13 +169,12 @@ def _dual_closed(lam: float, n: int, root_x: float, root_z: float, root_y: float
     """(value, branch) of the closed form in the module docstring, +0.0 on the zero branch
     when r_x + r_z = r_y. Raises DomainError when the value is not finite: near the ends
     of the float range the logarithmic terms overflow, to inf - inf = nan (in Python floats,
-    as numpy scalars would warn first)."""
+    as numpy scalars would warn first), or r_z lam overflows and the last quotient is 0."""
     lam, root_x, root_z, root_y = float(lam), float(root_x), float(root_z), float(root_y)
     active = lam * root_x >= root_x + root_z
     if active:
-        value = (n / 2.0) * (
-            math.log2(root_x * (lam - 1.0) / root_z) - lam * math.log2(root_y * (lam - 1.0) / (root_z * lam))
-        )
+        first, last = root_x * (lam - 1.0) / root_z, root_y * (lam - 1.0) / (root_z * lam)
+        value = (n / 2.0) * (math.log2(first) - lam * math.log2(last)) if last else math.nan  # log2(0) raises
     else:
         value = (lam * n / 2.0) * math.log2((root_x + root_z) / root_y)
     if not math.isfinite(value):
@@ -206,14 +207,11 @@ def vector_dual_lower(lam: float, sigma_x, sigma_z) -> DualValue:
     DomainError for shapes that differ or a value or d that is not finite."""
     if not lam >= 0.0:  # NaN included
         raise DomainError("lam must be nonnegative")
-    sx = np.asarray(sigma_x, dtype=float)
-    sz = np.asarray(sigma_z, dtype=float)
+    sx, sz = np.asarray(sigma_x, dtype=float), np.asarray(sigma_z, dtype=float)
     if sx.shape != sz.shape:
         raise DomainError(f"sigma_x and sigma_z must share a shape, got {sx.shape} and {sz.shape}")
-    for m, name in ((sx, "sigma_x"), (sz, "sigma_z")):  # before W sigma_z W^T, which warns on an inf
-        cholesky_pd(_as_square(m, name), name)
     with np.errstate(all="ignore"):  # a d or a root outside the float range is refused below
-        d = _pair_spectrum(sx, sz)
+        d, _ = _pair_spectrum(_as_square(sx, "sigma_x"), sz)  # a matrix, not a stack
         root_z, root_y = (float(np.exp(np.log(v).mean())) for v in (d, 1.0 + d))
     if not 0.0 < root_z < math.inf:
         raise DomainError(f"F({lam:g}) is not finite: the eigenvalues of sigma_x^-1 sigma_z leave the float range")
@@ -465,15 +463,18 @@ def nondegenerate_minimizers(lam: float, rho: float, count: int = 20) -> list[Mi
     return [MinimizerPair(math.sqrt(u2), math.sqrt(v2)) for u2, v2 in zip(a[keep].tolist(), b[keep].tolist())]
 
 
-def alpha_family_channel(
-    model: GaussianPairModel, lam: float
-) -> tuple[GaussianAuxChannel, float]:
-    """The tightness-certifying channel: Cov(rho X | U) = alpha sigma_z, alpha = 1 / (lam - 1),
-    built in the model's own X coordinates, so its target Cov(X | U) is alpha sigma_z / rho^2.
+def _equality_noise(alpha, d) -> np.ndarray:
+    """diag(q), q = alpha d / (1 - alpha d), of U = W X + N(0, diag(q)), Cov(X | U) = alpha sigma_z, for (d, W) =
+    _pair_spectrum(sigma_x, sigma_z), or of stacks with one alpha per pair. The caller ensures alpha max d < 1."""
+    ad = np.expand_dims(alpha, -1) * d
+    return (ad / (1.0 - ad))[..., None] * np.eye(d.shape[-1])
 
-    Valid only when that sits strictly below sigma_x, as it does for every lam above
-    1 + max-eigenvalue of (rho^2 sigma_x)^{-1} sigma_z (1 / rho^2 for the scalar model).
-    DomainError when lam is not in (1, inf), rho^2 is 0 or the target is not finite."""
+
+def alpha_family_channel(model: GaussianPairModel, lam: float) -> tuple[GaussianAuxChannel, float]:
+    """The tightness-certifying channel Cov(rho X | U) = alpha sigma_z, alpha = 1 / (lam - 1): U = rho W X +
+    N(0, diag(q)), q = alpha d / (1 - alpha d), with (d, W) = _pair_spectrum(rho^2 sigma_x, sigma_z), so that
+    Cov(X | U) = alpha sigma_z / rho^2 in the model's X coordinates. DomainError when lam is not in (1, inf),
+    rho^2 is 0 or that target is not finite, or lam <= 1 + max d (1 / rho^2 for the scalar model)."""
     if not lam > 1.0:  # NaN included
         raise DomainError("lam must exceed 1 for the channel family")
     if lam == math.inf:
@@ -481,10 +482,13 @@ def alpha_family_channel(
     alpha = 1.0 / (lam - 1.0)
     r2 = model.rho * model.rho
     with np.errstate(all="ignore"):  # rho^2 = 0 (rho = 0, or rho^2 underflows) gives inf or nan
-        target = alpha * model.sigma_z / r2
-    if not np.all(np.isfinite(target)):
+        finite = np.all(np.isfinite(alpha * model.sigma_z / r2))
+    if not finite:
         raise DomainError(f"alpha sigma_z / rho^2 is not finite at rho^2 = {r2:g} (no such channel at rho = 0)")
-    return GaussianAuxChannel.for_conditional_cov(model, target, "x"), alpha
+    d, w = _pair_spectrum(r2 * model.sigma_x, model.sigma_z)
+    if not (lam > 1.0 + d[-1] and alpha * d[-1] < 1.0):  # near 1 + max d, alpha max d can round to 1
+        raise DomainError(f"lam = {lam:g} must exceed 1 + max d = {1 + d[-1]:g}, d of (rho^2 sigma_x, sigma_z)")
+    return GaussianAuxChannel.linear(model.rho * w, _equality_noise(alpha, d), "x"), alpha
 
 
 def exponent_tradeoff_min(a1: float, a2: float, lam: float) -> float:

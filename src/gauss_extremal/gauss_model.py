@@ -161,10 +161,14 @@ def log_det(mat, name: str = "matrix") -> float:
     return float(_log_det_of(cholesky_pd(_as_square(mat, name), name)))
 
 
-def _pair_spectrum(sigma_x, sigma_z) -> np.ndarray:
-    """Sorted eigenvalues of sigma_x^-1 sigma_z, pairs or stacks: of W sigma_z W^T, W = cholesky_pd(sigma_x)^-1."""
+def _pair_spectrum(sigma_x, sigma_z) -> tuple[np.ndarray, np.ndarray]:
+    """(d, W) of a pair or of stacks: d the ascending eigenvalues of sigma_x^-1 sigma_z and the basis
+    W = Q^T L^-1, L = cholesky_pd(sigma_x) and Q the eigenvectors of L^-1 sigma_z L^-T, in which
+    W sigma_x W^T = I and W sigma_z W^T = diag(d). sigma_z passes cholesky_pd after sigma_x."""
     white = np.linalg.inv(cholesky_pd(sigma_x, "sigma_x"))
-    return np.linalg.eigvalsh(white @ sigma_z @ np.swapaxes(white, -2, -1))
+    cholesky_pd(sigma_z, "sigma_z")
+    d, q = np.linalg.eigh(white @ sigma_z @ np.swapaxes(white, -2, -1))
+    return d, np.swapaxes(q, -2, -1) @ white
 
 
 def schur_conditional_cov(joint, target, given) -> np.ndarray:
@@ -303,12 +307,8 @@ class GaussianAuxChannel:
 
     @classmethod
     def for_conditional_cov(cls, model: GaussianPairModel, target_cov, side: str) -> "GaussianAuxChannel":
-        """Identity-gain channel whose conditional source covariance equals target_cov.
-
-        With U = X + W the conditional covariance is (S^{-1} + N^{-1})^{-1},
-        so N = (T^{-1} - S^{-1})^{-1}; this requires T strictly below S, the
-        model's sigma_x or sigma_y.
-        """
+        """Identity-gain channel whose Cov(source | U) is target_cov, the source the model's
+        sigma_x or sigma_y: its noise is conditional_cov_noise's."""
         cls._check_side(side)
         source = model.sigma_x if side == "x" else model.sigma_y
         return cls.linear(np.eye(model.n), conditional_cov_noise(source, target_cov), side)
@@ -320,25 +320,21 @@ class GaussianAuxChannel:
 
 
 def conditional_cov_noise(source_cov, target_cov) -> np.ndarray:
-    """Noise covariance N of the identity-gain channel U = X + W, W ~ N(0, N),
-    whose conditional covariance Cov(X | U) equals target_cov.
-
-    The conditional covariance is (S^{-1} + N^{-1})^{-1}, so
-    N = (T^{-1} - S^{-1})^{-1}; this requires T strictly below the source
-    covariance S in the definite order, both passing cholesky_pd's pivot test.
-    Takes two matrices or two (T, n, n) stacks of one shape; N has that shape, symmetrized.
-    """
-    s = _as_square(source_cov, "source_cov", stack=True)
-    t = _as_square(target_cov, "target_cov", stack=True)
+    """Noise covariance N of the identity-gain channel U = X + W, W ~ N(0, N), whose
+    Cov(X | U) = (S^{-1} + N^{-1})^{-1} equals target_cov T: N = (T^{-1} - S^{-1})^{-1},
+    symmetrized. T must lie strictly below the source covariance S in the definite
+    order, both passing cholesky_pd's pivot test."""
+    s = _as_square(source_cov, "source_cov")
+    t = _as_square(target_cov, "target_cov")
     if s.shape != t.shape:
         raise DomainError(f"source_cov and target_cov must have the same shape, got {s.shape} and {t.shape}")
     cholesky_pd(s, "source_cov")
     cholesky_pd(t, "target_cov")
     gap = np.linalg.inv(t) - np.linalg.inv(s)
-    gap = 0.5 * (gap + np.swapaxes(gap, -2, -1))
+    gap = 0.5 * (gap + gap.T)
     cholesky_pd(gap, "target_cov (must be strictly below the source covariance)")
     noise = np.linalg.inv(gap)
-    return 0.5 * (noise + np.swapaxes(noise, -2, -1))
+    return 0.5 * (noise + noise.T)
 
 
 @dataclass(frozen=True)

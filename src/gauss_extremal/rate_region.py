@@ -46,7 +46,10 @@ def beta(rho: float, z: float) -> float:
     if z == math.inf:  # gave nan at rho = 0 and inf otherwise
         raise DomainError("z must be finite")
     r2 = rho * rho
-    return 1.0 + math.sqrt(1.0 + 4.0 * r2 * z / (1.0 - r2) ** 2)
+    square = 4.0 * r2 * z / (1.0 - r2) ** 2
+    if square == math.inf:  # t^2 overflows, t = 2 |rho| sqrt(z) / (1 - rho^2) does not
+        return 1.0 + math.hypot(1.0, 2.0 * abs(rho) * math.sqrt(z) / (1.0 - r2))
+    return 1.0 + math.sqrt(1.0 + square)
 
 
 def sum_rate_bound_raw(rho: float, d_x: float, d_y: float) -> float:

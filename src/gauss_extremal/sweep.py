@@ -1,24 +1,22 @@
 """Seeded falsification sweeps of the extremal inequalities.
 
 Sample t of a sweep draws all its parameters from its own stream, the
-(seed, t, 0) key of the sweep's rng.Streams, in a fixed order, so it
-does not depend on the other samples or on the sweep length, and makes
-as few numpy calls as that order allows. The sweep first draws every
-sample of a chunk, forms all its covariances A A^T + PD_RIDGE I in one
-stacked product, then stacks the joint covariances of its pairs
-Y = rho X + Z (the unit-variance pair, sigma_z = 1 - rho^2, in the scalar
-modes; rho = 1 in the vector modes) and evaluates all of them in one call
-of the batched information kernel,
-whose log-determinants also give the volume ratio. The kernel checks a
-drawn covariance: sigma_x is its X block and sigma_z the Schur complement
-of X in its XY block. In every mode but vec-epi it is the only check.
-vec-epi's injection first reads the even samples' pair spectrum, whose
-cholesky_pd of sigma_x names a failing sample by its position among the
-chunk's even samples, not by its number, and conditional_cov_noise factorizes
-alpha sigma_z and the gap between its inverse and that of sigma_x.
-Every value equals the one drawn with a call per value. Chunks only
-bound memory: every sample's gap is the same
-whatever the chunk size. Each verify mode is one entry of _MODES.
+(seed, t, 0) key of the sweep's rng.Streams, in a fixed order, so it does not
+depend on the other samples or on the sweep length, and makes as few numpy
+calls as that order allows. The sweep first draws every sample of a chunk,
+forms all its covariances A A^T + PD_RIDGE I in one stacked product, then
+stacks the joint covariances of its pairs Y = rho X + Z (the unit-variance
+pair, sigma_z = 1 - rho^2, in the scalar modes; rho = 1 in the vector modes)
+and evaluates all of them in one call of the batched information kernel,
+whose log-determinants also give the volume ratio. The kernel checks a drawn
+covariance: sigma_x is its X block and sigma_z the Schur complement of X in
+its XY block. In every mode but vec-epi it is the only check. vec-epi's even
+samples take the equality channel U = W X + N(0, diag(q)), q = alpha d /
+(1 - alpha d), in the basis W of their pair (extremal._equality_noise); there
+cholesky_pd of sigma_x and sigma_z names a failing sample by its position
+among the chunk's even samples, not by its number. Every value equals the one
+drawn with a call per value. Chunks only bound memory: every sample's gap is
+the same whatever the chunk size. Each verify mode is one entry of _MODES.
 """
 
 from __future__ import annotations
@@ -29,11 +27,11 @@ import numbers
 import numpy as np
 
 from .errors import DomainError
-from .extremal import vector_gap_forms, volume_ratio
-from .gauss_model import _pair_spectrum, _source_covariance, conditional_cov_noise, information_batch
+from .extremal import _equality_noise, vector_gap_forms, volume_ratio
+from .gauss_model import _pair_spectrum, _source_covariance, information_batch
 from .rng import PD_RIDGE, Streams
 
-GAP_TOL = 1e-9  # gaps that are 0 exactly (vec-epi's equality channels) round to -1.3e-12 at dim 16
+GAP_TOL = 1e-9  # gaps that are 0 exactly (vec-epi's equality channels) round to -2.3e-12 at dim 16
 
 # Small chance of a degenerate description keeps the zero paths exercised.
 DEGENERATE_PROB = 0.02
@@ -136,11 +134,9 @@ def _vec_epi(samples: range, n: int, streams: Streams) -> tuple[tuple, list[dict
     drawn = _draw_vector(samples, n, streams, 1, inject_even=True)
     sigma_x, sigma_z, gain_u, noise_u, gain_v, noise_v, inject_draw = drawn
     inj = np.arange(samples.start % 2, len(samples), 2)  # the even samples
-    top = _pair_spectrum(sigma_x[inj], sigma_z[inj]).max(axis=1)
-    lam = 1.0 + 1.0 / (inject_draw[inj] / top)  # Cov(X|U) = alpha sigma_z stays below sigma_x
-    alpha = 1.0 / (lam - 1.0)
-    gain_u[inj] = np.eye(n)
-    noise_u[inj] = conditional_cov_noise(sigma_x[inj], alpha[:, None, None] * sigma_z[inj])
+    d, gain_u[inj] = _pair_spectrum(sigma_x[inj], sigma_z[inj])
+    alpha = inject_draw[inj] / d[:, -1]  # alpha max d in [0.05, 0.95): Cov(X|U) = alpha sigma_z exists
+    noise_u[inj] = _equality_noise(alpha, d)
     params = [{"sample": t, "n": n, "injected": t % 2 == 0} for t in samples]
     for i, a in zip(inj, alpha):
         params[i]["alpha"] = float(a)

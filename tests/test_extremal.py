@@ -4,6 +4,7 @@ import json
 import math
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -341,16 +342,33 @@ class TestVectorDualLower:
                 alpha_family_channel(GaussianPairModel.scalar(0.6), lam)
 
     @pytest.mark.parametrize("rho", [0.6, -0.6, 1.0 - 2.0**-53, -(1.0 - 2.0**-53)])
-    def test_alpha_family_scalar_target_is_alpha_sigma_z_over_rho_squared(self, rho):
-        # The target alpha sigma_z / rho^2 of the one model form, against the
-        # scalar target alpha (1 - rho^2) / rho^2 written out.
+    def test_alpha_family_scalar_conditional_variance(self, rho):
+        # Var(X | U) = q / (g^2 + q) for U = g X + N(0, q) and Var(X) = 1, taken
+        # exactly in rationals from the channel's float gain and noise, against
+        # the exact alpha (1 - rho^2) / rho^2. 1e-15 relative absorbs the
+        # rounding of d, W, alpha d and q, a few ulps: 3.9e-16 at most here.
         model = GaussianPairModel.scalar(rho)
         for mult in (1.01, 1.5, 3.0, 20.0):
             lam = mult / (rho * rho)
             channel, alpha = alpha_family_channel(model, lam)
-            target = [[alpha * (1.0 - rho**2) / rho**2]]
-            expect = GaussianAuxChannel.for_conditional_cov(model, target, "x")
-            assert np.array_equal(channel.noise_cov, expect.noise_cov)
+            g, q = Fraction(float(channel.gain[0, 0])), Fraction(float(channel.noise_cov[0, 0]))
+            want = Fraction(alpha) * (1 - Fraction(rho) ** 2) / Fraction(rho) ** 2
+            assert abs(float((q / (g * g + q) - want) / want)) <= 1e-15
+
+    @pytest.mark.parametrize("model", [
+        GaussianPairModel.scalar(0.6),
+        GaussianPairModel.vector(random_pd(np.random.default_rng(16), 3), random_pd(np.random.default_rng(17), 3)),
+    ], ids=["scalar", "vector"])
+    def test_alpha_family_needs_lambda_above_one_plus_max_d(self, model):
+        d, _ = extremal._pair_spectrum(model.rho**2 * model.sigma_x, model.sigma_z)
+        top = 1.0 + d[-1]
+        for lam in (top, 1.0 + 0.5 * (d[0] + d[-1]), 1.0 + 0.5 * d[0]):
+            with pytest.raises(DomainError, match=r"^lam = .* must exceed 1 \+ max d = "):
+                alpha_family_channel(model, lam)
+        # Just above the threshold the channel exists and attains the bound:
+        # the gap is roundoff (7.8e-16 at most here), although q reaches 9e8.
+        for lam in (top * (1.0 + 1e-9), top * (1.0 + 1e-6)):
+            assert abs(oohama_gap(model, alpha_family_channel(model, lam)[0])) <= 1e-13
 
     def test_alpha_family_attains_bound_nonproportional(self):
         gen = np.random.default_rng(16)
@@ -750,6 +768,12 @@ class TestExponentTradeoffMin:
                 exponent_tradeoff_min(0.5, 1e-300, 1e308)
             with pytest.raises(DomainError, match="not finite"):
                 exponent_tradeoff_min(np.float64(0.5), np.float64(1e-300), np.float64(1e308))
+
+    def test_an_overflowing_divisor_is_a_domain_error_not_a_math_error(self):
+        # r_z lam overflows while r_y (lam - 1) does not: the quotient is 0,
+        # whose math.log2 raised ValueError.
+        with pytest.raises(DomainError, match=r"^F\(1\.79769e\+308\) is not finite"):
+            exponent_tradeoff_min(2.2e-308, 1.0 + 2.0**-52, 1.7976931348623157e308)
 
     def test_rejects_invalid_weights(self):
         with pytest.raises(DomainError):

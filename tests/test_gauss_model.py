@@ -28,28 +28,39 @@ from conftest import make_scalar_triple, make_vector_triple
 class TestPairSpectrum:
     # Against eigvals of solve(sigma_x, sigma_z), a route with no Cholesky:
     # 1e-11 of max d absorbs both routes' rounding, about cond(sigma_x) ulps
-    # (2.1e-14 at most here, n = 1-16).
+    # (2.1e-14 at most here, n = 1-16). The basis W is checked by the two
+    # congruences it makes diagonal: 1e-12 absorbs about 2 cond(sigma_x) ulps,
+    # W sigma_x W^T - I measured 1.6e-14 at most here and W sigma_z W^T - diag(d)
+    # 1.8e-15 of max d.
     @pytest.mark.parametrize("n", range(1, 17))
     def test_eigenvalues_of_sigma_x_inverse_sigma_z(self, n):
         gen = stream(32, n, 0)
         sx = np.stack([random_pd(gen, n) for _ in range(4)])
         sz = np.stack([random_pd(gen, n) for _ in range(4)])
-        stacked = gauss_model._pair_spectrum(sx, sz)
-        assert stacked.shape == (4, n)
+        stacked, basis = gauss_model._pair_spectrum(sx, sz)
+        assert stacked.shape == (4, n) and basis.shape == (4, n, n)
         for t in range(4):
             want = np.sort(np.linalg.eigvals(np.linalg.solve(sx[t], sz[t])).real)
-            one = gauss_model._pair_spectrum(sx[t], sz[t])
-            for d in (one, stacked[t]):
+            for d, w in (gauss_model._pair_spectrum(sx[t], sz[t]), (stacked[t], basis[t])):
                 assert np.all(np.diff(d) >= 0.0)
                 assert np.max(np.abs(d - want)) <= 1e-11 * want[-1]
                 # n log gm(d) = sum log d = log |sigma_z| - log |sigma_x|: 1e-10
                 # absorbs n log-determinants' rounding (1.9e-12 at most here).
                 assert abs(np.log(d).sum() - (log_det(sz[t]) - log_det(sx[t]))) <= 1e-10
+                assert np.max(np.abs(w @ sx[t] @ w.T - np.eye(n))) <= 1e-12
+                assert np.max(np.abs(w @ sz[t] @ w.T - np.diag(d))) <= 1e-12 * d[-1]
 
     def test_sigma_x_is_refused_as_cholesky_pd_refuses_it(self):
         sx = np.stack([np.eye(2), [[1.0, 2.0], [2.0, 1.0]]])
         with pytest.raises(NotPositiveDefinite, match=r"^sigma_x \(sample 1\): "):
             gauss_model._pair_spectrum(sx, np.stack([np.eye(2)] * 2))
+
+    def test_sigma_z_is_refused_after_sigma_x_is_checked(self):
+        good, bad = np.stack([np.eye(2)] * 2), np.stack([np.eye(2), [[1.0, 2.0], [2.0, 1.0]]])
+        with pytest.raises(NotPositiveDefinite, match=r"^sigma_z \(sample 1\): "):
+            gauss_model._pair_spectrum(good, bad)
+        with pytest.raises(NotPositiveDefinite, match=r"^sigma_x \(sample 1\): "):
+            gauss_model._pair_spectrum(bad, bad[::-1])
 
 
 class TestLogDet:
@@ -262,9 +273,11 @@ def test_conditional_cov_channel_rejects_infeasible_target():
     ([[1.0, 2.0], [3.0, 4.0]], 0.1 * np.eye(2), NotPositiveDefinite, "^source_cov: not symmetric"),
     ([[1.0, 2.0], [2.0, 1.0]], 0.1 * np.eye(2), NotPositiveDefinite, "^source_cov: "),
     ([[math.nan, 0.0], [0.0, 1.0]], 0.1 * np.eye(2), DomainError, "^source_cov: entries must be finite$"),
-    (np.stack([np.eye(2)] * 3), 0.1 * np.stack([np.eye(2)] * 2), DomainError,
-     r"^source_cov and target_cov must have the same shape, got \(3, 2, 2\) and \(2, 2, 2\)$"),
-], ids=["asymmetric", "indefinite", "nan", "stacks-3-and-2"])
+    (np.eye(3), 0.1 * np.eye(2), DomainError,
+     r"^source_cov and target_cov must have the same shape, got \(3, 3\) and \(2, 2\)$"),
+    (np.stack([np.eye(2)] * 2), 0.1 * np.stack([np.eye(2)] * 2), DomainError,
+     r"^source_cov: expected a square matrix, got shape \(2, 2, 2\)$"),
+], ids=["asymmetric", "indefinite", "nan", "matrices-3-and-2", "stack"])
 def test_conditional_cov_noise_checks_the_source_as_the_target(source, target, error, message):
     # The source passes the target's checks: one shape, finite entries,
     # symmetry and the pivot test, each named source_cov.

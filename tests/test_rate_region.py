@@ -74,6 +74,17 @@ class TestBeta:
         with pytest.raises(DomainError, match="^z must be finite$"):
             beta(rho, math.inf)
 
+    @pytest.mark.parametrize("rho,z", [(0.9, 1e308), (-0.9, 1e308), (0.75, 1e308), (-0.5, 1.7976931348623157e308)])
+    def test_a_z_whose_square_term_overflows_keeps_a_finite_value(self, rho, z):
+        # 4 rho^2 z / (1 - rho^2)^2 overflows here, and beta was inf. Its
+        # square root t = 2 |rho| sqrt(z) / (1 - rho^2) does not. 1e-15 relative
+        # absorbs a few roundings, amplified at most 5-fold by 1 - rho^2 >= 0.19:
+        # 4.9e-16 at most over 10^4 random such inputs with |rho| <= 0.9.
+        assert 4.0 * rho * rho * z / (1.0 - rho * rho) ** 2 == math.inf
+        r = Decimal(rho)
+        want = 1 + (1 + 4 * r * r * Decimal(z) / (1 - r * r) ** 2).sqrt()
+        assert abs(Decimal(beta(rho, z)) - want) <= Decimal("1e-15") * want
+
 
 class TestSumRateBound:
     def test_independent_sources(self):
