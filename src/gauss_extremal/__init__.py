@@ -13,7 +13,6 @@ from .gauss_model import (
     GaussianPairModel,
     InfoVector,
     cholesky_pd,
-    conditional_cov_noise,
     information_batch,
     log_det,
     matrix_from_json,

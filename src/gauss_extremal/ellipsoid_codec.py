@@ -61,6 +61,7 @@ from dataclasses import InitVar, dataclass, field, fields
 import numpy as np
 
 from .errors import DomainError, Infeasible
+from .extremal import _check_n
 from .gauss_model import log_det
 from .rate_region import region_verdict
 from .rng import STREAM_NOISE_X, STREAM_NOISE_Y, STREAM_SOURCE, Streams, check_seed
@@ -90,8 +91,7 @@ _STACK_ENTRIES = 1 << 18
 
 def log_unit_ball_volume(n: int) -> float:
     """log c_n = (n/2) log pi - log Gamma(n/2 + 1), in nats."""
-    if isinstance(n, bool) or not (isinstance(n, numbers.Integral) and n >= 1):  # NaN and 2.5 included
-        raise DomainError(f"n must be an integer of at least 1, got {n!r}")
+    _check_n(n)
     return 0.5 * n * math.log(math.pi) - math.lgamma(0.5 * n + 1.0)
 
 
@@ -136,6 +136,7 @@ def check_scalar_params(n: int, k: int, rho: float, nu_x: float, nu_y: float,
             raise DomainError(f"{name} must be an integer, got {value!r}")
     if n < 1:
         raise DomainError("n must be at least 1")
+    _check_n(n)  # an n x n sigma must fit in an array: --n 3037000500 does not
     if not 1 <= k <= n:
         raise DomainError("k must satisfy 1 <= k <= n")
     _check_targets(rho, nu_x, nu_y)

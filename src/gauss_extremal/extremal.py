@@ -11,11 +11,10 @@ Gaussian with covariance proportional to sigma_z: the equality case the
 tests establish (C3, vec-epi, oohama_gap). With V sent, that condition
 alone is not sufficient: such a U with a random full-rank V left gaps
 from 2.0e-7 to 6.3e-2 over 200 random non-proportional pairs at each of
-n = 2 and 3. Each gap function here returns
-LHS - RHS, so nonnegativity of the gap over all Gaussian channels is the
-falsifiable form of the inequality. The scalar inequality is its n = 1
-case for the unit-variance pair, with r = rho^2 and
-2^(-2 I(X;Y)) = 1 - rho^2.
+n = 2 and 3. Each gap function here returns LHS - RHS, so nonnegativity
+of the gap over all Gaussian channels is the falsifiable form of the
+inequality. The scalar inequality is its n = 1 case for the unit-variance
+pair, with r = rho^2 and 2^(-2 I(X;Y)) = 1 - rho^2.
 
 The dual value function is
 
@@ -34,8 +33,9 @@ dual, tight when all d are equal (sigma_x and sigma_z proportional) and,
 above the branch threshold, for the channel family with conditional
 covariance alpha * sigma_z, alpha = 1 / (lam - 1). In the pair's basis W,
 W sigma_x W^T = I and W sigma_z W^T = diag(d), that family is the channel
-U = W X + N(0, diag(q)), q = alpha d / (1 - alpha d), which exists iff
-alpha max d < 1; alpha_family_channel and the vec-epi sweep build it.
+U = W X + N(0, gauss_model._target_noise(alpha d)), which exists iff
+alpha max d < 1. alpha_family_channel, the vec-epi sweep and
+GaussianAuxChannel.for_conditional_cov build their channels this way.
 
 Everything here is pure; its only state is a cache of read-only grid plans.
 The grid oracle returns a full scan's minimum value, bit for bit:
@@ -48,6 +48,7 @@ import collections
 import functools
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,6 +60,7 @@ from .gauss_model import (
     InfoVector,
     _as_square,
     _pair_spectrum,
+    _target_noise,
     _triple_batch,
     log_det,
 )
@@ -84,13 +86,18 @@ class MinimizerPair:
 
 
 def dual_functional(info: InfoVector, lam: float) -> float:
-    """I(X;U) - lam I(Y;U) + I(Y;V|U) - lam I(X;V|U), in bits."""
-    return info.i_xu - lam * info.i_yu + info.i_yv_given_u - lam * info.i_xv_given_u
+    """I(X;U) - lam I(Y;U) + I(Y;V|U) - lam I(X;V|U), in bits; DomainError where that is not finite."""
+    value = info.i_xu - lam * info.i_yu + info.i_yv_given_u - lam * info.i_xv_given_u
+    if not np.all(np.isfinite(value)):  # lam NaN or inf, or so large that a product overflows
+        raise DomainError(f"the functional is not finite at lam = {lam!r}")
+    return value
 
 
 def _check_n(n) -> None:
     if isinstance(n, bool) or not (isinstance(n, numbers.Integral) and n >= 1):  # NaN and 2.5 included
         raise DomainError(f"n must be an integer of at least 1, got {n!r}")
+    if n * n > sys.maxsize // 8:  # numpy arrays hold at most sys.maxsize bytes; 2 / 10**400 would overflow
+        raise DomainError("n is too large: an n x n matrix exceeds numpy's largest array")
 
 
 def vector_gap_forms(info: InfoVector, n: int, ratio):
@@ -103,6 +110,8 @@ def vector_gap_forms(info: InfoVector, n: int, ratio):
     beyond _FORM_TOL raises CrossCheckFailed; an n that is not an integer >= 1 raises DomainError.
     """
     _check_n(n)
+    if not np.all(abs(ratio) <= sys.float_info.max):  # NaN and inf included
+        raise DomainError("ratio must be finite")
     gap_cond = (
         2.0 ** (-(2.0 / n) * (info.i_yu + info.i_xv_given_u))
         - ratio * 2.0 ** (-(2.0 / n) * (info.i_xu + info.i_yv_given_u))
@@ -126,6 +135,8 @@ def volume_ratio(ld: dict, n: int, rho):
     X and Y log-determinants of information_batch; elementwise over its stack. An n
     that is not an integer >= 1 raises DomainError."""
     _check_n(n)
+    if not np.all(abs(rho) <= 1.0):  # NaN included
+        raise DomainError("rho must lie in [-1, 1]")
     return rho * rho * np.exp((ld["x"] - ld["y"]) / n)
 
 
@@ -435,7 +446,7 @@ def nondegenerate_minimizers(lam: float, rho: float, count: int = 20) -> list[Mi
     empty. It holds count pairs unless rounding takes rho_u^2 to 1, as for
     very large lam or |rho| near 1: at rho = 0.5 it holds 20 pairs at
     lam = 1e16, 6 at 1e17 and none from 1e18 on. Raises DomainError for a
-    lam that is negative, NaN or infinite.
+    lam that is negative, NaN or infinite, or a count above 10^6.
     """
     if not lam >= 0.0:  # NaN included
         raise DomainError("lam must be nonnegative")
@@ -447,6 +458,8 @@ def nondegenerate_minimizers(lam: float, rho: float, count: int = 20) -> list[Mi
         raise DomainError("rho must lie in (-1, 1)")
     if isinstance(count, bool) or not (isinstance(count, numbers.Integral) and count >= 1):
         raise DomainError(f"count must be a positive integer, got {count!r}")
+    if count > 10**6:  # numpy cannot lay out 10**400 points, and 10^6 pairs already take 240 MB
+        raise DomainError("count must not exceed 10^6")
     r2 = rho * rho
     if lam * r2 < 1.0:
         return []
@@ -463,16 +476,9 @@ def nondegenerate_minimizers(lam: float, rho: float, count: int = 20) -> list[Mi
     return [MinimizerPair(math.sqrt(u2), math.sqrt(v2)) for u2, v2 in zip(a[keep].tolist(), b[keep].tolist())]
 
 
-def _equality_noise(alpha, d) -> np.ndarray:
-    """diag(q), q = alpha d / (1 - alpha d), of U = W X + N(0, diag(q)), Cov(X | U) = alpha sigma_z, for (d, W) =
-    _pair_spectrum(sigma_x, sigma_z), or of stacks with one alpha per pair. The caller ensures alpha max d < 1."""
-    ad = np.expand_dims(alpha, -1) * d
-    return (ad / (1.0 - ad))[..., None] * np.eye(d.shape[-1])
-
-
 def alpha_family_channel(model: GaussianPairModel, lam: float) -> tuple[GaussianAuxChannel, float]:
     """The tightness-certifying channel Cov(rho X | U) = alpha sigma_z, alpha = 1 / (lam - 1): U = rho W X +
-    N(0, diag(q)), q = alpha d / (1 - alpha d), with (d, W) = _pair_spectrum(rho^2 sigma_x, sigma_z), so that
+    N(0, _target_noise(alpha d)), with (d, W) = _pair_spectrum(rho^2 sigma_x, sigma_z), so that
     Cov(X | U) = alpha sigma_z / rho^2 in the model's X coordinates. DomainError when lam is not in (1, inf),
     rho^2 is 0 or that target is not finite, or lam <= 1 + max d (1 / rho^2 for the scalar model)."""
     if not lam > 1.0:  # NaN included
@@ -481,14 +487,12 @@ def alpha_family_channel(model: GaussianPairModel, lam: float) -> tuple[Gaussian
         raise DomainError("lam must be finite")
     alpha = 1.0 / (lam - 1.0)
     r2 = model.rho * model.rho
-    with np.errstate(all="ignore"):  # rho^2 = 0 (rho = 0, or rho^2 underflows) gives inf or nan
-        finite = np.all(np.isfinite(alpha * model.sigma_z / r2))
-    if not finite:
+    if not alpha * float(model.sigma_z.max()) < r2 * sys.float_info.max:  # else alpha sigma_z / rho^2 overflows
         raise DomainError(f"alpha sigma_z / rho^2 is not finite at rho^2 = {r2:g} (no such channel at rho = 0)")
     d, w = _pair_spectrum(r2 * model.sigma_x, model.sigma_z)
     if not (lam > 1.0 + d[-1] and alpha * d[-1] < 1.0):  # near 1 + max d, alpha max d can round to 1
         raise DomainError(f"lam = {lam:g} must exceed 1 + max d = {1 + d[-1]:g}, d of (rho^2 sigma_x, sigma_z)")
-    return GaussianAuxChannel.linear(model.rho * w, _equality_noise(alpha, d), "x"), alpha
+    return GaussianAuxChannel.linear(model.rho * w, _target_noise(alpha * d), "x"), alpha
 
 
 def exponent_tradeoff_min(a1: float, a2: float, lam: float) -> float:
@@ -517,6 +521,6 @@ def minkowski_gap(sigma_a, sigma_b) -> float:
     b = _as_square(sigma_b, "sigma_b")
     if a.shape != b.shape:
         raise DomainError("matrices must share a dimension")
-    n = a.shape[0]
-    root = lambda m, name: math.exp(log_det(m, name) / n)
-    return root(a + b, "sum") - root(a, "sigma_a") - root(b, "sigma_b")
+    root = lambda m, name: math.exp(log_det(m, name) / len(a))
+    with np.errstate(over="ignore"):  # an overflowing sum is refused by log_det as not finite
+        return root(a + b, "sum") - root(a, "sigma_a") - root(b, "sigma_b")

@@ -171,6 +171,11 @@ def _pair_spectrum(sigma_x, sigma_z) -> tuple[np.ndarray, np.ndarray]:
     return d, np.swapaxes(q, -2, -1) @ white
 
 
+def _target_noise(e) -> np.ndarray:
+    """diag(q), q = e / (1 - e), or a stack: U = W X + N(0, diag(q)) has Cov(W X | U) = diag(e) if Cov(W X) = I."""
+    return (e / (1.0 - e))[..., None] * np.eye(e.shape[-1])
+
+
 def schur_conditional_cov(joint, target, given) -> np.ndarray:
     """Conditional covariance S_T - S_TG S_G^{-1} S_GT of Gaussian blocks.
 
@@ -285,14 +290,13 @@ class GaussianAuxChannel:
     @classmethod
     def linear(cls, gain, noise_cov, side: str) -> "GaussianAuxChannel":
         cls._check_side(side)
-        g = np.asarray(gain, dtype=float)
-        if g.ndim != 2:
-            raise DomainError("gain must be a 2-d matrix")
+        g = np.array(gain, dtype=float)  # a copy
+        if g.ndim != 2 or not np.all(np.isfinite(g)):
+            raise DomainError("gain must be a 2-d matrix of finite entries")
         nc = _as_square(noise_cov, "noise_cov").copy()
         if nc.shape[0] != g.shape[0]:
             raise DomainError("noise_cov dimension must match the gain's row count")
         _check_symmetric(nc, "noise_cov")
-        g = g.copy()
         g.setflags(write=False)
         nc.setflags(write=False)
         return cls(side=side, gain=g, noise_cov=nc)
@@ -307,34 +311,23 @@ class GaussianAuxChannel:
 
     @classmethod
     def for_conditional_cov(cls, model: GaussianPairModel, target_cov, side: str) -> "GaussianAuxChannel":
-        """Identity-gain channel whose Cov(source | U) is target_cov, the source the model's
-        sigma_x or sigma_y: its noise is conditional_cov_noise's."""
+        """U = W S + N(0, _target_noise(e)), (e, W) = _pair_spectrum(S, T), so Cov(S | U) = T = target_cov, S the
+        model's sigma_x or sigma_y. T must pass cholesky_pd, and so must diag(1/e - 1): T strictly below S."""
         cls._check_side(side)
         source = model.sigma_x if side == "x" else model.sigma_y
-        return cls.linear(np.eye(model.n), conditional_cov_noise(source, target_cov), side)
+        target = _as_square(target_cov, "target_cov")
+        if target.shape != source.shape:
+            raise DomainError(f"target_cov must have the source's shape {source.shape}, got {target.shape}")
+        cholesky_pd(target, "target_cov")
+        e, w = _pair_spectrum(source, target)
+        with np.errstate(over="ignore"):  # 1/e past the float range is refused as not finite
+            cholesky_pd(np.diag(1.0 / e - 1.0), "target_cov (must be strictly below the source covariance)")
+        return cls.linear(w, _target_noise(e), side)
 
     @staticmethod
     def _check_side(side: str) -> None:
         if side not in ("x", "y"):
             raise DomainError(f'side must be "x" or "y", got {side!r}')
-
-
-def conditional_cov_noise(source_cov, target_cov) -> np.ndarray:
-    """Noise covariance N of the identity-gain channel U = X + W, W ~ N(0, N), whose
-    Cov(X | U) = (S^{-1} + N^{-1})^{-1} equals target_cov T: N = (T^{-1} - S^{-1})^{-1},
-    symmetrized. T must lie strictly below the source covariance S in the definite
-    order, both passing cholesky_pd's pivot test."""
-    s = _as_square(source_cov, "source_cov")
-    t = _as_square(target_cov, "target_cov")
-    if s.shape != t.shape:
-        raise DomainError(f"source_cov and target_cov must have the same shape, got {s.shape} and {t.shape}")
-    cholesky_pd(s, "source_cov")
-    cholesky_pd(t, "target_cov")
-    gap = np.linalg.inv(t) - np.linalg.inv(s)
-    gap = 0.5 * (gap + gap.T)
-    cholesky_pd(gap, "target_cov (must be strictly below the source covariance)")
-    noise = np.linalg.inv(gap)
-    return 0.5 * (noise + noise.T)
 
 
 @dataclass(frozen=True)

@@ -89,8 +89,8 @@ def distortion_of_sum_rate(rho: float, r: float) -> float:
 
 
 def region_verdict(rho: float, r_x: float, r_y: float, nu_x: float, nu_y: float) -> RegionVerdict:
-    """Per-constraint slacks and membership of (r_x, r_y, nu_x, nu_y) at rho. Raises DomainError, in this
-    order, unless rho lies in (-1, 1), the rest are finite, rates >= 0 and both nu in (0, 1] with finite bounds."""
+    """Per-constraint slacks and membership of (r_x, r_y, nu_x, nu_y) at rho. Raises DomainError, in this order,
+    unless rho lies in (-1, 1), the rest are finite, rates >= 0, both nu in (0, 1] with finite bounds, r_x + r_y too."""
     if not -1.0 < rho < 1.0:
         raise DomainError("rho must lie in (-1, 1)")
     for name, value in (("r_x", r_x), ("r_y", r_y), ("nu_x", nu_x), ("nu_y", nu_y)):
@@ -107,5 +107,7 @@ def region_verdict(rho: float, r_x: float, r_y: float, nu_x: float, nu_y: float)
         if bound == math.inf:  # the quotient overflowed; its numerator is at least 1 - rho^2 > 0
             raise DomainError(f"{name} = {nu:g} is too small: its per-encoder rate bound is not finite")
     slacks = (r_x - bound_x, r_y - bound_y, r_x + r_y - sum_rate_bound_raw(rho, nu_x, nu_y))
+    if not math.isfinite(slacks[2]):  # the bounds are finite: r_x + r_y overflowed
+        raise DomainError(f"r_x + r_y = {r_x:g} + {r_y:g} is not finite")
     satisfied = [slack >= -BOUNDARY_TOL for slack in slacks]  # rx, ry, sum: RegionVerdict's field order
     return RegionVerdict(*satisfied, *slacks, inside=all(satisfied))

@@ -23,6 +23,7 @@ import numbers
 import numpy as np
 
 from .errors import DomainError
+from .extremal import _check_n
 
 _MASK64 = (1 << 64) - 1
 PD_RIDGE = 0.1  # r of every drawn covariance A A^T + r I, A standard normal
@@ -104,7 +105,6 @@ def stream(seed: int, trial: int, stream_id: int) -> np.random.Generator:
 
 def random_pd(gen: np.random.Generator, n: int) -> np.ndarray:
     """Random positive-definite matrix A @ A.T + PD_RIDGE * I, A n x n: n an integer of at least 1."""
-    if isinstance(n, bool) or not (isinstance(n, numbers.Integral) and n >= 1):
-        raise DomainError(f"n must be an integer of at least 1, got {n!r}")
+    _check_n(n)
     a = gen.standard_normal((n, n))
     return a @ a.T + PD_RIDGE * np.eye(n)

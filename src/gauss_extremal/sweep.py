@@ -11,12 +11,12 @@ and evaluates all of them in one call of the batched information kernel,
 whose log-determinants also give the volume ratio. The kernel checks a drawn
 covariance: sigma_x is its X block and sigma_z the Schur complement of X in
 its XY block. In every mode but vec-epi it is the only check. vec-epi's even
-samples take the equality channel U = W X + N(0, diag(q)), q = alpha d /
-(1 - alpha d), in the basis W of their pair (extremal._equality_noise); there
-cholesky_pd of sigma_x and sigma_z names a failing sample by its position
-among the chunk's even samples, not by its number. Every value equals the one
-drawn with a call per value. Chunks only bound memory: every sample's gap is
-the same whatever the chunk size. Each verify mode is one entry of _MODES.
+samples take the equality channel U = W X + N(0, _target_noise(alpha d)) in
+their pair's basis W, as gauss_model builds every prescribed Cov(X | U);
+there cholesky_pd of sigma_x and sigma_z names a failing sample by its
+position among the chunk's even samples, not by its number. Every value is the
+one drawn with a call per value. Chunks only bound memory: every sample's gap
+is the same whatever the chunk size. Each verify mode is one entry of _MODES.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ import numbers
 import numpy as np
 
 from .errors import DomainError
-from .extremal import _equality_noise, vector_gap_forms, volume_ratio
-from .gauss_model import _pair_spectrum, _source_covariance, information_batch
+from .extremal import vector_gap_forms, volume_ratio
+from .gauss_model import _pair_spectrum, _source_covariance, _target_noise, information_batch
 from .rng import PD_RIDGE, Streams
 
 GAP_TOL = 1e-9  # gaps that are 0 exactly (vec-epi's equality channels) round to -2.3e-12 at dim 16
@@ -136,7 +136,7 @@ def _vec_epi(samples: range, n: int, streams: Streams) -> tuple[tuple, list[dict
     inj = np.arange(samples.start % 2, len(samples), 2)  # the even samples
     d, gain_u[inj] = _pair_spectrum(sigma_x[inj], sigma_z[inj])
     alpha = inject_draw[inj] / d[:, -1]  # alpha max d in [0.05, 0.95): Cov(X|U) = alpha sigma_z exists
-    noise_u[inj] = _equality_noise(alpha, d)
+    noise_u[inj] = _target_noise(alpha[:, None] * d)
     params = [{"sample": t, "n": n, "injected": t % 2 == 0} for t in samples]
     for i, a in zip(inj, alpha):
         params[i]["alpha"] = float(a)

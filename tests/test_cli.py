@@ -494,6 +494,14 @@ class TestBadInputExitsTwo:
         assert code == 2 and out == ""
         assert "n must be at least 1" in err
 
+    @pytest.mark.parametrize("n", ["3037000500", "100000000000000000000"])
+    def test_dimension_past_numpy_s_largest_array(self, capsys, n):
+        # np.eye(n) raised ValueError ("array is too big", "Maximum allowed dimension exceeded"): a traceback.
+        code, out, err = run_cli(capsys, ["ellipsoid", "--n", n, "--k", "1", "--rho", "0.5",
+                                          "--nux", "0.3", "--nuy", "0.3"])
+        assert code == 2 and out == ""
+        assert err == "error: n is too large: an n x n matrix exceeds numpy's largest array\n"
+
     def test_delta_too_small_to_shrink(self, capsys):
         # 1 - delta rounds to 1, so the shrinkage along the centers is zero.
         code, out, err = run_cli(capsys, ELLIPSOID + ["--delta", "1e-17"])

@@ -382,6 +382,30 @@ class TestVectorDualLower:
         assert bound.branch == "active"
         assert abs(dual_functional(info, lam) - bound.value_bits) < 1e-9
 
+    @pytest.mark.parametrize("n", [1, 2, 4, 8, 16])
+    def test_alpha_family_is_the_conditional_cov_channel_of_its_target(self, n):
+        # Both build Cov(X | U) = alpha sigma_z / rho^2 in a pair's basis, from
+        # different spectra: (rho^2 sigma_x, sigma_z) and (sigma_x, alpha sigma_z / rho^2).
+        # With a random V, every information agrees within 1e-11 of the largest,
+        # which absorbs the rounding of the two bases, about cond(sigma_x) ulps
+        # amplified by the noise levels: 1.8e-12 at most here (n = 16).
+        gen = np.random.default_rng(34 + n)
+        models = (
+            [GaussianPairModel.scalar(rho) for rho in (0.6, -0.9, 0.3)] if n == 1
+            else [GaussianPairModel.vector(random_pd(gen, n), random_pd(gen, n)) for _ in range(3)]
+        )
+        for model in models:
+            d, _ = extremal._pair_spectrum(model.rho**2 * model.sigma_x, model.sigma_z)
+            for mult in (1.01, 1.5, 3.0, 20.0):
+                channel, alpha = alpha_family_channel(model, 1.0 + mult * d[-1])
+                target = alpha * model.sigma_z / model.rho**2
+                other = GaussianAuxChannel.for_conditional_cov(model, target, "x")
+                m = int(gen.integers(1, n + 1))
+                v = GaussianAuxChannel.linear(gen.standard_normal((m, n)), random_pd(gen, m), "y")
+                a, b = vars(mutual_information(model, channel, v)), vars(mutual_information(model, other, v))
+                top = max(1.0, *map(abs, a.values()))
+                assert max(abs(a[k] - b[k]) for k in a) <= 1e-11 * top
+
 
 class TestScalarDualOracle:
     def test_zero_branch_minimum_at_origin(self):
@@ -937,6 +961,7 @@ class TestDualityConsistency:
 NAN = float("nan")
 INFO = mutual_information(GaussianPairModel.scalar(0.5), *scalar_channels(0.8, 0.4))
 LD = {"x": np.zeros(1), "y": np.zeros(1)}
+TOO_LARGE_N = "^n is too large: an n x n matrix exceeds numpy's largest array$"
 
 
 @pytest.mark.parametrize("func, args, message", [
@@ -1028,6 +1053,16 @@ LD = {"x": np.zeros(1), "y": np.zeros(1)}
     # alpha = 1 / (lam - 1) = 0 left a target of trace 0: NotPositiveDefinite.
     pytest.param(alpha_family_channel, (GaussianPairModel.scalar(0.5), math.inf), "^lam must be finite$",
                  id="alpha-lam-inf"),
+    # Integers past the float range raised OverflowError (2 / n, 0.5 n, lgamma) or numpy's ValueError
+    # (linspace of 10**400 points), and an overflowing sum of two matrices warned before its DomainError.
+    pytest.param(vector_gap_forms, (INFO, 10**400, 0.25), TOO_LARGE_N, id="gap-forms-n-10-400"),
+    pytest.param(volume_ratio, (LD, 10**400, 0.5), TOO_LARGE_N, id="ratio-n-10-400"),
+    pytest.param(log_unit_ball_volume, (10**400,), TOO_LARGE_N, id="log-ball-n-10-400"),
+    pytest.param(log_unit_ball_volume, (2**1023,), TOO_LARGE_N, id="log-ball-n-2-1023"),
+    pytest.param(nondegenerate_minimizers, (3.0, 0.8, 10**400), r"^count must not exceed 10\^6$",
+                 id="minimizers-count-10-400"),
+    pytest.param(minkowski_gap, (1e308 * np.eye(2), 1e308 * np.eye(2)), "^sum: entries must be finite$",
+                 id="minkowski-sum-overflows"),
 ])
 def test_out_of_domain_and_nan_inputs_are_domain_errors(func, args, message):
     # Each row above the last group used to return a number (a NaN, a

@@ -13,7 +13,6 @@ from gauss_extremal.gauss_model import (
     GaussianPairModel,
     InfoVector,
     cholesky_pd,
-    conditional_cov_noise,
     information_batch,
     log_det,
     matrix_from_json,
@@ -269,22 +268,48 @@ def test_conditional_cov_channel_rejects_infeasible_target():
         GaussianAuxChannel.for_conditional_cov(model, 2.0 * model.sigma_x, "x")
 
 
-@pytest.mark.parametrize("source,target,error,message", [
-    ([[1.0, 2.0], [3.0, 4.0]], 0.1 * np.eye(2), NotPositiveDefinite, "^source_cov: not symmetric"),
-    ([[1.0, 2.0], [2.0, 1.0]], 0.1 * np.eye(2), NotPositiveDefinite, "^source_cov: "),
-    ([[math.nan, 0.0], [0.0, 1.0]], 0.1 * np.eye(2), DomainError, "^source_cov: entries must be finite$"),
-    (np.eye(3), 0.1 * np.eye(2), DomainError,
-     r"^source_cov and target_cov must have the same shape, got \(3, 3\) and \(2, 2\)$"),
-    (np.stack([np.eye(2)] * 2), 0.1 * np.stack([np.eye(2)] * 2), DomainError,
-     r"^source_cov: expected a square matrix, got shape \(2, 2, 2\)$"),
-], ids=["asymmetric", "indefinite", "nan", "matrices-3-and-2", "stack"])
-def test_conditional_cov_noise_checks_the_source_as_the_target(source, target, error, message):
-    # The source passes the target's checks: one shape, finite entries,
-    # symmetry and the pivot test, each named source_cov.
+@pytest.mark.parametrize("target,error,message", [
+    ([[1.0, 2.0], [3.0, 4.0]], NotPositiveDefinite, "^target_cov: not symmetric"),
+    ([[1.0, 2.0], [2.0, 1.0]], NotPositiveDefinite, "^target_cov: Cholesky factorization failed$"),
+    ([[math.nan, 0.0], [0.0, 1.0]], DomainError, "^target_cov: entries must be finite$"),
+    (0.1 * np.eye(3), DomainError, r"^target_cov must have the source's shape \(2, 2\), got \(3, 3\)$"),
+    (0.1 * np.stack([np.eye(2)] * 2), DomainError, r"^target_cov: expected a square matrix, got shape \(2, 2, 2\)$"),
+    ("twice", NotPositiveDefinite, r"^target_cov \(must be strictly below the source covariance\): "),
+], ids=["asymmetric", "indefinite", "nan", "matrix-3-on-model-2", "stack", "twice-the-source"])
+@pytest.mark.parametrize("side", ["x", "y"])
+def test_conditional_cov_channel_refusals_name_the_target(target, error, message, side):
+    # The target is checked before _pair_spectrum reads it, so a bad one is
+    # named target_cov, never sigma_z; twice the source is not below it.
+    gen = np.random.default_rng(7)
+    model = GaussianPairModel.vector(random_pd(gen, 2), random_pd(gen, 2))
+    if isinstance(target, str):
+        target = 2.0 * (model.sigma_x if side == "x" else model.sigma_y)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(error, match=message):
-            conditional_cov_noise(source, target)
+            GaussianAuxChannel.for_conditional_cov(model, target, side)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 8, 16])
+@pytest.mark.parametrize("side", ["x", "y"])
+def test_conditional_cov_channel_meets_random_targets(n, side):
+    # Cov(S | U) = S - S G^T (G S G^T + N)^-1 G S against T, for targets
+    # T = c R / max eig(S^-1 R), c in [0.05, 0.95), R random. 1e-11 of max |T|
+    # absorbs the rounding of e, W and q and of this check's own solve, about
+    # cond(S) ulps: 4.8e-13 at most here (n = 16, side x), 6.5e-13 over 100 pairs.
+    gen = stream(34, n, 0)
+    worst = 0.0
+    for _ in range(20):
+        model = GaussianPairModel.vector(random_pd(gen, n), random_pd(gen, n))
+        source = model.sigma_x if side == "x" else model.sigma_y
+        r = random_pd(gen, n)
+        target = gen.uniform(0.05, 0.95) / np.linalg.eigvals(np.linalg.solve(source, r)).real.max() * r
+        target = 0.5 * (target + target.T)
+        u = GaussianAuxChannel.for_conditional_cov(model, target, side)
+        g = u.gain @ source
+        cond = source - g.T @ np.linalg.solve(g @ u.gain.T + u.noise_cov, g)
+        worst = max(worst, np.abs(cond - target).max() / np.abs(target).max())
+    assert worst <= 1e-11
 
 
 def test_info_vector_invariants_randomized():

@@ -70,6 +70,13 @@ def test_random_pd_refuses_an_n_that_is_not_a_positive_integer(n):
         rng.random_pd(np.random.default_rng(0), n)
 
 
+@pytest.mark.parametrize("n", [3037000500, 10**400], ids=["3037000500", "10-400"])
+def test_random_pd_refuses_an_n_past_numpy_s_largest_array(n):
+    # numpy raised ValueError: "array is too big", "Maximum allowed dimension exceeded".
+    with pytest.raises(DomainError, match="^n is too large: an n x n matrix exceeds numpy's largest array$"):
+        rng.random_pd(np.random.default_rng(0), n)
+
+
 def test_random_pd_takes_a_numpy_integer():
     a = rng.random_pd(np.random.default_rng(0), np.int64(3))
     assert a.shape == (3, 3) and np.array_equal(a, rng.random_pd(np.random.default_rng(0), 3))
