@@ -44,18 +44,20 @@ identity did not produce. Every trial reports its residual.
 
 Trials are independent; each draws from counter-based streams keyed by
 (seed, trial, stream), so the aggregate is bit-reproducible regardless of
-execution order. A run evaluates its trials in memory-bounded stacks, with
-one build_shrunk_matrix call, the one deflation, per stack and source: one
-stacked SVD and one stacked slogdet (one LU per trial). numpy's stacked
-matmul, svd and slogdet work matrix by matrix, and sums run in trial
-order, so the stack size changes no result. The report is those per-trial
-columns, their summary, the implied rates and region membership.
+execution order. A run evaluates its trials in memory-bounded stacks, each
+drawn by _draw, with one build_shrunk_matrix call, the one deflation, per
+stack and source: one stacked SVD and one stacked slogdet (one LU per
+trial). numpy's stacked matmul, svd and slogdet work matrix by matrix, and
+sums run in trial order, so the stack size changes no result. The report
+is those per-trial columns, their summary, the implied rates and region
+membership.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import InitVar, dataclass, field, fields
 
 import numpy as np
@@ -64,7 +66,7 @@ from .errors import DomainError, Infeasible
 from .extremal import _check_n
 from .gauss_model import log_det
 from .rate_region import region_verdict
-from .rng import STREAM_NOISE_X, STREAM_NOISE_Y, STREAM_SOURCE, Streams, check_seed
+from .rng import STREAM_NOISE_X, STREAM_NOISE_Y, STREAM_SOURCE, Streams, check_seed, check_trials
 # stream stays importable from this module: the benchmark's tracer tests name it here.
 from .rng import stream  # noqa: F401
 
@@ -123,10 +125,6 @@ class CodecConfig:
         object.__setattr__(self, "log_det_sigma", log_det(sigma.T, "sigma"))
         object.__setattr__(self, "trace_sigma", float(np.trace(sigma)))
 
-    @property
-    def tau(self) -> float:
-        return _shrinkage(self.delta)[0]
-
 
 def check_scalar_params(n: int, k: int, rho: float, nu_x: float, nu_y: float,
                         delta: float, trials: int, seed: int) -> None:
@@ -145,8 +143,7 @@ def check_scalar_params(n: int, k: int, rho: float, nu_x: float, nu_y: float,
     _shrinkage(delta)
     if delta >= nu_x or delta >= nu_y:
         raise DomainError("delta must stay below both distortion targets")
-    if trials < 1:
-        raise DomainError("trials must be at least 1")
+    check_trials(trials)
     check_seed(seed)
 
 
@@ -253,6 +250,8 @@ def implied_rates(rho: float, nu_x: float, nu_y: float, q_x: float, q_y: float) 
     _check_targets(rho, nu_x, nu_y)
     if not (q_x > 0.0 and q_y > 0.0):  # NaN included
         raise DomainError("noise levels must be positive (inf for a description that is not sent)")
+    if any(math.inf > q > sys.float_info.max for q in (q_x, q_y)):
+        raise DomainError("noise levels must be floats or inf: one lies past the float range")
     (s_x, _, v_x), (s_y, _, v_y), d = _attained_channel(rho, nu_x, nu_y, q_x, q_y)
     shared = -0.5 * math.log2(d)  # I(U;V)
     # I(X;U|V) = (1/2) log2(Var(X|V) / nu_x), and likewise for Y.
@@ -350,48 +349,33 @@ class SimulationReport:
     center_norm_exceed_frac_y: float
 
 
-class _Setup:
-    """What every trial of a run shares: each source's scale s = 1/sqrt(n nu),
-    the map A = s I of whitened coordinates as one number, the solved
-    description channel and the run's random streams."""
-
-    def __init__(self, config: CodecConfig):
-        self.config = config
-        n, rho, nu_x, nu_y = config.n, config.rho, config.nu_x, config.nu_y
-        self.scales = [1.0 / math.sqrt(n * nu) for nu in (nu_x, nu_y)]
-        self.q_x, self.q_y = solve_noise_levels(rho, nu_x, nu_y)
-        self.r_x, self.r_y = implied_rates(rho, nu_x, nu_y, self.q_x, self.q_y)
-        self.verdict = region_verdict(rho, self.r_x, self.r_y, nu_x, nu_y)
-        self.weights = _cond_weights(self.q_x, self.q_y, rho)
-        self.streams = Streams(config.seed)
-
-    def draw(self, trials: range):
-        """Some trials: their (x, y) samples and the conditional-mean
-        estimates (x_hat, y_hat) in whitened coordinates, each a
-        (len(trials), k, n) stack."""
-        cfg = self.config
-        k, n, rho = cfg.k, cfg.n, cfg.rho
-        shape = (len(trials), k, n)
-        source = np.empty((len(trials), 2, k, n))  # g1 then g2: a trial's source stream in draw order
-        noise = np.empty(shape)
-        for i, t in enumerate(trials):
-            self.streams(t, STREAM_SOURCE).standard_normal(out=source[i])
-        xw = source[:, 0]
-        yw = rho * xw + math.sqrt(1.0 - rho * rho) * source[:, 1]
-        w_xu, w_xv, w_yu, w_yv = self.weights
-        xhat_w = np.zeros(shape)
-        yhat_w = np.zeros(shape)
-        for sample, q, stream_id, w_x, w_y in (
-            (xw, self.q_x, STREAM_NOISE_X, w_xu, w_yu),
-            (yw, self.q_y, STREAM_NOISE_Y, w_xv, w_yv),
-        ):
-            if math.isfinite(q):  # an infinite noise level: the description is not sent
-                for i, t in enumerate(trials):  # each (trial, stream) is keyed alone: order changes no value
-                    self.streams(t, stream_id).standard_normal(out=noise[i])
-                desc = sample + math.sqrt(q) * noise
-                xhat_w += w_x * desc
-                yhat_w += w_y * desc
-        return (xw, yw), (xhat_w, yhat_w)
+def _draw(config: CodecConfig, streams: Streams, noise_levels: tuple[float, float], weights: tuple, trials: range):
+    """Some trials of a run: their (x, y) samples and the conditional-mean
+    estimates (x_hat, y_hat) in whitened coordinates, each a
+    (len(trials), k, n) stack, from the run's streams, the solved noise
+    levels (q_x, q_y) and the weights of _cond_weights."""
+    k, n, rho = config.k, config.n, config.rho
+    shape = (len(trials), k, n)
+    source = np.empty((len(trials), 2, k, n))  # g1 then g2: a trial's source stream in draw order
+    noise = np.empty(shape)
+    for i, t in enumerate(trials):
+        streams(t, STREAM_SOURCE).standard_normal(out=source[i])
+    xw = source[:, 0]
+    yw = rho * xw + math.sqrt(1.0 - rho * rho) * source[:, 1]
+    w_xu, w_xv, w_yu, w_yv = weights
+    xhat_w = np.zeros(shape)
+    yhat_w = np.zeros(shape)
+    for sample, q, stream_id, w_x, w_y in (
+        (xw, noise_levels[0], STREAM_NOISE_X, w_xu, w_yu),
+        (yw, noise_levels[1], STREAM_NOISE_Y, w_xv, w_yv),
+    ):
+        if math.isfinite(q):  # an infinite noise level: the description is not sent
+            for i, t in enumerate(trials):  # each (trial, stream) is keyed alone: order changes no value
+                streams(t, stream_id).standard_normal(out=noise[i])
+            desc = sample + math.sqrt(q) * noise
+            xhat_w += w_x * desc
+            yhat_w += w_y * desc
+    return (xw, yw), (xhat_w, yhat_w)
 
 
 def run_simulation(config: CodecConfig) -> SimulationReport:
@@ -409,20 +393,28 @@ def run_simulation(config: CodecConfig) -> SimulationReport:
     kept as columns over all trials (coverage, log|B|, residual, rank and
     center norms past 1/sqrt(delta)); the report's trials are those
     columns, made read-only, and its summary is read from them. Raises on
-    any error; partial aggregates are never returned.
+    any error; partial aggregates are never returned. What the trials
+    share (the scales s, the solved channel, its rates and verdict, the
+    streams) is computed first, and _draw draws each stack of trials.
     """
-    setup = _Setup(config)
-    n, k, trials, delta, tau = config.n, config.k, config.trials, config.delta, config.tau
-    log_cn = log_unit_ball_volume(n)
+    n, k, rho, trials, delta = config.n, config.k, config.rho, config.trials, config.delta
     nus = (config.nu_x, config.nu_y)
+    scales = [1.0 / math.sqrt(n * nu) for nu in nus]
+    q_x, q_y = solve_noise_levels(rho, *nus)
+    r_x, r_y = implied_rates(rho, *nus, q_x, q_y)
+    inside = region_verdict(rho, r_x, r_y, *nus).inside
+    weights = _cond_weights(q_x, q_y, rho)
+    streams = Streams(config.seed)
+    tau = _shrinkage(delta)[0]
+    log_cn = log_unit_ball_volume(n)
     norm_bound = 1.0 / math.sqrt(delta)
 
     stacks = ([], [])  # per source, one (covered, log|B|, residual, rank, exceeds) per trial stack
     chunk = max(1, _STACK_ENTRIES // (n * n))
     for lo in range(0, trials, chunk):
-        points, estimates = setup.draw(range(lo, min(trials, lo + chunk)))
+        points, estimates = _draw(config, streams, (q_x, q_y), weights, range(lo, min(trials, lo + chunk)))
         for i, source in enumerate(stacks):  # source 0 is X, source 1 is Y
-            scale = setup.scales[i]
+            scale = scales[i]
             b, logdet_b, residual, rank, _, norms = build_shrunk_matrix(scale, scale * estimates[i], delta)
             covered = np.linalg.norm(points[i] @ b.transpose(0, 2, 1), axis=2) <= 1.0
             del b  # n x n per trial: the next stack's B is not allocated beside it
@@ -458,8 +450,8 @@ def run_simulation(config: CodecConfig) -> SimulationReport:
     return SimulationReport(
         config=config,
         trials=TrialReport(**per_trial),
-        r_x=setup.r_x, r_y=setup.r_y, q_x=setup.q_x, q_y=setup.q_y,
-        region_inside=setup.verdict.inside,
+        r_x=r_x, r_y=r_y, q_x=q_x, q_y=q_y,
+        region_inside=inside,
         residual_max=max(float(per_trial[f"logdet_residual_{s}"].max()) for s in "xy"),
         **summary,
     )

@@ -87,8 +87,11 @@ class MinimizerPair:
 
 def dual_functional(info: InfoVector, lam: float) -> float:
     """I(X;U) - lam I(Y;U) + I(Y;V|U) - lam I(X;V|U), in bits; DomainError where that is not finite."""
-    value = info.i_xu - lam * info.i_yu + info.i_yv_given_u - lam * info.i_xv_given_u
-    if not np.all(np.isfinite(value)):  # lam NaN or inf, or so large that a product overflows
+    if not abs(lam) <= sys.float_info.max:  # NaN, inf or an int past the float range, before any product
+        raise DomainError(f"the functional is not finite at lam = {lam!r}")
+    with np.errstate(invalid="ignore", over="ignore"):  # a kernel record's arrays refuse below as floats do
+        value = info.i_xu - lam * info.i_yu + info.i_yv_given_u - lam * info.i_xv_given_u
+    if not np.all(np.isfinite(value)):  # lam so large that a product overflows
         raise DomainError(f"the functional is not finite at lam = {lam!r}")
     return value
 
@@ -176,6 +179,14 @@ def oohama_gap(model: GaussianPairModel, u: GaussianAuxChannel) -> float:
     return vector_extremal_gap(model, u, GaussianAuxChannel.degenerate_on("y"))
 
 
+def _nonnegative_lam(lam) -> float:
+    """lam as a float, and inf for an int past the float range, which float() cannot convert and the
+    callers refuse as they refuse inf; DomainError unless lam >= 0 (NaN included)."""
+    if not lam >= 0.0:
+        raise DomainError("lam must be nonnegative")
+    return float(lam) if lam <= sys.float_info.max else math.inf
+
+
 def _dual_closed(lam: float, n: int, root_x: float, root_z: float, root_y: float) -> tuple[float, str]:
     """(value, branch) of the closed form in the module docstring, +0.0 on the zero branch
     when r_x + r_z = r_y. Raises DomainError when the value is not finite: near the ends
@@ -199,8 +210,7 @@ def scalar_dual_closed(lam: float, rho: float) -> DualValue:
     below, and continuous at the branch point. Raises DomainError when the
     value is not finite, as for lam near the float maximum.
     """
-    if not lam >= 0.0:  # NaN included
-        raise DomainError("lam must be nonnegative")
+    lam = _nonnegative_lam(lam)
     if not -1.0 < rho < 1.0:
         raise DomainError("rho must lie in (-1, 1)")
     r2 = rho * rho
@@ -216,8 +226,7 @@ def vector_dual_lower(lam: float, sigma_x, sigma_z) -> DualValue:
     sigma_z proportional (so always at n = 1); otherwise the true value could
     exceed it below the threshold, so exactness is "lower_bound". Raises
     DomainError for shapes that differ or a value or d that is not finite."""
-    if not lam >= 0.0:  # NaN included
-        raise DomainError("lam must be nonnegative")
+    lam = _nonnegative_lam(lam)
     sx, sz = np.asarray(sigma_x, dtype=float), np.asarray(sigma_z, dtype=float)
     if sx.shape != sz.shape:
         raise DomainError(f"sigma_x and sigma_z must share a shape, got {sx.shape} and {sz.shape}")
@@ -428,11 +437,10 @@ def scalar_dual_oracle(lam: float, rho: float, grid_resolution: int = 500) -> fl
         raise DomainError(f"grid_resolution must be an integer, got {grid_resolution!r}")
     if not 100 <= grid_resolution <= _ORACLE_MAX_GRID:
         raise DomainError(f"grid_resolution must lie in [100, {_ORACLE_MAX_GRID}], got {grid_resolution}")
-    if not lam >= 0.0:  # NaN included
-        raise DomainError("lam must be nonnegative")
+    lam = _nonnegative_lam(lam)
     if not -1.0 < rho < 1.0:
         raise DomainError("rho must lie in (-1, 1)")
-    return _oracle_scan(float(lam), float(rho), int(grid_resolution))
+    return _oracle_scan(lam, float(rho), int(grid_resolution))
 
 
 def nondegenerate_minimizers(lam: float, rho: float, count: int = 20) -> list[MinimizerPair]:
@@ -448,8 +456,7 @@ def nondegenerate_minimizers(lam: float, rho: float, count: int = 20) -> list[Mi
     lam = 1e16, 6 at 1e17 and none from 1e18 on. Raises DomainError for a
     lam that is negative, NaN or infinite, or a count above 10^6.
     """
-    if not lam >= 0.0:  # NaN included
-        raise DomainError("lam must be nonnegative")
+    lam = _nonnegative_lam(lam)
     if lam == math.inf:
         raise DomainError("lam must be finite")
     if rho == 0.0:
@@ -483,7 +490,7 @@ def alpha_family_channel(model: GaussianPairModel, lam: float) -> tuple[Gaussian
     rho^2 is 0 or that target is not finite, or lam <= 1 + max d (1 / rho^2 for the scalar model)."""
     if not lam > 1.0:  # NaN included
         raise DomainError("lam must exceed 1 for the channel family")
-    if lam == math.inf:
+    if lam > sys.float_info.max:  # inf, or an int past the float range
         raise DomainError("lam must be finite")
     alpha = 1.0 / (lam - 1.0)
     r2 = model.rho * model.rho
@@ -507,11 +514,11 @@ def exponent_tradeoff_min(a1: float, a2: float, lam: float) -> float:
     if not (a1 > 0.0 and a2 > 0.0):  # NaN included
         raise DomainError("a1 and a2 must be positive")
     # 1e-12 admits weights meant to sum to 1, such as rho^2 and 1 - rho^2,
-    # whose rounding lets the computed sum exceed 1 by a few ulps.
-    if a1 + a2 > 1.0 + 1e-12:
+    # whose rounding lets the computed sum exceed 1 by a few ulps. Each is
+    # compared first: an int past the float range has no float sum.
+    if max(a1, a2) > 1.0 + 1e-12 or a1 + a2 > 1.0 + 1e-12:
         raise DomainError("a1 + a2 must not exceed 1")
-    if not lam >= 0.0:  # NaN included
-        raise DomainError("lam must be nonnegative")
+    lam = _nonnegative_lam(lam)
     return _dual_closed(lam, 1, a1, a2, 1.0)[0]
 
 

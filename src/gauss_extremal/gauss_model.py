@@ -232,9 +232,9 @@ class GaussianPairModel:
 
     @classmethod
     def scalar(cls, rho: float) -> "GaussianPairModel":
-        rho = float(rho)
-        if not -1.0 < rho < 1.0:
+        if not (-1.0 < rho < 1.0 and -1.0 < float(rho) < 1.0):  # compared before float(): 10**400 has none
             raise DomainError(f"rho must lie in (-1, 1), got {rho}")
+        rho = float(rho)
         sx, sz = np.ones((1, 1)), np.full((1, 1), 1.0 - rho * rho)
         sx.setflags(write=False)
         sz.setflags(write=False)
@@ -304,9 +304,9 @@ class GaussianAuxChannel:
     @classmethod
     def scalar_corr(cls, corr: float, side: str) -> "GaussianAuxChannel":
         """Unit-variance scalar channel with the given input correlation."""
-        corr = float(corr)
-        if not -1.0 < corr < 1.0:
+        if not (-1.0 < corr < 1.0 and -1.0 < float(corr) < 1.0):  # compared before float(): 10**400 has none
             raise DomainError("channel correlation must lie in (-1, 1)")
+        corr = float(corr)
         return cls.linear([[corr]], [[1.0 - corr * corr]], side)
 
     @classmethod

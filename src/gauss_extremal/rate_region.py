@@ -17,6 +17,7 @@ Everything here is pure and stateless.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import DomainError
@@ -43,7 +44,7 @@ def beta(rho: float, z: float) -> float:
         raise DomainError("rho must lie in (-1, 1)")
     if not z >= 0.0:  # NaN included
         raise DomainError("z must be nonnegative")
-    if z == math.inf:  # gave nan at rho = 0 and inf otherwise
+    if z > sys.float_info.max:  # inf (it gave nan at rho = 0, else inf), or an int past the float range
         raise DomainError("z must be finite")
     r2 = rho * rho
     square = 4.0 * r2 * z / (1.0 - r2) ** 2
@@ -83,6 +84,8 @@ def distortion_of_sum_rate(rho: float, r: float) -> float:
         raise DomainError("rho must lie in (-1, 1)")
     if not r >= 0.0:  # NaN included
         raise DomainError("r must be nonnegative")
+    if math.inf > r > sys.float_info.max:  # r = inf gives D = 0; an int past the float range has no float
+        raise DomainError("r must be a float or inf: it lies past the float range")
     r2 = rho * rho
     t = 2.0 ** (-2.0 * r)
     return t * (1.0 - r2 + r2 * t)
@@ -94,7 +97,7 @@ def region_verdict(rho: float, r_x: float, r_y: float, nu_x: float, nu_y: float)
     if not -1.0 < rho < 1.0:
         raise DomainError("rho must lie in (-1, 1)")
     for name, value in (("r_x", r_x), ("r_y", r_y), ("nu_x", nu_x), ("nu_y", nu_y)):
-        if not math.isfinite(value):
+        if not abs(value) <= sys.float_info.max:  # not math.isfinite: it raises on an int past the float range
             raise DomainError(f"{name} must be finite")
     if r_x < 0.0 or r_y < 0.0:
         raise DomainError("rates must be nonnegative")

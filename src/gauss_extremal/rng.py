@@ -26,6 +26,7 @@ from .errors import DomainError
 from .extremal import _check_n
 
 _MASK64 = (1 << 64) - 1
+_MAX_TRIALS = 1 << 48  # a trial index fills 48 bits of the second Philox key word
 PD_RIDGE = 0.1  # r of every drawn covariance A A^T + r I, A standard normal
 
 # Stream ids used by the simulator; sweeps may use their own small ints.
@@ -42,6 +43,15 @@ def check_seed(seed: int, name: str = "seed") -> int:
     if not 0 <= seed <= _MASK64:
         raise DomainError(f"{name} must lie in [0, 2^64), got {seed}")
     return seed
+
+
+def check_trials(trials: int) -> None:
+    """Raise DomainError unless the trial indices 0..trials-1 of an integer
+    count fit the Philox trial field: 1 <= trials <= 2^48."""
+    if trials < 1:
+        raise DomainError("trials must be at least 1")
+    if trials > _MAX_TRIALS:
+        raise DomainError(f"trials must be at most 2^48, the trial indices a Philox key holds, got {trials}")
 
 
 def _through_float64(word: int) -> int:
@@ -78,7 +88,7 @@ class Streams:
         self._key = self._state["state"]["key"]
 
     def __call__(self, trial: int, stream_id: int) -> np.random.Generator:
-        if not 0 <= trial < (1 << 48):
+        if not 0 <= trial < _MAX_TRIALS:
             raise ValueError("trial index out of range")
         if not 0 <= stream_id < (1 << 16):
             raise ValueError("stream id out of range")

@@ -29,7 +29,7 @@ import numpy as np
 from .errors import DomainError
 from .extremal import vector_gap_forms, volume_ratio
 from .gauss_model import _pair_spectrum, _source_covariance, _target_noise, information_batch
-from .rng import PD_RIDGE, Streams
+from .rng import PD_RIDGE, Streams, check_trials
 
 GAP_TOL = 1e-9  # gaps that are 0 exactly (vec-epi's equality channels) round to -2.3e-12 at dim 16
 
@@ -170,8 +170,7 @@ def run_verify_sweep(mode: str, trials: int, dim: int, seed: int) -> dict:
     for name, value in (("trials", trials), ("dim", dim)):
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):  # 2.5 fails later, True passes as 1
             raise DomainError(f"{name} must be an integer, got {value!r}")
-    if trials < 1:
-        raise DomainError("trials must be at least 1")
+    check_trials(trials)
     if not 1 <= dim <= 64:
         raise DomainError("dim must lie in [1, 64]")
 

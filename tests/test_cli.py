@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import gauss_extremal
-from gauss_extremal import cli, extremal
+from gauss_extremal import cli, extremal, sweep
 from gauss_extremal.cli import main
 from gauss_extremal.errors import DomainError
 
@@ -507,6 +507,20 @@ class TestBadInputExitsTwo:
         code, out, err = run_cli(capsys, ELLIPSOID + ["--delta", "1e-17"])
         assert code == 2 and out == ""
         assert "delta = 1e-17" in err
+
+    @pytest.mark.parametrize("trials", ["281474976710657", "100000000000000000000"])
+    @pytest.mark.parametrize("command", [VERIFY[:-2], ELLIPSOID[:-2]], ids=["verify", "ellipsoid"])
+    def test_trials_past_the_philox_trial_field(self, capsys, monkeypatch, command, trials):
+        # More than 2^48 trials: both commands ran until stopped. A run that
+        # starts fails here at once instead.
+        def ran(*args):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(cli, "run_simulation", ran)
+        monkeypatch.setattr(sweep, "information_batch", ran)
+        code, out, err = run_cli(capsys, command + ["--trials", trials])
+        assert code == 2 and out == ""
+        assert err == f"error: trials must be at most 2^48, the trial indices a Philox key holds, got {trials}\n"
 
     def test_degenerate_delta_is_refused_before_the_run(self, capsys, monkeypatch):
         def run_simulation(config):

@@ -5,9 +5,7 @@ Each export is called with edge values in every argument: all combinations
 where there are few, else each argument through every edge value with the
 others valid, plus seeded random combinations. Matrix arguments take a set
 of edge matrices, and the exports that take models, channels or information
-records take those that the package builds from edge values. An integer
-past the float range (10**400) goes to the integer parameters only: in a
-float parameter it still raises OverflowError at the first arithmetic.
+records take those that the package builds from edge values.
 """
 
 import dataclasses
@@ -29,9 +27,8 @@ EDGE_NUMBERS = (
     1e16, 1e300, sys.float_info.max,
     -0.5, -1.0, -1e300,
     math.inf, -math.inf, math.nan,
-    True, 3, 0, -2, 2**1023,
+    True, 3, 0, -2, 2**1023, 10**400, -10**400,
 )
-EDGE_INTEGERS = EDGE_NUMBERS + (10**400,)  # for n, k, count, grid_resolution, trials and seed
 
 EDGE_MATRICES = (
     np.zeros((0, 0)),
@@ -89,6 +86,10 @@ SIDES = ("x", "y", "z")
 KERNEL_INFO, KERNEL_LD = ge.information_batch(
     np.eye(2)[None], np.ones((1, 1, 1)), np.ones((1, 1, 1)), np.ones((1, 1, 1)), np.ones((1, 1, 1))
 )
+# A kernel record whose V has zero gain: lam = inf meets its zero I(X;V|U) in a numpy multiply.
+ZERO_GAIN_V_INFO = ge.information_batch(
+    np.eye(2)[None], np.ones((1, 1, 1)), np.ones((1, 1, 1)), np.zeros((1, 1, 1)), np.ones((1, 1, 1))
+)[0]
 
 # Per export: (callable, argument pools, one valid argument per pool).
 EXPORTS = {
@@ -106,7 +107,7 @@ EXPORTS = {
     "log_det": (ge.log_det, [EDGE_MATRICES], (np.eye(2),)),
     "matrix_from_json": (
         lambda n, a, b: ge.matrix_from_json({"n": n, "data": [a, b, b, a][: n * n if isinstance(n, int) else 4]}),
-        [EDGE_INTEGERS, EDGE_NUMBERS, EDGE_NUMBERS], (2, 1.0, 0.5),
+        [EDGE_NUMBERS, EDGE_NUMBERS, EDGE_NUMBERS], (2, 1.0, 0.5),
     ),
     "information_batch": (
         lambda s, gain, noise: ge.information_batch(
@@ -122,31 +123,31 @@ EXPORTS = {
     "vector_extremal_gap": (ge.vector_extremal_gap, [MODELS, CHANNELS_X, CHANNELS_Y],
                             (MODELS[0], CHANNELS_X[0], CHANNELS_Y[0])),
     "alpha_family_channel": (ge.alpha_family_channel, [MODELS, EDGE_NUMBERS], (MODELS[0], 5.0)),
-    "dual_functional": (ge.dual_functional, [INFOS, EDGE_NUMBERS], (INFOS[0], 2.0)),
+    "dual_functional": (ge.dual_functional, [INFOS + [ZERO_GAIN_V_INFO], EDGE_NUMBERS], (INFOS[0], 2.0)),
     "exponent_tradeoff_min": (ge.exponent_tradeoff_min, [EDGE_NUMBERS] * 3, (0.3, 0.5, 2.0)),
     "minkowski_gap": (ge.minkowski_gap, [EDGE_MATRICES] * 2, (np.eye(2), np.eye(2))),
     "nondegenerate_minimizers": (
-        ge.nondegenerate_minimizers, [EDGE_NUMBERS, EDGE_NUMBERS, EDGE_INTEGERS], (5.0, 0.5, 3),
+        ge.nondegenerate_minimizers, [EDGE_NUMBERS, EDGE_NUMBERS, EDGE_NUMBERS], (5.0, 0.5, 3),
     ),
     "scalar_dual_closed": (ge.scalar_dual_closed, [EDGE_NUMBERS] * 2, (2.0, 0.5)),
-    "scalar_dual_oracle": (ge.scalar_dual_oracle, [EDGE_NUMBERS, EDGE_NUMBERS, EDGE_INTEGERS + (100,)],
+    "scalar_dual_oracle": (ge.scalar_dual_oracle, [EDGE_NUMBERS, EDGE_NUMBERS, EDGE_NUMBERS + (100,)],
                            (2.0, 0.5, 100)),
     "vector_dual_lower": (ge.vector_dual_lower, [EDGE_NUMBERS, EDGE_MATRICES, EDGE_MATRICES],
                           (2.0, np.eye(2), np.eye(2))),
-    "vector_gap_forms": (ge.vector_gap_forms, [[KERNEL_INFO], EDGE_INTEGERS, EDGE_NUMBERS], (KERNEL_INFO, 1, 0.5)),
-    "volume_ratio": (volume_ratio, [[KERNEL_LD], EDGE_INTEGERS, EDGE_NUMBERS], (KERNEL_LD, 1, 0.5)),
+    "vector_gap_forms": (ge.vector_gap_forms, [[KERNEL_INFO], EDGE_NUMBERS, EDGE_NUMBERS], (KERNEL_INFO, 1, 0.5)),
+    "volume_ratio": (volume_ratio, [[KERNEL_LD], EDGE_NUMBERS, EDGE_NUMBERS], (KERNEL_LD, 1, 0.5)),
     "beta": (ge.beta, [EDGE_NUMBERS] * 2, (0.5, 0.5)),
     "distortion_of_sum_rate": (ge.distortion_of_sum_rate, [EDGE_NUMBERS] * 2, (0.5, 1.0)),
     "region_verdict": (ge.region_verdict, [EDGE_NUMBERS] * 5, (0.5, 1.0, 1.0, 0.3, 0.3)),
     "sum_rate_bound": (ge.sum_rate_bound, [EDGE_NUMBERS] * 3, (0.5, 0.3, 0.3)),
     "sum_rate_bound_raw": (ge.sum_rate_bound_raw, [EDGE_NUMBERS] * 3, (0.5, 0.3, 0.3)),
     "CodecConfig": (
-        ge.CodecConfig, [EDGE_INTEGERS, EDGE_INTEGERS, EDGE_NUMBERS, EDGE_MATRICES] + [EDGE_NUMBERS] * 3
-        + [EDGE_INTEGERS] * 2,
+        ge.CodecConfig, [EDGE_NUMBERS, EDGE_NUMBERS, EDGE_NUMBERS, EDGE_MATRICES] + [EDGE_NUMBERS] * 3
+        + [EDGE_NUMBERS] * 2,
         (2, 1, 0.5, np.eye(2), 0.3, 0.3, 0.0025, 2, 0),
     ),
     "implied_rates": (ge.implied_rates, [EDGE_NUMBERS] * 5, (0.5, 0.3, 0.3, *ge.solve_noise_levels(0.5, 0.3, 0.3))),
-    "log_unit_ball_volume": (ge.log_unit_ball_volume, [EDGE_INTEGERS], (3,)),
+    "log_unit_ball_volume": (ge.log_unit_ball_volume, [EDGE_NUMBERS], (3,)),
     "solve_noise_levels": (ge.solve_noise_levels, [EDGE_NUMBERS] * 3, (0.5, 0.3, 0.3)),
 }
 

@@ -26,7 +26,7 @@ from gauss_extremal.ellipsoid_codec import (
 )
 from gauss_extremal.gauss_model import log_det
 from gauss_extremal.rate_region import sum_rate_bound
-from gauss_extremal.rng import STREAM_NOISE_X, STREAM_NOISE_Y, STREAM_SOURCE, random_pd, stream
+from gauss_extremal.rng import STREAM_NOISE_X, STREAM_NOISE_Y, STREAM_SOURCE, Streams, random_pd, stream
 
 from conftest import sigmas_eigh_cannot_whiten
 
@@ -269,20 +269,27 @@ class TestImpliedRates:
             assert v.inside, (rho, nu_x, nu_y, v)
 
 
+def draw(cfg, trials):
+    """_draw of some trials of cfg's run, from the run's solved channel and a fresh Streams of its seed."""
+    q = solve_noise_levels(cfg.rho, cfg.nu_x, cfg.nu_y)
+    weights = ellipsoid_codec._cond_weights(*q, cfg.rho)
+    return ellipsoid_codec._draw(cfg, Streams(cfg.seed), q, weights, trials)
+
+
 class TestDraw:
     def test_unit_targets_give_zero_information(self):
         cfg = CodecConfig(n=8, k=2, rho=0.5, sigma=np.eye(8), nu_x=1.0, nu_y=1.0,
                           delta=0.01, trials=1, seed=0)
-        setup = ellipsoid_codec._Setup(cfg)
-        _, (x_hat, y_hat) = setup.draw(range(1))
+        _, (x_hat, y_hat) = draw(cfg, range(1))
         assert np.all(x_hat == 0.0) and np.all(y_hat == 0.0)
-        assert setup.r_x == 0.0 and setup.r_y == 0.0
-        assert setup.verdict.inside
+        rep = run_simulation(cfg)
+        assert rep.r_x == 0.0 and rep.r_y == 0.0
+        assert rep.region_inside
 
     def test_deterministic_per_trial(self):
         cfg = CodecConfig(n=16, k=3, rho=0.4, sigma=np.eye(16), nu_x=0.3, nu_y=0.3,
                           delta=0.01, trials=1, seed=7)
-        x_hat = lambda trials: ellipsoid_codec._Setup(cfg).draw(trials)[1][0]
+        x_hat = lambda trials: draw(cfg, trials)[1][0]
         a = x_hat(range(5, 6))
         assert np.array_equal(a, x_hat(range(5, 6)))
         assert not np.array_equal(a, x_hat(range(6, 7)))
@@ -295,7 +302,7 @@ class TestDraw:
         for rho in (0.5, -0.5):
             cfg = CodecConfig(n=200, k=2, rho=rho, sigma=np.eye(200), nu_x=nu, nu_y=nu,
                               delta=0.01, trials=1, seed=3)
-            _, (x_hat, _) = ellipsoid_codec._Setup(cfg).draw(range(100))
+            _, (x_hat, _) = draw(cfg, range(100))
             sq_err = 0.0
             for t in range(100):
                 src = stream(cfg.seed, t, STREAM_SOURCE)
@@ -422,9 +429,8 @@ class TestBuildShrunkMatrix:
         # instead of multiplying by s I changes no bit, also at n = 255,
         # where OpenBLAS has summed products in another order before.
         cfg = CodecConfig(n=n, k=k, rho=0.5, sigma=np.eye(n), nu_x=0.3, nu_y=0.4, delta=0.005, trials=trials)
-        setup = ellipsoid_codec._Setup(cfg)
-        scale = setup.scales[0]
-        _, (x_hat, _) = setup.draw(range(trials))
+        scale = 1.0 / math.sqrt(n * cfg.nu_x)
+        _, (x_hat, _) = draw(cfg, range(trials))
         a = scale * np.eye(n, order="F")
         assert np.array_equal(scale * x_hat, x_hat @ a.T)
         b, _, residual, _, vt, _ = build_shrunk_matrix(scale, scale * x_hat, cfg.delta)
@@ -471,17 +477,25 @@ class TestCodecConfigValidation:
         with pytest.raises(NotPositiveDefinite):
             CodecConfig(n=2, k=1, rho=0.5, sigma=bad, nu_x=0.5, nu_y=0.5)
 
-    def test_sigma_is_kept_as_two_numbers(self):
-        # A run reads sigma only as its trace and log|sigma|: neither the
-        # config nor the run's setup keeps an array of it.
+    def test_sigma_is_kept_as_two_numbers(self, monkeypatch):
+        # A run reads sigma only as its trace and log|sigma|: the config
+        # keeps no array of it, and the run deflates each source's map
+        # A = s I, s = 1/sqrt(n nu), given as the number s.
         sigma = random_pd(np.random.default_rng(74), 12)
-        cfg = CodecConfig(n=12, k=2, rho=0.5, sigma=sigma, nu_x=0.3, nu_y=0.4)
+        cfg = CodecConfig(n=12, k=2, rho=0.5, sigma=sigma, nu_x=0.3, nu_y=0.4, trials=3)
         assert "sigma" not in {f.name for f in dataclasses.fields(cfg)}
         assert cfg.trace_sigma == float(np.trace(sigma))
         assert cfg.log_det_sigma == 2.0 * float(np.sum(np.log(np.diagonal(np.linalg.cholesky(sigma)))))
-        setup = ellipsoid_codec._Setup(cfg)
-        assert setup.scales == [1.0 / math.sqrt(12 * nu) for nu in (0.3, 0.4)]
-        assert not any(isinstance(v, np.ndarray) for obj in (cfg, setup) for v in vars(obj).values())
+        assert not any(isinstance(v, np.ndarray) for v in vars(cfg).values())
+        deflate, scales = build_shrunk_matrix, []
+
+        def recorded(scale, centers, delta):
+            scales.append(scale)
+            return deflate(scale, centers, delta)
+
+        monkeypatch.setattr(ellipsoid_codec, "build_shrunk_matrix", recorded)
+        run_simulation(cfg)
+        assert scales == [1.0 / math.sqrt(12 * nu) for nu in (0.3, 0.4)]
 
     @pytest.mark.parametrize("name,log_det_sigma", [("ill-conditioned", 0.0), ("near-float-max", math.log(1.7e308))],
                              ids=["ill-conditioned", "near-float-max"])
@@ -500,6 +514,15 @@ class TestCodecConfigValidation:
     def test_nu_range(self):
         with pytest.raises(DomainError):
             CodecConfig(n=2, k=1, rho=0.5, sigma=np.eye(2), nu_x=0.0, nu_y=0.5)
+
+    @pytest.mark.parametrize("trials", [2**48 + 1, 10**20])
+    def test_trials_past_the_philox_trial_field(self, trials):
+        # A trial index fills 48 bits of the second Philox key word: such a
+        # count was accepted and the run drew until stopped.
+        params = dict(n=4, k=2, rho=0.5, nu_x=0.5, nu_y=0.5, delta=0.0025, trials=trials, seed=0)
+        for build in (check_scalar_params, lambda **p: CodecConfig(sigma=np.eye(4), **p)):
+            with pytest.raises(DomainError, match=rf"^trials must be at most 2\^48, .*, got {trials}$"):
+                build(**params)
 
     @pytest.mark.parametrize("name,value", [("n", 4.0), ("k", 1.5), ("trials", 2.5), ("seed", 1.5)])
     def test_non_integral_sizes_and_seed(self, name, value):
@@ -587,7 +610,7 @@ class TestRunSimulation:
         assert np.all(tr.rank_x <= cfg.k)
         # Corrected volume equals the raw one with the deterministic
         # shrinkage factor divided out.
-        factor = cfg.tau * cfg.delta ** (tr.rank_x / cfg.n)
+        factor = ellipsoid_codec._shrinkage(cfg.delta)[0] * cfg.delta ** (tr.rank_x / cfg.n)
         assert np.all(np.abs(tr.norm_volume_x_corrected - tr.norm_volume_x * factor) < 1e-12)
 
     def test_one_factorization_per_source_per_trial(self, monkeypatch):

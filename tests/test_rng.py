@@ -82,6 +82,19 @@ def test_random_pd_takes_a_numpy_integer():
     assert a.shape == (3, 3) and np.array_equal(a, rng.random_pd(np.random.default_rng(0), 3))
 
 
+def test_trial_counts_fill_the_philox_trial_field():
+    # Trial indices 0..trials-1 fill 48 bits of the second key word: a count
+    # of 2^48 is the largest whose indices Streams accepts.
+    rng.check_trials(1)
+    rng.check_trials(2**48)
+    for trials in (0, -1):
+        with pytest.raises(DomainError, match="^trials must be at least 1$"):
+            rng.check_trials(trials)
+    for trials in (2**48 + 1, 10**20):
+        with pytest.raises(DomainError, match=rf"^trials must be at most 2\^48, .*, got {trials}$"):
+            rng.check_trials(trials)
+
+
 @pytest.mark.parametrize("seed", [1.5, 2.0])
 def test_non_integral_seed_is_a_domain_error(seed):
     with pytest.raises(DomainError, match="^seed must be an integer"):

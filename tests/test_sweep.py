@@ -182,6 +182,9 @@ def test_modes_are_named_only_as_table_keys():
 @pytest.mark.parametrize("mode,trials,dim,message", [
     ("bogus", 5, 1, "^unknown mode 'bogus'$"),
     ("thm3", 0, 1, r"^trials must be at least 1$"),
+    # Past the 48-bit Philox trial field: each ran until stopped, sample by sample.
+    ("thm3", 2**48 + 1, 1, r"^trials must be at most 2\^48, .*, got 281474976710657$"),
+    ("vec-epi", 10**20, 4, r"^trials must be at most 2\^48, .*, got 100000000000000000000$"),
     ("thm1-vector", 5, 65, r"^dim must lie in \[1, 64\]$"),
 ])
 def test_rejects_bad_arguments(mode, trials, dim, message):
